@@ -9,7 +9,7 @@ context.  Two implementations of the same decode loop are timed:
   the single-head row pipeline;
 * **engine** — :class:`repro.engine.PadeEngine` with its persistent
   bit-plane cache (prompt decomposed once, one incremental row per step)
-  and the head-batched fast path (one einsum per round covers all heads).
+  and the head-batched fast path (one matmul per round covers all heads).
 
 The script asserts (a) the engine is >= 3x faster, and (b) the engine's
 retained-token sets are byte-identical between the ``"reference"`` and

@@ -2,7 +2,9 @@
 against the committed ``BENCH_*.json`` snapshots.
 
 Each benchmark has one *headline* metric (registry below, a dot-path
-into its JSON dict; numeric segments index into lists).  The gate fails
+into its JSON dict; on a list, a numeric segment indexes it and a
+``key=value`` segment picks the entry whose ``key`` equals ``value``, so
+a ``--quick`` sweep with fewer entries resolves to the same point).  The gate fails
 when a fresh headline is worse than the committed baseline by more than
 ``--tolerance`` (default 25%) in the metric's bad direction — slower
 throughput/speedup for higher-is-better metrics, larger latency for
@@ -33,7 +35,7 @@ REGISTRY = {
     "BENCH_prefix.json": ("prefix.block_savings", "higher"),
     "BENCH_policies.json": ("sweep.pade.throughput_tokens_per_round", "higher"),
     "BENCH_slo.json": ("priority_vs_fcfs.premium_p99_ttft_improvement", "higher"),
-    "BENCH_batch_decode.json": ("backends.fast.4.speedup", "higher"),
+    "BENCH_batch_decode.json": ("backends.fast.active=16.speedup", "higher"),
     "BENCH_async_serve.json": ("parity.round_report.throughput_tokens_per_round", "higher"),
     "BENCH_cluster.json": ("scaling.throughput_ratio", "higher"),
     "BENCH_tiering.json": ("overload.p99_ttft_improvement", "higher"),
@@ -42,10 +44,16 @@ REGISTRY = {
 
 
 def extract(data, path: str) -> float:
-    """Walk a dot-path; numeric segments index into lists."""
+    """Walk a dot-path; on lists, ``N`` indexes and ``key=value`` selects."""
     node = data
     for segment in path.split("."):
-        if isinstance(node, list):
+        if isinstance(node, list) and "=" in segment:
+            key, _, want = segment.partition("=")
+            picked = [item for item in node if str(item.get(key)) == want]
+            if not picked:
+                raise KeyError(f"no list entry with {segment!r}")
+            node = picked[0]
+        elif isinstance(node, list):
             node = node[int(segment)]
         elif isinstance(node, dict):
             node = node[segment]

@@ -5,8 +5,11 @@ runs the whole query block per bit round with one matmul, trading the exact
 per-row "observe then decide within a round" interleaving for a synchronous
 round barrier across the block.  The two produce identical results because
 the threshold is row-private either way — only the loop structure differs.
-Used by the harness and benches where the functional pass dominates runtime
-(~5-8× faster on 8×2048 problems).
+The matmuls run in the float dtype :func:`exact_dot_dtype` picks, in which
+every bit-round product is exact (:func:`plane_products`), and the op
+counters read the planes' cached popcounts.  Used by the harness and
+benches where the functional pass dominates runtime (~5-8× faster on
+8×2048 problems).
 """
 
 from __future__ import annotations
@@ -19,7 +22,48 @@ from repro.core.bsf import BSFResult
 from repro.core.bui import build_bui_lut
 from repro.quant.bitplane import BitPlanes, plane_weights
 
-__all__ = ["bsf_filter_fast", "bsf_filter_fast_heads"]
+__all__ = ["bsf_filter_fast", "bsf_filter_fast_heads", "exact_dot_dtype", "plane_products"]
+
+#: Largest integer magnitudes float32 / float64 represent exactly.
+_FLOAT32_EXACT = 1 << 24
+_FLOAT64_EXACT = 1 << 53
+
+
+def exact_dot_dtype(q: np.ndarray, head_dim: int) -> type:
+    """Float dtype in which every ``q · plane`` bit-round product is exact.
+
+    A plane entry is 0 or 1, so every partial sum of a ``head_dim``-long
+    product has magnitude at most ``head_dim · max|q|`` (at most
+    ``head_dim · 2^(bits-1)`` for in-range queries).  While that bound
+    stays below the mantissa limit every partial sum is an exactly
+    representable integer, so a BLAS matmul returns the int64 result
+    bit for bit whatever its summation order (DESIGN.md §13).
+    """
+    qa = np.asarray(q)
+    q_max = max(int(qa.max()), -int(qa.min())) if qa.size else 0
+    bound = head_dim * q_max
+    if bound < _FLOAT32_EXACT:
+        return np.float32
+    if bound < _FLOAT64_EXACT:
+        return np.float64
+    raise ValueError(
+        f"query magnitude {q_max} x head_dim {head_dim} reaches 2^53: "
+        "bit-round products would not be exact in float64"
+    )
+
+
+def plane_products(q_dot: np.ndarray, plane: np.ndarray) -> np.ndarray:
+    """Exact ``q · plane`` of every query row with every key, as int64.
+
+    ``q_dot`` has shape ``(..., P, D)`` in the dtype :func:`exact_dot_dtype`
+    chose; ``plane`` has shape ``(..., S, D)`` with 0/1 entries.  Returns
+    ``(..., P, S)``.  One batched ``np.matmul`` runs a matrix-vector
+    product per query row: BLAS gemm on a few rows can wake sleeping
+    worker threads and take milliseconds (up to 100x a gemv on a busy
+    2-core host), while gemv stays fast at every row count.
+    """
+    products = np.matmul(plane.astype(q_dot.dtype)[..., None, :, :], q_dot[..., None])
+    return products[..., 0].astype(np.int64)
 
 
 def bsf_filter_fast(
@@ -34,6 +78,7 @@ def bsf_filter_fast(
     num_rows = q.shape[0]
     bits = key_planes.bits
     num_keys, head_dim = key_planes.value_shape
+    q_dot = q.astype(exact_dot_dtype(q, head_dim))
     lut = build_bui_lut(q, bits=bits)
     weights = plane_weights(bits)
 
@@ -60,12 +105,11 @@ def bsf_filter_fast(
     for r in range(bits):
         if not alive.any():
             break
-        plane = key_planes.planes[r].astype(np.int64)  # (S, H)
-        delta = q @ plane.T  # (P, S): every row's plane contribution
+        delta = plane_products(q_dot, key_planes.planes[r])  # (P, S)
         partial = np.where(alive, partial + weights[r] * delta, partial)
         planes_processed = np.where(alive, r + 1, planes_processed)
         loads += int(alive.sum())
-        pc = plane.sum(axis=1)
+        pc = key_planes.popcounts[r].astype(np.int64)
         eff = np.minimum(pc, head_dim - pc)
         eff_ops += int((eff[None, :] * alive).sum())
         naive_ops += int((pc[None, :] * alive).sum())
@@ -98,7 +142,7 @@ def bsf_filter_fast_heads(
     allowed: Optional[np.ndarray] = None,
     protect: Optional[np.ndarray] = None,
 ) -> BSFResult:
-    """Head-batched fused filter: one einsum covers every head per round.
+    """Head-batched fused filter: one batched matmul covers every head per round.
 
     The multi-head extension of :func:`bsf_filter_fast` the serving engine
     dispatches on.  ``q_int`` has shape ``(Hh, P, H)``, ``key_planes``
@@ -111,7 +155,9 @@ def bsf_filter_fast_heads(
     The per-(head, row) threshold recursion is exactly the single-head fast
     path's, so the result fields match a per-head loop over
     :func:`bsf_filter_fast` bit for bit; the returned :class:`BSFResult`
-    carries ``(Hh, P, S)`` arrays.
+    carries ``(Hh, P, S)`` arrays.  The products are exact float matmuls
+    (:func:`exact_dot_dtype`) and the op counters read
+    ``key_planes.popcounts``.
     """
     q = np.asarray(q_int, dtype=np.int64)
     if q.ndim != 3:
@@ -126,6 +172,8 @@ def bsf_filter_fast_heads(
     bits = key_planes.bits
     num_keys = key_planes.value_shape[1]
     guards = np.broadcast_to(np.asarray(guards, dtype=np.float64), (num_heads,))
+    q_dot = q.astype(exact_dot_dtype(q, head_dim))
+    popcounts = key_planes.popcounts
 
     lut = build_bui_lut(q.reshape(num_heads * num_rows, head_dim), bits=bits)
     i_min = lut.i_min.reshape(num_heads, num_rows, bits + 1)
@@ -165,13 +213,13 @@ def bsf_filter_fast_heads(
             cols = cols[active_cols]
         alive_c = alive[:, :, cols]
         plane = key_planes.planes[r][:, cols, :]  # (Hh, S', H) uint8
-        delta = np.einsum("hpd,hsd->hps", q, plane, dtype=np.int64)
+        delta = plane_products(q_dot, plane)  # (Hh, P, S')
         sub = partial[:, :, cols]
         sub = np.where(alive_c, sub + weights[r] * delta, sub)
         partial[:, :, cols] = sub
         planes_processed[:, :, cols] = np.where(alive_c, r + 1, planes_processed[:, :, cols])
         loads += int(alive_c.sum())
-        pc = plane.sum(axis=2, dtype=np.int64)  # (Hh, S')
+        pc = popcounts[r][:, cols].astype(np.int64)  # (Hh, S')
         eff = np.minimum(pc, head_dim - pc)
         eff_ops += int((eff[:, None, :] * alive_c).sum())
         naive_ops += int((pc[:, None, :] * alive_c).sum())

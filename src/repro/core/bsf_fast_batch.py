@@ -3,12 +3,12 @@
 :func:`repro.core.bsf_fast.bsf_filter_fast_heads` fuses one request's
 filter round across its heads; a busy continuous-batching round still
 dispatches it once *per request*, so at an active-set size of 16+ the
-engine pays 16 small einsums (and their Python round loops) where one big
+engine pays 16 small matmuls (and their Python round loops) where one big
 one would do.  :func:`bsf_filter_fast_batch` closes that gap: the ragged
 per-request key sequences are padded to a shared ``S_max`` with a
 **validity mask** and the per-(request, head, row) threshold recursion
-runs over one ``(R, Hh, P, S_max)`` lattice — one einsum per bit round
-covers the whole active set.
+runs over one ``(R, Hh, P, S_max)`` lattice — one batched matmul per bit
+round covers the whole active set.
 
 Equivalence rule (DESIGN.md §13): the threshold recursion is row-private
 — ``max_lb`` folds only over that (request, head, row)'s alive keys — and
@@ -20,6 +20,15 @@ request alone, including the ``bit_plane_loads`` / ``effective_bit_ops``
 / ``naive_bit_ops`` counters, which are accumulated with the request axis
 kept separate.
 
+Two choices keep each round cheap without giving up exactness.  The
+per-round ``q · plane`` products run as one batched BLAS matmul in the
+float dtype :func:`repro.core.bsf_fast.exact_dot_dtype` picks: every
+partial sum is an integer below that dtype's mantissa limit, so the
+result equals the int64 one bit for bit.  The op counters never sum
+planes: they read the popcounts the :class:`BitPlanes` carry, counting a
+(request, head, row, key) cell in round ``r`` exactly when its final
+``planes_processed > r``.
+
 The column-compaction trick carries over **per request**, not batch-wide:
 requests retain different token positions, so the union of alive columns
 across a busy active set stays dense even when every request's own set is
@@ -29,7 +38,7 @@ fill a dense prefix of a shared-width compacted lattice; rows whose
 request has fewer alive columns than the batch maximum point their tail
 at a **dead sentinel column** appended past ``S_max``, which is never
 alive, never protected, and never read back — so tail cells mask
-themselves out of every update and the einsum width per round is
+themselves out of every update and the matmul width per round is
 ``max_i |alive_i|``, the same per-request compaction
 :func:`bsf_filter_fast_heads` enjoys.
 
@@ -51,10 +60,41 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.bsf import BSFResult
+from repro.core.bsf_fast import exact_dot_dtype, plane_products
 from repro.core.bui import build_bui_lut
-from repro.quant.bitplane import BitPlanes, plane_weights
+from repro.quant.bitplane import BitPlanes, plane_weights, popcount_dtype
 
 __all__ = ["bsf_filter_fast_batch"]
+
+
+def _columns_alive(alive: np.ndarray) -> np.ndarray:
+    """``alive.any(axis=(2, 3))`` for an ``(R, W, Hh, P)`` mask.
+
+    numpy reduces the few trailing cells of each column slowly.  When a
+    column's ``Hh * P`` flags fill one 1/2/4/8-byte word, viewing them as
+    that unsigned integer tests them all with one comparison.
+    """
+    cells = alive.shape[2] * alive.shape[3]
+    if cells in (1, 2, 4, 8):
+        words = np.ascontiguousarray(alive).reshape(alive.shape[:2] + (cells,))
+        return words.view(f"u{cells}")[:, :, 0] != 0
+    return alive.any(axis=(2, 3))
+
+
+def _max_over_columns(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1)`` by pairwise halving of axis 1 (max is order-free).
+
+    numpy's reduction over the middle axis of an ``(R, W, Hh, P)`` array
+    walks a few trailing cells per step; folding halves keeps every step
+    one wide elementwise ``maximum``.
+    """
+    while x.shape[1] > 1:
+        half = x.shape[1] // 2
+        folded = np.maximum(x[:, :half], x[:, half : 2 * half])
+        if x.shape[1] % 2:
+            np.maximum(folded[:, 0], x[:, -1], out=folded[:, 0])
+        x = folded
+    return x[:, 0]
 
 
 def bsf_filter_fast_batch(
@@ -117,22 +157,22 @@ def bsf_filter_fast_batch(
     s_max = max(seq_lens)
 
     q = np.stack(qs)  # (R, Hh, P, D)
+    q_dot = q.astype(exact_dot_dtype(q, head_dim))
     guard_mat = np.stack(
         [np.broadcast_to(np.asarray(g, dtype=np.float64), (num_heads,)) for g in guards]
     )  # (R, Hh)
 
     # Pad the ragged planes into one lattice, laid out (bits, R, S, Hh, D)
     # so the per-round column gather is leading-axis fancy indexing (the
-    # fast path — contiguous (Hh, D) blocks per picked column).  Only each
-    # request's own columns and the shared all-zero sentinel column (index
-    # s_max, where compaction tails point) are ever gathered, so the
-    # ragged padding gap can stay uninitialised — no multi-megabyte memset
-    # per decode round.
+    # fast path — contiguous (Hh, D) blocks per picked column).  Each
+    # request's padding gap and the shared sentinel column (index s_max,
+    # where compaction tails point) are zero, like the dead tail slots
+    # that read them.
     s_pad = s_max + 1
     planes = np.empty((bits, num_requests, s_pad, num_heads, head_dim), dtype=np.uint8)
-    planes[:, :, s_max] = 0
     for i, kp in enumerate(key_planes):
         planes[:, i, : seq_lens[i]] = np.asarray(kp.planes).transpose(0, 2, 1, 3)
+        planes[:, i, seq_lens[i] :] = 0
 
     # Compact-resident state, laid out (R, W, Hh, P) so per-request column
     # gathers are plain leading-axis fancy indexing.  ``orig_cols`` maps
@@ -180,6 +220,7 @@ def bsf_filter_fast_batch(
     scores_out = np.zeros((num_requests, num_heads, num_rows, s_max), dtype=np.int64)
 
     req_ix = np.arange(num_requests)[:, None]
+    compacted = False
     for r in range(bits):
         # Per-request compaction: shrink the shared width to the busiest
         # request's alive column count.  A column dropped here died in an
@@ -187,8 +228,8 @@ def bsf_filter_fast_batch(
         # it out now, it leaves the compact lattice for good.  Compaction
         # only skips provably dead (masked) work, so *when* it runs is
         # pure tuning: small shrinks are skipped because five gathers
-        # cost more than the einsum columns they would save.
-        col_alive = alive_c.any(axis=(2, 3))  # (R, width)
+        # cost more than the matmul columns they would save.
+        col_alive = _columns_alive(alive_c)  # (R, width)
         n_cols = col_alive.sum(axis=1)
         new_w = int(n_cols.max())
         if new_w == 0:
@@ -211,21 +252,27 @@ def bsf_filter_fast_batch(
             partial_c = partial_c[req_ix, sel]
             pp_c = pp_c[req_ix, sel]
             width = new_w
+            compacted = True
 
         # Leading-axis fancy gather (not take_along_axis — broadcasting
         # ids over the D axis makes numpy walk cell by cell).  Result is
-        # (R, width, Hh, D); the sentinel column is all zeros and its
-        # cells are dead anyway.
-        plane = planes[r][req_ix, orig_cols]
-        delta = np.einsum("rhpd,rshd->rshp", q, plane, dtype=np.int64)
-        partial_c = np.where(alive_c, partial_c + weights[r] * delta, partial_c)
+        # (R, width, Hh, D); tail slots read zeros and are dead anyway.
+        # Before the first compaction every request's slots are its own
+        # columns in order, then its zero gap, so the gather is the
+        # identity on the lattice prefix and is skipped.
+        plane = planes[r][req_ix, orig_cols] if compacted else planes[r][:, :s_max]
+        delta = plane_products(q_dot, plane.transpose(0, 2, 1, 3))  # (R, Hh, P, width)
+        delta = delta.transpose(0, 3, 1, 2)  # (R, width, Hh, P)
+        delta *= weights[r]
+        delta *= alive_c  # only alive cells accumulate
+        partial_c += delta
         pp_c += alive_c  # processed rounds are consecutive from round 0
 
         # Row-private threshold fold, all-integer until the last step: the
         # per-round BUI addend i_min[r+1] is constant per (request, head,
         # row), so folding max over the alive partials first and adding it
         # after is exact (int64 throughout, no float rounding).
-        part_max = np.where(alive_c, partial_c, int_floor).max(axis=1)
+        part_max = _max_over_columns(np.where(alive_c, partial_c, int_floor))
         max_lb = np.maximum(max_lb, part_max + i_min[:, :, :, r + 1])
         threshold = np.where(finite_guard[:, :, None], max_lb - guard_mat[:, :, None], -np.inf)
         ub = partial_c + i_max[:, :, :, r + 1][:, None]
@@ -241,22 +288,21 @@ def bsf_filter_fast_batch(
         pp_out[ri, :, :, oc] = pp_c[ri, ci]
         scores_out[ri, :, :, oc] = np.where(alive_c[ri, ci], partial_c[ri, ci], 0)
 
-    # Deferred counters: a cell processed for ``pp`` rounds consumed
-    # planes 0..pp-1, so per-cell op counts are prefix sums of the
-    # per-column popcounts indexed by the cell's final ``pp`` — no
-    # per-round reductions needed.  ``cum[0] == 0`` guards the
-    # uninitialised padding columns (their ``pp`` is 0).
-    pc_all = planes.sum(axis=4, dtype=np.int64)  # (bits, R, s_pad, Hh)
-    naive_cum = np.zeros((bits + 1,) + pc_all.shape[1:], dtype=np.int64)
-    np.cumsum(pc_all, axis=0, out=naive_cum[1:])
-    eff_cum = np.zeros_like(naive_cum)
-    np.cumsum(np.minimum(pc_all, head_dim - pc_all), axis=0, out=eff_cum[1:])
-    ri = np.arange(num_requests)[:, None, None, None]
-    hi = np.arange(num_heads)[None, :, None, None]
-    ci = np.arange(s_max)[None, None, None, :]
+    # Counters from the planes' cached popcounts: processed rounds are
+    # consecutive from round 0, so a cell consumed plane r exactly when
+    # its final ``pp > r``.  Padding columns have ``pp == 0`` and zero
+    # popcounts, so they count nothing.
+    pc = np.zeros((bits, num_requests, num_heads, s_max), dtype=popcount_dtype(head_dim))
+    for i, kp in enumerate(key_planes):
+        pc[:, i, :, : seq_lens[i]] = kp.popcounts
+    eff_pc = np.minimum(pc, head_dim - pc)
     loads = pp_out.sum(axis=(1, 2, 3))  # bit_plane_loads == sum of rounds processed
-    eff_ops = eff_cum[pp_out, ri, ci, hi].sum(axis=(1, 2, 3))
-    naive_ops = naive_cum[pp_out, ri, ci, hi].sum(axis=(1, 2, 3))
+    naive_ops = np.zeros(num_requests, dtype=np.int64)
+    eff_ops = np.zeros(num_requests, dtype=np.int64)
+    for r in range(int(pp_out.max(initial=0))):
+        cells = (pp_out > r).sum(axis=2)  # (R, Hh, s_max): rows that read plane r
+        naive_ops += (cells * pc[r]).sum(axis=(1, 2))
+        eff_ops += (cells * eff_pc[r]).sum(axis=(1, 2))
 
     results = []
     for i, s in enumerate(seq_lens):

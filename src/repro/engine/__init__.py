@@ -11,7 +11,7 @@
   byte-identical results to one-shot prefill.
 * :mod:`repro.engine.engine` — :class:`PadeEngine`: multi-head attention
   over model presets with per-head guards, a head-batched filter round
-  (one einsum covers all heads), and aggregate serving statistics.
+  (one matmul covers all heads), and aggregate serving statistics.
 * :mod:`repro.engine.scheduler` — :class:`EngineScheduler` (lockstep FIFO
   baseline) and :class:`ContinuousScheduler` (arrival-aware iteration-level
   batching with pluggable :class:`SchedulingPolicy` admission — ``fcfs`` /

@@ -63,7 +63,9 @@ Two serving-specific choices apply to both:
 * **Head-major layout.**  Planes are stored as one ``(bits, H, S, D)``
   array so the head-batched kernel
   (:func:`repro.core.bsf_fast.bsf_filter_fast_heads`) can consume a round
-  for all heads with a single einsum, no per-call stacking.
+  for all heads with a single matmul, no per-call stacking.  (The paged
+  cache's resident view mirrors its rows token-major instead and hands
+  out a transposed view of the same value shape.)
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.quant.bitplane import BitPlanes, decompose_bitplanes
+from repro.quant.bitplane import BitPlanes, decompose_bitplanes, popcount_dtype
 from repro.quant.integer import int_range
 
 __all__ = [
@@ -218,6 +220,7 @@ class BitPlaneKVCache:
         self._length = 0
         self._capacity = 0
         self._planes: Optional[np.ndarray] = None  # (bits, H, cap, D) uint8
+        self._popcounts: Optional[np.ndarray] = None  # (bits, H, cap) per-plane set bits
         self._k_int: Optional[np.ndarray] = None  # (H, cap, D) int64
         self._k: Optional[np.ndarray] = None  # (H, cap, D) float64 raw keys
         self._values: Optional[np.ndarray] = None  # (H, cap, Dv) float64
@@ -244,7 +247,10 @@ class BitPlaneKVCache:
         """View of the cached planes, value shape ``(H, length, D)``."""
         if self._planes is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        return BitPlanes(planes=self._planes[:, :, : self._length, :], bits=self.bits)
+        n = self._length
+        return BitPlanes(
+            planes=self._planes[:, :, :n, :], bits=self.bits, popcounts=self._popcounts[:, :, :n]
+        )
 
     @property
     def values(self) -> np.ndarray:
@@ -288,6 +294,7 @@ class BitPlaneKVCache:
 
         self._reserve(max(seq_len, 1))
         self._planes[:, :, :seq_len, :] = bp.planes
+        self._popcounts[:, :, :seq_len] = bp.popcounts
         self._k_int[:, :seq_len, :] = k_int
         self._k[:, :seq_len, :] = k
         self._values[:, :seq_len, :] = v
@@ -307,6 +314,7 @@ class BitPlaneKVCache:
         bp = decompose_bitplanes(k_int, bits=self.bits)  # (bits, H, D)
         pos = self._length
         self._planes[:, :, pos, :] = bp.planes
+        self._popcounts[:, :, pos] = bp.popcounts
         self._k_int[:, pos, :] = k_int
         self._k[:, pos, :] = k_step
         self._values[:, pos, :] = v_step
@@ -320,15 +328,20 @@ class BitPlaneKVCache:
             return
         new_cap = max(needed, max(1, self._capacity) * 2)
         planes = np.zeros((self.bits, self.num_heads, new_cap, self.head_dim), dtype=np.uint8)
+        popcounts = np.zeros(
+            (self.bits, self.num_heads, new_cap), dtype=popcount_dtype(self.head_dim)
+        )
         k_int = np.zeros((self.num_heads, new_cap, self.head_dim), dtype=np.int64)
         k = np.zeros((self.num_heads, new_cap, self.head_dim), dtype=np.float64)
         values = np.zeros((self.num_heads, new_cap, self.v_dim), dtype=np.float64)
         if self._length:
             planes[:, :, : self._length, :] = self._planes[:, :, : self._length, :]
+            popcounts[:, :, : self._length] = self._popcounts[:, :, : self._length]
             k_int[:, : self._length, :] = self._k_int[:, : self._length, :]
             k[:, : self._length, :] = self._k[:, : self._length, :]
             values[:, : self._length, :] = self._values[:, : self._length, :]
         self._planes = planes
+        self._popcounts = popcounts
         self._k_int = k_int
         self._k = k
         self._values = values
@@ -489,6 +502,10 @@ class PlaneBlockPool:
         self.restored_plane_bytes = 0  # modeled packed bytes moved back
         self._tier_plane_writes = 0  # (plane, key) rows spilled, for the DRAM model
         self._tier_plane_reads = 0  # (plane, key) rows restored
+        # Bumped whenever stored planes of a live block change in place
+        # (spill zeroes rows, restore writes them back): every cache's
+        # resident plane view taken at an older epoch must be rebuilt.
+        self.plane_epoch = 0
 
     # ------------------------------------------------------------------
     @property
@@ -799,6 +816,7 @@ class PlaneBlockPool:
             chunk if store is None else np.concatenate([chunk, store], axis=0)
         )
         self._planes[target_planes:current, :, rows, :] = 0
+        self.plane_epoch += 1
         self._resident[block] = target_planes
         moved = current - target_planes
         self._plane_units_used -= moved
@@ -828,6 +846,7 @@ class PlaneBlockPool:
         start = block * self.block_size
         rows = slice(start, start + self.block_size)
         self._planes[current:target, :, rows, :] = store[:moved]
+        self.plane_epoch += 1
         if moved == store.shape[0]:
             del self._spill_store[block]
         else:
@@ -891,11 +910,17 @@ class PagedBitPlaneKVCache:
     Presents exactly the :class:`BitPlaneKVCache` interface —
     ``planes/values/k_int/scales/length/prefill/append`` plus the
     ``rows_decomposed``/``appends`` counters — so ``PadeEngine.attend`` and
-    both kernel backends consume it unchanged.  The views are *gathers*
-    through the block table rather than slices of a private buffer, which
-    is the price of sharing: any number of sequences interleave allocation
-    from one pool, and :meth:`release` returns a sequence's blocks for
-    immediate reuse (completion or preemption).
+    both kernel backends consume it unchanged.  Any number of sequences
+    interleave allocation from one pool, and :meth:`release` returns a
+    sequence's blocks for immediate reuse (completion or preemption).
+
+    ``planes`` is a *resident view* (DESIGN.md §9): the cache mirrors its
+    gathered planes and their popcounts in a private contiguous buffer
+    and each call gathers only the rows appended since the last one.
+    A move of the pool's ``plane_epoch`` (spill/restore) rebuilds the
+    mirror; a rebuild or growth always allocates a fresh buffer, so a
+    :class:`BitPlanes` already handed out is never mutated.  ``values``,
+    ``k_int`` and ``k_float`` remain gathers through the block table.
 
     Raises :class:`PoolExhausted` from ``prefill``/``append`` *before*
     mutating any state, so a failed allocation is always safe to retry
@@ -934,6 +959,14 @@ class PagedBitPlaneKVCache:
         self._pending_k: Optional[np.ndarray] = None  # (H, S, D) raw, during prefill
         self._pending_v: Optional[np.ndarray] = None  # (H, S, Dv) during prefill
         self.policy_state = None  # per-request AttentionPolicy state
+        # Resident plane view: rows [0, _mirrored) of the gathered planes
+        # and popcounts, valid while the pool epoch equals _mirror_epoch.
+        # Token-major, so the fused kernel pads it into its (bits, R, S,
+        # Hh, D) lattice with plain block copies.
+        self._mirror: Optional[np.ndarray] = None  # (bits, cap, H, D) uint8
+        self._mirror_pc: Optional[np.ndarray] = None  # (bits, H, cap)
+        self._mirrored = 0
+        self._mirror_epoch = -1
 
     # ------------------------------------------------------------------
     @property
@@ -983,11 +1016,38 @@ class PagedBitPlaneKVCache:
 
     @property
     def planes(self) -> BitPlanes:
-        """Gathered planes of this sequence, value shape ``(H, length, D)``."""
+        """Resident view of this sequence's planes, value shape ``(H, length, D)``.
+
+        Gathers only rows ``[mirrored, length)`` from the pool.  The
+        returned arrays are slices of a buffer whose rows below
+        ``length`` are never written again.
+        """
         if self._scales is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        gathered = self.pool._planes[:, :, self._row_index(), :]
-        return BitPlanes(planes=gathered, bits=self.bits)
+        n = self._length
+        start = self._mirrored
+        counts_dtype = popcount_dtype(self.head_dim)
+        if self._mirror is None or self._mirror_epoch != self.pool.plane_epoch:
+            start = 0
+        if start == 0 or n > self._mirror.shape[1]:
+            cap = n + (n >> 1)
+            planes = np.empty((self.bits, cap, self.num_heads, self.head_dim), dtype=np.uint8)
+            counts = np.empty((self.bits, self.num_heads, cap), dtype=counts_dtype)
+            if start:  # growth: carry the still-valid rows over
+                planes[:, :start] = self._mirror[:, :start]
+                counts[:, :, :start] = self._mirror_pc[:, :, :start]
+            self._mirror, self._mirror_pc = planes, counts
+            self._mirror_epoch = self.pool.plane_epoch
+        if start < n:
+            new = self.pool._planes[:, :, self._rows_for(start, n), :]
+            self._mirror[:, start:n] = new.transpose(0, 2, 1, 3)
+            new.sum(axis=-1, dtype=counts_dtype, out=self._mirror_pc[:, :, start:n])
+        self._mirrored = n
+        return BitPlanes(
+            planes=self._mirror[:, :n].transpose(0, 2, 1, 3),
+            bits=self.bits,
+            popcounts=self._mirror_pc[:, :, :n],
+        )
 
     @property
     def values(self) -> np.ndarray:
@@ -1253,3 +1313,5 @@ class PagedBitPlaneKVCache:
         self._pending_k = None
         self._pending_v = None
         self.policy_state = None
+        self._mirror = self._mirror_pc = None
+        self._mirrored = 0

@@ -13,7 +13,7 @@ rebuilt per call), the engine is the layer a serving stack talks to:
   prefill (:class:`repro.engine.cache.BitPlaneKVCache`) and extended
   incrementally each decode step, never rebuilt;
 * **head-batched fast path**: each filter round covers all heads with one
-  einsum via ``KernelBackend.filter_heads`` (the ``"fast"`` backend
+  matmul via ``KernelBackend.filter_heads`` (the ``"fast"`` backend
   dispatches :func:`repro.core.bsf_fast.bsf_filter_fast_heads`);
 * **request scheduling**: :meth:`PadeEngine.submit` /
   :meth:`PadeEngine.run` batch prefill admission and decode rounds across

@@ -15,8 +15,8 @@ the property the bit-wise uncertainty interval (BUI, §IV-A) is built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "reconstruct_from_planes",
     "partial_reconstruct",
     "popcount_per_plane",
+    "popcount_dtype",
 ]
 
 
@@ -63,16 +64,43 @@ def unknown_weight_sum(bits: int, planes_known: int) -> int:
     return (1 << (bits - planes_known)) - 1
 
 
+def popcount_dtype(length: int) -> type:
+    """Smallest unsigned dtype holding a popcount over ``length`` bits."""
+    if length <= 0xFF:
+        return np.uint8
+    if length <= 0xFFFF:
+        return np.uint16
+    return np.uint32
+
+
 @dataclass(frozen=True)
 class BitPlanes:
     """MSB-first bit planes of an integer tensor.
 
     ``planes`` has shape ``(bits,) + value_shape`` with entries in {0, 1};
     ``planes[0]`` is the sign plane.
+
+    ``popcounts`` holds the set bits of every plane along the last value
+    axis, shape ``planes.shape[:-1]`` in :func:`popcount_dtype` of that
+    axis.  A plane's popcount depends on the stored plane only, never on
+    the query, so the fast kernels read it instead of re-summing planes
+    every filter call.  Producers that already know the counts pass them
+    in; otherwise they are computed once here.  The field is derived
+    data, so it takes no part in equality.
     """
 
     planes: np.ndarray
     bits: int
+    popcounts: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.popcounts is None:
+            if np.ndim(self.planes) < 2:  # scalar values: one bit per plane
+                counts = np.asarray(self.planes, dtype=np.uint8)
+            else:
+                length = np.shape(self.planes)[-1]
+                counts = popcount_per_plane(self, axis=-1, dtype=popcount_dtype(length))
+            object.__setattr__(self, "popcounts", counts)
 
     @property
     def value_shape(self) -> Tuple[int, ...]:
@@ -133,13 +161,16 @@ def partial_reconstruct(bp: BitPlanes, planes_known: int) -> np.ndarray:
     return out
 
 
-def popcount_per_plane(bp: BitPlanes, axis: int | None = None) -> np.ndarray:
+def popcount_per_plane(
+    bp: BitPlanes, axis: int | None = None, dtype: type = np.int64
+) -> np.ndarray:
     """Number of set bits in each plane (optionally along one value axis).
 
-    This drives the bidirectional-sparsity load model: a plane's *effective*
+    ``axis`` indexes the value shape, so ``-1`` is its last axis.  This
+    drives the bidirectional-sparsity load model: a plane's *effective*
     work under BS is ``min(popcount, N - popcount)``.
     """
-    planes = bp.planes.astype(np.int64)
+    planes = np.asarray(bp.planes)
     if axis is None:
-        return planes.reshape(bp.bits, -1).sum(axis=1)
-    return planes.sum(axis=axis + 1)
+        return planes.reshape(bp.bits, -1).sum(axis=1, dtype=dtype)
+    return planes.sum(axis=axis % (planes.ndim - 1) + 1, dtype=dtype)

@@ -183,7 +183,7 @@ class PadeAccelerator:
         else:
             retained = np.ones((num_queries, num_keys), dtype=bool)
             planes = np.full((num_queries, num_keys), bits, dtype=np.int64)
-            pc = key_planes.planes.sum(axis=2).astype(np.int64)
+            pc = key_planes.popcounts.astype(np.int64)
             eff = np.minimum(pc, head_dim - pc) if cfg.enable_bs else pc
             effective_ops = int(eff.sum()) * num_queries
             rescale_ops = 0

@@ -140,7 +140,7 @@ def simulate_qkpu(
     # Energy accounting.
     if effective_bit_ops is None:
         # approximate: every token contributes its processed planes once per row
-        pc = key_planes.planes.sum(axis=2).astype(np.int64)  # (bits, S)
+        pc = key_planes.popcounts.astype(np.int64)  # (bits, S)
         eff = np.minimum(pc, key_planes.value_shape[1] - pc) if bidirectional else pc
         total_eff = 0
         for row in range(num_rows):

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core import PadeConfig
 from repro.core.backend import get_backend
-from repro.core.bsf_fast import bsf_filter_fast_heads
+from repro.core.bsf_fast import bsf_filter_fast_heads, exact_dot_dtype
 from repro.core.bsf_fast_batch import bsf_filter_fast_batch
 from repro.engine import PadeEngine
 from repro.eval.serving_metrics import summarize_serving
@@ -124,6 +124,55 @@ def test_kernel_batch_via_registry():
     )
     for i, (f, r) in enumerate(zip(fast, ref)):
         _assert_results_identical(f, r, f"request {i}")
+
+
+@pytest.mark.parametrize(
+    "bits, head_dim, dot_dtype",
+    [
+        (8, 32, np.float32),
+        (8, 37, np.float32),
+        (19, 31, np.float32),  # largest partial sums just below 2^24
+        (20, 32, np.float64),  # head_dim * 2^(bits-1) == 2^24
+        (20, 37, np.float64),
+    ],
+)
+def test_kernel_parity_at_exact_float_bounds(bits, head_dim, dot_dtype):
+    """Both fast kernels equal the reference backend bit for bit on both
+    sides of the float32 bound, on adversarial extremes: the most negative
+    query everywhere, all-ones planes, head_dim not a multiple of 8."""
+    rng = np.random.default_rng(bits * 100 + head_dim)
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    num_heads, num_rows = 2, 2
+    qs, planes, guards = [], [], []
+    for seq_len in (9, 23, 16):
+        q = np.full((num_heads, num_rows, head_dim), lo)  # the most negative query
+        q[1, 0, -1] = -1  # odd sums of maximal magnitude
+        q[1, 1] = rng.choice([lo, hi, 0, -1], size=head_dim)
+        k = rng.integers(lo, hi + 1, size=(num_heads, seq_len, head_dim))
+        k[:, ::3] = -1  # all-ones planes on every third key
+        qs.append(q)
+        planes.append(decompose_bitplanes(k, bits=bits))
+        guards.append(np.array([float(1 << (bits + 4)), np.inf]))
+    assert exact_dot_dtype(np.stack(qs), head_dim) is dot_dtype
+
+    fast, ref = get_backend("fast"), get_backend("reference")
+    want = ref.filter_heads_batch(qs, planes, guards)
+    fused = fast.filter_heads_batch(qs, planes, guards)
+    for i, w in enumerate(want):
+        _assert_results_identical(fused[i], w, f"fused request {i}")
+        single = fast.filter_heads(qs[i], planes[i], guards[i])
+        _assert_results_identical(single, w, f"per-request {i}")
+
+
+def test_kernels_reject_queries_past_the_float64_bound():
+    bits, head_dim = 50, 32  # 32 * 2^49 == 2^54
+    q = np.full((1, 1, head_dim), -(1 << (bits - 1)), dtype=np.int64)
+    planes = decompose_bitplanes(np.full((1, 4, head_dim), -1, dtype=np.int64), bits=bits)
+    guards = np.array([np.inf])
+    with pytest.raises(ValueError, match="2\\^53"):
+        bsf_filter_fast_batch([q], [planes], [guards])
+    with pytest.raises(ValueError, match="2\\^53"):
+        bsf_filter_fast_heads(q, planes, guards)
 
 
 def test_kernel_batch_validates_ragged_inputs():

@@ -42,6 +42,13 @@ def test_extract_list_index():
     assert cb.extract(data, "backends.fast.1.speedup") == 3.2
 
 
+def test_extract_list_selector():
+    data = {"backends": {"fast": [{"active": 1, "speedup": 1.0}, {"active": 16, "speedup": 3.2}]}}
+    assert cb.extract(data, "backends.fast.active=16.speedup") == 3.2
+    with pytest.raises(KeyError):
+        cb.extract(data, "backends.fast.active=32.speedup")
+
+
 def test_extract_missing_key_raises():
     with pytest.raises(KeyError):
         cb.extract({"a": 1}, "b")
@@ -136,12 +143,19 @@ def test_main_fails_on_missing_fresh(tmp_path, capsys):
 
 
 def test_main_list_index_path(tmp_path):
+    """The committed full sweep and a --quick sweep (fewer active sizes)
+    compare at the same active size."""
     base, fresh = tmp_path / "base", tmp_path / "fresh"
-    payload = {"backends": {"fast": [{}, {}, {}, {}, {"speedup": 3.1}]}}
-    _write(base, "BENCH_batch_decode.json", payload)
-    slow = {"backends": {"fast": [{}, {}, {}, {}, {"speedup": 3.1 * 0.6}]}}
-    _write(fresh, "BENCH_batch_decode.json", slow)
-    assert cb.main(["--baseline-dir", str(base), "--fresh-dir", str(fresh)]) == 1
+    full = [{"active": a, "speedup": 1.0} for a in (1, 2, 4, 8, 32)]
+    full.insert(4, {"active": 16, "speedup": 3.1})
+    _write(base, "BENCH_batch_decode.json", {"backends": {"fast": full}})
+    quick = [{"active": a, "speedup": s} for a, s in ((1, 1.0), (8, 3.0), (16, 3.0))]
+    _write(fresh, "BENCH_batch_decode.json", {"backends": {"fast": quick}})
+    args = ["--baseline-dir", str(base), "--fresh-dir", str(fresh)]
+    assert cb.main(args) == 0
+    quick[2]["speedup"] = 3.1 * 0.6
+    _write(fresh, "BENCH_batch_decode.json", {"backends": {"fast": quick}})
+    assert cb.main(args) == 1
 
 
 def test_main_cluster_headline_regression(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.quant.bitplane import (
+    BitPlanes,
     decompose_bitplanes,
     partial_reconstruct,
     plane_weights,
@@ -120,3 +121,17 @@ class TestPopcount:
         pc = popcount_per_plane(bp, axis=1)
         assert pc.shape == (8, 2)
         np.testing.assert_array_equal(pc, np.ones_like(pc))
+
+    @given(int8_arrays)
+    def test_bitplanes_carry_last_axis_popcounts(self, values):
+        """decompose_bitplanes fills popcounts equal to popcount_per_plane
+        over the last value axis; a BitPlanes built without them fills
+        them in identically, and they take no part in equality."""
+        bp = decompose_bitplanes(values, bits=8)
+        np.testing.assert_array_equal(bp.popcounts, popcount_per_plane(bp, axis=-1))
+        assert bp.popcounts.shape == bp.planes.shape[:-1]
+        bare = BitPlanes(planes=bp.planes, bits=8)
+        assert bare.popcounts.dtype == bp.popcounts.dtype
+        assert bare.popcounts.tobytes() == bp.popcounts.tobytes()
+        stale = BitPlanes(planes=bp.planes, bits=8, popcounts=np.zeros_like(bp.popcounts))
+        assert stale == bp  # same planes object: popcounts are not compared

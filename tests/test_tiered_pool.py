@@ -24,6 +24,7 @@ from repro.engine import (
     PoolExhausted,
 )
 from repro.engine.cache import TierConfig
+from repro.quant.bitplane import BitPlanes, popcount_per_plane
 
 
 def _tiered_pool(budget_blocks=6, block_size=4, bits=8, min_resident=2,
@@ -196,6 +197,110 @@ class TestSharingAndCow:
         pool.release([extra])
         cache.release()
         assert pool.plane_units_used == 0
+
+
+class TestResidentPlaneView:
+    """``PagedBitPlaneKVCache.planes`` is a resident mirror, not a gather:
+    under any interleaving of the pool's write paths it must still equal
+    a fresh gather through the block table, and no view it handed out
+    earlier may ever change."""
+
+    OPS = ("append", "admit", "extend", "fork", "spill", "restore", "release", "readmit")
+
+    @staticmethod
+    def _check_views(pool, caches, published):
+        for cache in caches:
+            if cache._scales is None:
+                continue
+            view = cache.planes
+            fresh = pool._planes[:, :, cache._row_index(), :]
+            assert view.planes.tobytes() == fresh.tobytes()
+            want = popcount_per_plane(BitPlanes(planes=fresh, bits=pool.bits), axis=-1)
+            assert np.array_equal(view.popcounts, want)
+            published.append((view, view.planes.tobytes(), view.popcounts.tobytes()))
+        for view, planes_bytes, counts_bytes in published:
+            assert view.planes.tobytes() == planes_bytes
+            assert view.popcounts.tobytes() == counts_bytes
+
+    @given(
+        steps=st.lists(
+            st.tuples(st.sampled_from(OPS), st.integers(0, 2**16)), min_size=8, max_size=30
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_view_matches_fresh_gather_under_interleavings(self, steps, seed):
+        rng = np.random.default_rng(seed)
+        pool = PlaneBlockPool(
+            2, 5, 3, bits=8, block_size=4, token_budget=20 * 4,
+            tiering=TierConfig(min_resident_planes=2),
+        )
+        # Every prompt shares an 8-token (two-block) prefix; suffixes are
+        # too small to move the per-head scales, so prefix blocks attach.
+        prefix_k = rng.normal(size=(2, 8, 5))
+        prefix_v = rng.normal(size=(2, 8, 3))
+
+        def prompt():
+            n = int(rng.integers(1, 7))
+            k = np.concatenate([prefix_k, 0.01 * rng.normal(size=(2, n, 5))], axis=1)
+            v = np.concatenate([prefix_v, rng.normal(size=(2, n, 3))], axis=1)
+            return k, v
+
+        caches, prompts, published = [], {}, []
+        for _ in range(2):  # two sealed sequences to start from
+            cache = PagedBitPlaneKVCache(pool, prefix_sharing=True)
+            prompts[id(cache)] = prompt()
+            cache.prefill(*prompts[id(cache)])
+            caches.append(cache)
+        for op, pick in steps:
+            live = [c for c in caches if c._scales is not None]
+            sealed = [c for c in live if c._pending_k_int is None]
+            pending = [c for c in live if c._pending_k_int is not None]
+            try:
+                if op == "append" and sealed:
+                    sealed[pick % len(sealed)].append(
+                        rng.normal(size=(2, 5)), rng.normal(size=(2, 3))
+                    )
+                elif op == "admit" and len(live) < 5:
+                    cache = PagedBitPlaneKVCache(pool, prefix_sharing=True)
+                    prompts[id(cache)] = prompt()
+                    cache.begin_prefill(*prompts[id(cache)])
+                    caches.append(cache)
+                elif op == "extend" and pending:  # chunked prefill, 3 rows a chunk
+                    cache = pending[pick % len(pending)]
+                    cache.extend_prefill(3)
+                    if cache.prefill_remaining == 0:
+                        cache.finish_prefill()
+                elif op == "fork" and sealed and len(live) < 5:
+                    parent = sealed[pick % len(sealed)]
+                    child = parent.fork()
+                    prompts[id(child)] = prompts[id(parent)]
+                    caches.append(child)
+                elif op == "spill":
+                    candidates = pool.spill_candidates()
+                    if candidates:
+                        block = candidates[pick % len(candidates)]
+                        deeper = [t for t in pool.tiering.ladder(pool.bits)
+                                  if t < pool.resident_planes(block)]
+                        if deeper:
+                            pool.spill_block(block, deeper[pick % len(deeper)])
+                elif op == "restore":
+                    degraded = pool.degraded_blocks()
+                    if degraded:
+                        block = degraded[pick % len(degraded)]
+                        level = pool.resident_planes(block) + 1 + pick % 2
+                        pool.restore_block(block, min(level, pool.bits))
+                elif op == "release" and live:  # frees blocks for reuse
+                    live[pick % len(live)].release()
+                elif op == "readmit" and sealed:  # preempt, then prefill again
+                    cache = sealed[pick % len(sealed)]
+                    cache.release()
+                    cache.prefill(*prompts[id(cache)])
+            except PoolExhausted:
+                pass
+            self._check_views(pool, caches, published)
+        for cache in caches:
+            cache.release()
+        assert pool.used_block_count == 0
 
 
 class TestSchedulerIntegration:
