@@ -39,7 +39,7 @@ from repro.cluster.server import ClusterServer, serve_workload_over_cluster
 from repro.eval.workloads import build_cluster_workload
 from repro.serve.client import ServeConnection
 
-WORKER_KWARGS = dict(token_budget=1536, max_active=4, block_size=16)
+WORKER_KWARGS = dict(token_budget=1536, max_active=4, block_size=16, prefix_sharing=True)
 
 
 def _workload(groups, per_group, steps, rate, seed):

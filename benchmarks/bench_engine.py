@@ -59,15 +59,18 @@ def run_sweep(num_heads: int, context: int, steps: int, head_dim: int = 64):
     percall_s = time.perf_counter() - t0
 
     # --- engine: resident plane cache + head-batched rounds ---------------
+    # The pool is sized to the request's footprint in whole blocks: the
+    # default budget would time allocating thousands of unused rows.
+    block_size = 16
+    budget = -(-request.total_tokens // block_size) * block_size
     timings = {}
     results = {}
     for backend in ("fast", "reference"):
         engine = PadeEngine(cfg, backend=backend)
-        engine.submit(
-            build_engine_request("bench", num_heads, context, steps, head_dim=head_dim, seed=42)
-        )
         t0 = time.perf_counter()
-        results[backend] = engine.run()["bench"]
+        results[backend] = engine.serve(
+            [request], token_budget=budget, block_size=block_size
+        )["bench"]
         timings[backend] = time.perf_counter() - t0
 
     ref = results["reference"].retained_bytes()

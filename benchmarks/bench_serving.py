@@ -9,8 +9,9 @@ global KV token budget, three ways:
 * **lockstep** — the same scheduler with ``admission="drain"``: a batch
   is formed and fully drained before new arrivals are admitted (the
   static-batching baseline the motivation section describes);
-* **dense** — the PR-1 :class:`~repro.engine.EngineScheduler` with
-  per-request dense caches, used only as the retained-set oracle.
+* **dense** — every request driven alone through its own dense
+  :class:`~repro.engine.cache.BitPlaneKVCache` (``prefill`` then one
+  ``decode_step`` per token), used only as the retained-set oracle.
 
 The script asserts (a) continuous batching beats lockstep on mean TTFT,
 and (b) every request's retained-token sets are byte-identical across the
@@ -32,8 +33,10 @@ from __future__ import annotations
 import argparse
 import json
 
+import numpy as np
+
 from repro.core import PadeConfig
-from repro.engine import PadeEngine
+from repro.engine import PadeEngine, RequestResult
 from repro.eval.serving_metrics import summarize_serving
 from repro.eval.workloads import build_serving_workload
 
@@ -57,12 +60,29 @@ def _serve(workload, backend, budget, block_size, max_active, policy, admission)
     return results, report
 
 
-def _serve_dense(workload, backend, max_active):
-    """PR-1 lockstep scheduler with dense caches: the retained-set oracle."""
-    engine = PadeEngine(PadeConfig.standard(), backend=backend, max_active=max_active)
-    for request in workload:
-        engine.submit(request)
-    return engine.run()
+def _serve_dense(workload, backend):
+    """Per-request dense-cache decode loop: the retained-set oracle."""
+    engine = PadeEngine(PadeConfig.standard(), backend=backend)
+    out = {}
+    for req in workload:
+        num_heads, _, head_dim = req.k.shape
+        cache = engine.new_cache(num_heads, head_dim, req.v.shape[2])
+        prefill = engine.prefill(
+            cache, req.k, req.v, q=req.q_prompt, total_tokens=req.total_tokens
+        )
+        steps = [
+            engine.decode_step(
+                cache, req.decode_q[:, t], req.decode_k[:, t], req.decode_v[:, t]
+            )
+            for t in range(req.decode_steps)
+        ]
+        out[req.request_id] = RequestResult(
+            request_id=req.request_id,
+            prefill_output=None if prefill is None else prefill.output,
+            decode_outputs=np.stack([r.output[:, 0] for r in steps], axis=1),
+            retained_history=[r.retained[:, 0] for r in steps],
+        )
+    return out
 
 
 def run_comparison(
@@ -90,7 +110,7 @@ def run_comparison(
         lock, lock_report = _serve(
             workload, backend, budget, block_size, max_active, "fcfs", "drain"
         )
-        dense = _serve_dense(workload, backend, max_active)
+        dense = _serve_dense(workload, backend)
         digests = {
             rid: cont[rid].retained_bytes() for rid in sorted(cont)
         }

@@ -27,8 +27,9 @@ from repro.model.configs import get_model
 def engine_decode_demo(num_heads: int = 8, context: int = 1024, steps: int = 32) -> None:
     """Measured decode loop on the batched engine (not the analytic model)."""
     engine = PadeEngine(PadeConfig.standard())
-    engine.submit(build_engine_request("demo", num_heads, context, steps, head_dim=64))
-    results = engine.run()
+    results = engine.serve(
+        [build_engine_request("demo", num_heads, context, steps, head_dim=64)]
+    )
     stats = engine.stats
     res = results["demo"]
     print(f"engine decode ({engine.kernel.name} backend): "

@@ -1,18 +1,19 @@
 """Multi-replica sharded serving with prefix-affinity routing.
 
 Horizontal scale for the serving stack: N replica workers — each a
-subprocess owning its own engine and :class:`PlaneBlockPool`, driving
-the same ``start()/step()/finish()`` round loop through an
-:class:`~repro.serve.server.AsyncPadeServer` — behind one cluster
-front-end speaking the unchanged NDJSON client protocol.
+standalone ``python -m repro.serve.server`` subprocess owning its own
+engine and :class:`PlaneBlockPool`, driving the same
+``start()/step()/finish()`` round loop — behind one cluster front-end
+speaking the unchanged NDJSON client protocol.  Scheduler settings are
+not re-declared here: the cluster validates them once by building a
+:class:`~repro.engine.scheduler.ContinuousScheduler` and hands every
+worker the same ``--config`` JSON object.
 
 * :mod:`repro.cluster.router` — :class:`PrefixAffinityRouter`: greedy
   longest-match routing of the prompt's chained sha256 block keys
   (:func:`repro.engine.cache.chain_block_keys`) against a per-replica
   key index, falling back to least-loaded; ``random`` and
   ``least-loaded`` modes as control arms.
-* :mod:`repro.cluster.worker` — the replica subprocess entry point
-  (``python -m repro.cluster.worker``).
 * :mod:`repro.cluster.replica` — :class:`ReplicaHandle`: subprocess +
   control socket + per-replica assignment/streaming bookkeeping.
 * :mod:`repro.cluster.server` — :class:`ClusterServer`: global

@@ -30,14 +30,18 @@ import sys
 from pathlib import Path
 from typing import Dict, Optional, Set
 
-from repro.serve.protocol import MAX_LINE_BYTES, decode_message, encode_message
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    decode_message,
+    encode_message,
+    encode_settings,
+)
 
 __all__ = ["BARRIER_HOLD", "ReplicaHandle"]
 
 #: A start barrier no workload reaches: replay-mode workers hold their
 #: engine loop until the cluster lowers the barrier to the routed count
-#: over the socket.  Lives here (not in ``worker.py``) so importing the
-#: cluster package never pre-imports the worker's ``__main__`` module.
+#: over the socket.
 BARRIER_HOLD = 1 << 30
 
 
@@ -70,16 +74,15 @@ class ReplicaHandle:
         *,
         start_barrier: int = 0,
         queue_limit: int = 64,
-        max_active: int = 4,
-        token_budget: int = 1536,
-        block_size: int = 16,
-        policy: str = "fcfs",
         attention: str = "pade",
-        prefix_sharing: bool = True,
-        draft_policy: str = "streaming-llm",
-        spec_accept_tol: float = 0.05,
+        **scheduler_kwargs,
     ) -> None:
-        """Start the worker subprocess, read its ready line, connect."""
+        """Start the worker subprocess, read its ready line, connect.
+
+        The worker is the standalone server (``python -m
+        repro.serve.server``); ``scheduler_kwargs`` reach its
+        :class:`ContinuousScheduler` as one ``--config`` JSON object.
+        """
         import repro
 
         # The worker must import `repro` regardless of how the parent was
@@ -90,22 +93,17 @@ class ReplicaHandle:
         env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
         cmd = [
             sys.executable,
+            # `repro.serve` imports its server module, so runpy warns that
+            # the module it is about to execute is already loaded.
+            "-W", "ignore::RuntimeWarning:runpy",
             "-m",
-            "repro.cluster.worker",
-            "--replica-id", self.replica_id,
+            "repro.serve.server",
             "--port", "0",
             "--queue-limit", str(queue_limit),
             "--start-barrier", str(start_barrier),
-            "--max-active", str(max_active),
-            "--budget", str(token_budget),
-            "--block-size", str(block_size),
-            "--policy", str(policy),
             "--attention", str(attention),
-            "--draft-policy", str(draft_policy),
-            "--spec-accept-tol", str(spec_accept_tol),
+            "--config", encode_settings(scheduler_kwargs),
         ]
-        if prefix_sharing:
-            cmd.append("--prefix-sharing")
         self.process = await asyncio.create_subprocess_exec(
             *cmd, stdout=asyncio.subprocess.PIPE, env=env
         )

@@ -61,6 +61,7 @@ from repro.serve.protocol import (
     decode_message,
     decode_request,
     encode_message,
+    encode_settings,
 )
 
 __all__ = ["ClusterServer", "serve_workload_over_cluster"]
@@ -82,6 +83,17 @@ class _ClientConn:
 
 
 class ClusterServer:
+    """``replicas`` workers behind one socket; see the module docstring.
+
+    ``attention`` is each replica engine's attention policy and
+    ``scheduler_kwargs`` its :class:`ContinuousScheduler` settings,
+    forwarded verbatim (as one JSON object) to every worker.  They are
+    validated here, before anything is spawned: a bad combination
+    raises :class:`ValueError` — and a setting JSON cannot carry
+    :class:`TypeError` — in the caller rather than surfacing as a
+    worker that died before its ready line.
+    """
+
     def __init__(
         self,
         replicas: int = 2,
@@ -91,39 +103,28 @@ class ClusterServer:
         queue_limit: int = 64,
         start_barrier: int = 0,
         seed: int = 0,
-        max_active: int = 4,
-        token_budget: int = 1536,
-        block_size: int = 16,
-        policy: str = "fcfs",
         attention: str = "pade",
-        prefix_sharing: bool = True,
-        draft_policy: str = "streaming-llm",
-        spec_accept_tol: float = 0.05,
+        **scheduler_kwargs,
     ) -> None:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        from repro.core.config import PadeConfig
+        from repro.engine import ContinuousScheduler, PadeEngine
 
+        probe = ContinuousScheduler(PadeEngine(policy=attention), **scheduler_kwargs)
+        encode_settings(scheduler_kwargs)
         self.num_replicas = int(replicas)
         self.routing = routing
         self.host = host
         self.port = port
         self.queue_limit = int(queue_limit)
         self.start_barrier = int(start_barrier)
-        self.block_size = int(block_size)
-        self.bits = PadeConfig.standard().bits  # what every worker's pool uses
+        # Routing hashes prompt blocks exactly as every worker's pool does.
+        self.block_size = probe.block_size
+        self.bits = probe.engine.config.bits
         self._worker_kwargs = dict(
-            queue_limit=max(queue_limit, 1),
-            max_active=max_active,
-            token_budget=token_budget,
-            block_size=block_size,
-            policy=policy,
-            attention=attention,
-            prefix_sharing=prefix_sharing,
-            draft_policy=draft_policy,
-            spec_accept_tol=spec_accept_tol,
+            queue_limit=queue_limit, attention=attention, **scheduler_kwargs
         )
         self.router = PrefixAffinityRouter(
             [f"r{i}" for i in range(self.num_replicas)], mode=routing, seed=seed
@@ -452,7 +453,8 @@ def serve_workload_over_cluster(
     host: str = "127.0.0.1",
     port: int = 0,
     seed: int = 0,
-    **worker_kwargs,
+    attention: str = "pade",
+    **scheduler_kwargs,
 ):
     """Serve ``requests`` through a loopback cluster; mirror of
     :func:`repro.serve.client.serve_workload_over_loopback`.
@@ -460,6 +462,7 @@ def serve_workload_over_cluster(
     Returns ``(dones, ack, cluster)``.  ``barrier=True`` runs the
     deterministic-replay mode (every replica starts round 0 fully
     loaded); ``barrier=False`` serves live with the closed-loop client.
+    ``scheduler_kwargs`` configure every replica's scheduler.
     """
     from repro.serve.client import ServeConnection, run_closed_loop, run_open_loop
 
@@ -474,7 +477,8 @@ def serve_workload_over_cluster(
             queue_limit=limit,
             start_barrier=len(requests) if barrier else 0,
             seed=seed,
-            **worker_kwargs,
+            attention=attention,
+            **scheduler_kwargs,
         )
         await cluster.start()
         try:

@@ -48,6 +48,7 @@ def main(argv=None) -> int:
         token_budget=1536,
         max_active=4,
         block_size=16,
+        prefix_sharing=True,
     )
 
     failures = []

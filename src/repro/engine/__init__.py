@@ -12,19 +12,20 @@
 * :mod:`repro.engine.engine` — :class:`PadeEngine`: multi-head attention
   over model presets with per-head guards, a head-batched filter round
   (one matmul covers all heads), and aggregate serving statistics.
-* :mod:`repro.engine.scheduler` — :class:`EngineScheduler` (lockstep FIFO
-  baseline) and :class:`ContinuousScheduler` (arrival-aware iteration-level
-  batching with pluggable :class:`SchedulingPolicy` admission — ``fcfs`` /
-  ``shortest-prompt`` / ``priority`` / ``edf`` / ``fair`` — SLO-aware
-  preemption victim selection, deadline/cancellation aborts, and
-  budget-pressure preemption).
+* :mod:`repro.engine.scheduler` — :class:`ContinuousScheduler`
+  (arrival-aware iteration-level batching with pluggable
+  :class:`SchedulingPolicy` admission — ``fcfs`` / ``shortest-prompt`` /
+  ``priority`` / ``edf`` / ``fair`` — SLO-aware preemption victim
+  selection, deadline/cancellation aborts, and budget-pressure
+  preemption).  Its constructor declares every scheduler setting;
+  :meth:`PadeEngine.serve` forwards them as keyword arguments.
 
 Quickstart (synthetic single-layer decode)::
 
     from repro.engine import EngineRequest, PadeEngine
     engine = PadeEngine(backend="fast")
-    engine.submit(EngineRequest("req0", k, v, decode_q=q, decode_k=dk, decode_v=dv))
-    results = engine.run()
+    request = EngineRequest("req0", k, v, decode_q=q, decode_k=dk, decode_v=dv)
+    results = engine.serve([request])
     out = results["req0"].decode_outputs        # (H, T, Dv)
 
 Continuous batching under a token budget::
@@ -53,7 +54,6 @@ from repro.engine.scheduler import (
     ContinuousScheduler,
     EdfPolicy,
     EngineRequest,
-    EngineScheduler,
     FairPolicy,
     FcfsPolicy,
     PriorityPolicy,
@@ -72,7 +72,6 @@ __all__ = [
     "EngineAttentionResult",
     "EngineStats",
     "EngineRequest",
-    "EngineScheduler",
     "ContinuousScheduler",
     "RequestResult",
     "SchedulingPolicy",

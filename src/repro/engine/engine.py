@@ -15,10 +15,8 @@ rebuilt per call), the engine is the layer a serving stack talks to:
 * **head-batched fast path**: each filter round covers all heads with one
   matmul via ``KernelBackend.filter_heads`` (the ``"fast"`` backend
   dispatches :func:`repro.core.bsf_fast.bsf_filter_fast_heads`);
-* **request scheduling**: :meth:`PadeEngine.submit` /
-  :meth:`PadeEngine.run` batch prefill admission and decode rounds across
-  concurrent requests in lockstep; :meth:`PadeEngine.serve` runs the
-  continuous-batching path — arrival-aware admission every round over a
+* **request scheduling**: :meth:`PadeEngine.serve` runs requests through
+  continuous batching — arrival-aware admission every round over a
   paged block pool with a global token budget and preemption under
   pressure (see :mod:`repro.engine.scheduler`);
 * **pluggable attention policy**: ``PadeEngine(policy=...)`` serves any
@@ -156,9 +154,6 @@ class PadeEngine:
         resolution unless ``backend`` is passed explicitly.
     backend:
         Kernel backend name or instance; overrides ``config.backend``.
-    max_active:
-        Decode-round batch width of the scheduler — how many requests may
-        be in flight at once (see :meth:`run`).
     policy:
         Attention policy served by this engine: a registry name
         (``"pade"``, ``"quest"``, ``"h2o"``, ``"streaming-llm"``,
@@ -171,7 +166,6 @@ class PadeEngine:
         self,
         config: Optional[PadeConfig] = None,
         backend: Optional[Union[str, KernelBackend]] = None,
-        max_active: int = 8,
         policy: Union[None, str, AttentionPolicy] = None,
     ) -> None:
         self.config = config or PadeConfig.standard()
@@ -180,11 +174,6 @@ class PadeEngine:
         )
         self.policy: AttentionPolicy = resolve_policy(policy)
         self.stats = EngineStats()
-        if max_active < 1:
-            raise ValueError("max_active must be >= 1")
-        from repro.engine.scheduler import EngineScheduler
-
-        self._scheduler = EngineScheduler(self, max_active=max_active)
         self._last_serve = None
 
     # ------------------------------------------------------------------
@@ -622,95 +611,23 @@ class PadeEngine:
         return bool(getattr(self.policy, "supports_batched_decode", False))
 
     # ------------------------------------------------------------------
-    # Request-level scheduling (delegates to the schedulers)
+    # Request-level serving
     # ------------------------------------------------------------------
-    def submit(self, request) -> None:
-        """Queue an :class:`~repro.engine.scheduler.EngineRequest`."""
-        self._scheduler.submit(request)
+    def serve(self, requests, **scheduler_kwargs):
+        """Serve ``requests`` to completion through continuous batching.
 
-    def run(self):
-        """Serve every queued request to completion (batched rounds).
-
-        Returns ``{request_id: RequestResult}``; see
-        :class:`repro.engine.scheduler.EngineScheduler` for the admission
-        and round-robin policy.
-        """
-        return self._scheduler.run()
-
-    @property
-    def schedule_trace(self):
-        """Chronological ``(event, request_ids)`` log of the last run."""
-        return self._scheduler.trace
-
-    def serve(
-        self,
-        requests,
-        max_active: Optional[int] = None,
-        token_budget: int = 4096,
-        block_size: int = 16,
-        policy="fcfs",
-        admission: str = "continuous",
-        prefix_sharing: bool = False,
-        chunk_tokens: int = 0,
-        round_token_budget: int = 0,
-        tenant_weights=None,
-        batched_decode: bool = True,
-        tiering=None,
-        draft_policy="streaming-llm",
-        spec_accept_tol: float = 0.05,
-    ):
-        """Serve ``requests`` with continuous batching over a paged pool.
-
-        Arrival-aware admission at every decode-round boundary, KV rows in
-        fixed-size blocks under ``token_budget``, preemption under memory
-        pressure — see :class:`repro.engine.scheduler.ContinuousScheduler`
-        for the policy knobs.  ``policy`` picks the scheduling policy
-        (``fcfs`` / ``shortest-prompt`` / ``priority`` / ``edf`` /
-        ``fair``, or a :class:`~repro.engine.scheduler.SchedulingPolicy`
-        instance) and ``tenant_weights`` the fair-share weights the
-        ``fair`` policy divides service by.  ``prefix_sharing`` turns on
-        hash-based copy-on-write prompt-prefix sharing across requests;
-        ``round_token_budget`` activates the prefill cost model (a prompt
-        occupies rounds in proportion to its length) and ``chunk_tokens``
-        splits those prompts into chunks interleaved with decode rounds.
-        ``batched_decode`` (default on) fuses each decode round's filter
-        across the whole active set when the policy supports it — results
-        are byte-identical to the per-request loop either way.
-        ``tiering`` (``True`` or a :class:`~repro.engine.cache.TierConfig`)
-        arms the two-tier plane memory: under pool pressure, low-order
-        bit planes of cold blocks spill to a secondary tier and
-        preemption becomes the last resort (PADE policy only; DESIGN.md
-        §16).  ``draft_policy`` / ``spec_accept_tol`` configure the
-        draft-verify speculative mode for requests submitted with
-        ``speculative=True`` (DESIGN.md §17): the named draftable policy
-        proposes ``draft_tokens``-token blocks over a COW fork anchor
-        and this engine's PADE policy verifies them, accepting the
-        leading run within the relative-L2 tolerance.
-        Returns ``{request_id: RequestResult}`` with per-request timing
-        (arrival/admit/first-token/finish) populated — aborted requests
-        (deadline missed, queueing bound exceeded, cancelled) report
-        ``status="aborted"``; the scheduler of the last call stays
-        inspectable via :attr:`last_serve` (trace, timed events, pool
-        occupancy timeline, prefix-cache counters, tenant service).
+        Runs a fresh :class:`~repro.engine.scheduler.ContinuousScheduler`
+        on this engine; ``scheduler_kwargs`` are its settings (budget,
+        batch width, scheduling policy, prefix sharing, chunked prefill,
+        tiering, speculative decoding, ...), documented and validated
+        there.  Returns ``{request_id: RequestResult}`` with per-request
+        timing populated; the scheduler stays inspectable via
+        :attr:`last_serve` (trace, timed events, pool occupancy, prefix
+        and tier counters, tenant service).
         """
         from repro.engine.scheduler import ContinuousScheduler
 
-        scheduler = ContinuousScheduler(
-            self,
-            max_active=self._scheduler.max_active if max_active is None else max_active,
-            token_budget=token_budget,
-            block_size=block_size,
-            policy=policy,
-            admission=admission,
-            prefix_sharing=prefix_sharing,
-            chunk_tokens=chunk_tokens,
-            round_token_budget=round_token_budget,
-            tenant_weights=tenant_weights,
-            batched_decode=batched_decode,
-            tiering=tiering,
-            draft_policy=draft_policy,
-            spec_accept_tol=spec_accept_tol,
-        )
+        scheduler = ContinuousScheduler(self, **scheduler_kwargs)
         for request in requests:
             scheduler.submit(request)
         self._last_serve = scheduler

@@ -1,21 +1,22 @@
 """Request-level scheduling for :class:`repro.engine.engine.PadeEngine`.
 
 Serving traffic arrives as *requests*: a prompt to prefill, then a stream
-of decode steps.  Two schedulers batch them:
+of decode steps.  :class:`ContinuousScheduler` batches them with
+iteration-level (continuous) batching over a shared
+:class:`~repro.engine.cache.PlaneBlockPool`: requests carry arrival
+times, admission happens at *every* decode-round boundary under a
+pluggable :class:`SchedulingPolicy` (``fcfs`` / ``shortest-prompt`` /
+``priority`` / ``edf`` / ``fair``), KV rows live in fixed-size blocks
+under a global token budget, and budget pressure preempts a
+policy-chosen victim (its blocks are freed; it re-prefills from scratch
+on re-admission, so its retained sets are identical to an uncontended
+run).
 
-* :class:`EngineScheduler` — the original lockstep layer: FIFO admission
-  while slots are free, every request owns a private dense
-  :class:`~repro.engine.cache.BitPlaneKVCache`, no notion of time or
-  memory pressure.  Kept as the uncontended baseline.
-* :class:`ContinuousScheduler` — iteration-level (continuous) batching
-  over a shared :class:`~repro.engine.cache.PlaneBlockPool`: requests
-  carry arrival times, admission happens at *every* decode-round boundary
-  under a pluggable :class:`SchedulingPolicy` (``fcfs`` /
-  ``shortest-prompt`` / ``priority`` / ``edf`` / ``fair``), KV rows live
-  in fixed-size blocks under a global token budget, and budget pressure
-  preempts a policy-chosen victim (its blocks are freed; it re-prefills
-  from scratch on re-admission, so its retained sets are identical to an
-  uncontended run).
+Its ``__init__`` is the one place scheduler settings are declared,
+defaulted, documented and validated: :meth:`PadeEngine.serve`, the
+asyncio front-end, the cluster and the harness all pass them through as
+opaque keyword arguments (one JSON object on the way to a replica
+process).
 
 Multi-tenant SLO serving rides on three request attributes: ``tenant``
 (the traffic source, the unit of fairness accounting), ``priority``
@@ -55,7 +56,6 @@ __all__ = [
     "EngineRequest",
     "RequestResult",
     "deadline_was_missed",
-    "EngineScheduler",
     "ContinuousScheduler",
     "SchedulingPolicy",
     "FcfsPolicy",
@@ -78,11 +78,11 @@ class EngineRequest:
     ``q_prompt`` is ``(H, P, D)`` or ``None``; the decode streams are
     ``(H, T, D)`` / ``(H, T, D)`` / ``(H, T, Dv)`` with a shared step
     count ``T`` (``None`` for prefill-only requests).  ``arrival_time``
-    is in decode-round units; the lockstep scheduler ignores it, the
-    continuous scheduler never admits a request before it.
+    is in decode-round units; the scheduler never admits a request
+    before it.
 
-    The SLO attributes are all optional and ignored by the lockstep
-    scheduler: ``tenant`` names the traffic source (fairness accounting
+    The SLO attributes are all optional: ``tenant`` names the traffic
+    source (fairness accounting
     unit), ``priority`` the service class (higher = more urgent, used by
     the ``priority`` policy and by preemption victim selection),
     ``deadline_ms`` a completion SLO relative to arrival, and
@@ -226,9 +226,9 @@ def deadline_was_missed(
 class RequestResult:
     """Everything the engine produced for one completed request.
 
-    The timing fields are populated by :class:`ContinuousScheduler` (the
-    lockstep scheduler leaves them at their defaults): all are in
-    decode-round units on the same clock as ``EngineRequest.arrival_time``.
+    The timing fields are populated by :class:`ContinuousScheduler`: all
+    are in decode-round units on the same clock as
+    ``EngineRequest.arrival_time``.
     ``first_token_time`` is when the first decode token (or, for
     prefill-only requests, the prefill output) became available.
 
@@ -297,8 +297,8 @@ class RequestResult:
 def _stack_decode_outputs(req: EngineRequest, outputs: List[np.ndarray]) -> np.ndarray:
     """Stack per-step decode outputs into ``(H, T, Dv)`` (``T`` may be 0).
 
-    Shared by both schedulers' result assembly so the empty-decode shape
-    convention cannot drift between them again.
+    Used for the primary stream and every sample lineage alike, so the
+    empty-decode shape convention cannot drift between them.
     """
     if outputs:
         return np.stack(outputs, axis=1)
@@ -387,106 +387,6 @@ class _RequestState:
         self.sample_lineages = None
         self.spec_anchor = None
         self.draft_state = None
-
-
-class EngineScheduler:
-    """FIFO admission + lockstep decode rounds over one engine."""
-
-    def __init__(self, engine, max_active: int = 8) -> None:
-        self.engine = engine
-        self.max_active = max_active
-        self.queued: List[EngineRequest] = []
-        self.active: List[_RequestState] = []
-        self.trace: List[Tuple[str, Tuple[str, ...]]] = []
-
-    # ------------------------------------------------------------------
-    def submit(self, request: EngineRequest) -> None:
-        in_flight = [r.request_id for r in self.queued]
-        in_flight += [s.request.request_id for s in self.active]
-        if request.request_id in in_flight:
-            raise ValueError(f"request id {request.request_id!r} already queued")
-        self.queued.append(request)
-
-    def _admit(self) -> None:
-        while self.queued and len(self.active) < self.max_active:
-            request = self.queued.pop(0)
-            num_heads, _, head_dim = np.asarray(request.k).shape
-            v_dim = np.asarray(request.v).shape[2]
-            cache = self.engine.new_cache(num_heads, head_dim, v_dim)
-            res = self.engine.prefill(
-                cache,
-                request.k,
-                request.v,
-                q=request.q_prompt,
-                total_tokens=request.total_tokens,
-            )
-            state = _RequestState(request=request, cache=cache)
-            if res is not None:
-                state.prefill_output = res.output
-            self.active.append(state)
-            self.trace.append(("prefill", (request.request_id,)))
-
-    def _decode_round(self) -> int:
-        """One lockstep round: every unfinished request advances one step.
-
-        Returns the number of requests that advanced (the same signature
-        as :meth:`ContinuousScheduler._decode_round`).  The whole round
-        goes through :meth:`~repro.engine.engine.PadeEngine.decode_step_batch`,
-        so a batch-capable policy serves it as one fused filter call; the
-        engine falls back to the per-request loop otherwise, with
-        byte-identical results either way.
-        """
-        todo = [s for s in self.active if not s.done]
-        if not todo:
-            return 0
-        steps = [
-            (
-                s.cache,
-                s.request.decode_q[:, s.next_step, :],
-                s.request.decode_k[:, s.next_step, :],
-                s.request.decode_v[:, s.next_step, :],
-            )
-            for s in todo
-        ]
-        results = self.engine.decode_step_batch(steps)
-        round_ids = []
-        for state, res in zip(todo, results):
-            state.outputs.append(res.output[:, 0, :])
-            state.retained_history.append(res.retained[:, 0, :])
-            state.next_step += 1
-            round_ids.append(state.request.request_id)
-        self.trace.append(("decode_round", tuple(round_ids)))
-        return len(round_ids)
-
-    def _collect(self, results: Dict[str, RequestResult]) -> None:
-        still_active = []
-        for state in self.active:
-            if not state.done:
-                still_active.append(state)
-                continue
-            req = state.request
-            decode_outputs = _stack_decode_outputs(req, state.outputs)
-            results[req.request_id] = RequestResult(
-                request_id=req.request_id,
-                prefill_output=state.prefill_output,
-                decode_outputs=decode_outputs,
-                retained_history=state.retained_history,
-                final_length=state.cache.length,
-                prompt_tokens=req.prompt_tokens,
-            )
-            self.trace.append(("finish", (req.request_id,)))
-        self.active = still_active
-
-    # ------------------------------------------------------------------
-    def run(self) -> Dict[str, RequestResult]:
-        """Serve all queued requests to completion; returns per-id results."""
-        self.trace = []
-        results: Dict[str, RequestResult] = {}
-        while self.queued or self.active:
-            self._admit()
-            self._decode_round()
-            self._collect(results)
-        return results
 
 
 class SchedulingPolicy:
@@ -720,7 +620,14 @@ class ContinuousScheduler:
     The pool is created lazily from the first admitted request's shapes;
     all requests in one run must share ``(H, D, Dv)`` (one model).  With
     every arrival at 0, the ``fcfs`` policy and an uncontended pool, the
-    event trace reduces exactly to :class:`EngineScheduler`'s.
+    run is lockstep batching: FIFO admission while slots are free, every
+    active request advancing one step per round, and outputs identical
+    to driving each request through its own dense cache.
+
+    These parameters are the whole scheduler configuration: every
+    serving layer forwards them as keyword arguments, and over a process
+    boundary as one JSON object (a :class:`~repro.engine.cache.TierConfig`
+    travels as its field dict, which ``tiering`` accepts back).
 
     Parameters
     ----------
@@ -770,7 +677,8 @@ class ContinuousScheduler:
         §13), so this is purely a throughput knob.
     tiering:
         Two-tier plane memory (DESIGN.md §16): ``True`` / a
-        :class:`~repro.engine.cache.TierConfig` arms the spill ladder —
+        :class:`~repro.engine.cache.TierConfig` (or a dict of its
+        fields) arms the spill ladder —
         under pool pressure, low-order bit planes of cold unprotected
         blocks are spilled to the secondary tier (spill → deeper spill)
         and preemption fires only when even fully-spilled state cannot
@@ -823,6 +731,8 @@ class ContinuousScheduler:
         if chunk_tokens and not round_token_budget:
             raise ValueError("chunk_tokens requires round_token_budget (the per-round split)")
         if tiering:
+            if isinstance(tiering, dict):
+                tiering = TierConfig(**tiering)
             self.tiering = tiering if isinstance(tiering, TierConfig) else TierConfig()
             attn_name = getattr(getattr(engine, "policy", None), "name", None)
             if attn_name != "pade":
@@ -1455,6 +1365,10 @@ class ContinuousScheduler:
         batching = self.batched_decode and getattr(
             self.engine, "supports_batched_decode", False
         )
+
+        def flush() -> None:
+            self._flush_decode(pending, round_ids)
+
         i = 0
         while i < len(self.active):
             state = self.active[i]
@@ -1466,7 +1380,7 @@ class ContinuousScheduler:
                 # A speculative round runs the verifier once over the
                 # whole draft block; flush the fused batch first so the
                 # trace order matches the per-request loop.
-                self._flush_decode(pending, round_ids)
+                flush()
                 self._spec_round(state, round_ids)
                 if state in self.active:
                     i = self.active.index(state) + 1
@@ -1481,48 +1395,27 @@ class ContinuousScheduler:
                     j += 1
                     continue
                 t = unit.next_step
-                try:
-                    self.engine.decode_append(
-                        unit.cache, unit.decode_k[:, t, :], unit.decode_v[:, t, :]
-                    )
-                except PoolExhausted:
-                    # Flush before preempting (see docstring): victim
-                    # selection, trace order and timing marks must match the
-                    # per-request loop exactly.  (Flushing before a *spill*
-                    # keeps the same equivalence: already-appended requests
-                    # filter against pre-spill planes in both modes.)
-                    self._flush_decode(pending, round_ids)
-                    tail = unit.cache.block_table[-1:]  # the append's write target
-                    if self._relieve_pressure(avoid=tail):
-                        self._record("spill", (req.request_id,))
-                        continue
-                    if len(self.active) == 1:
-                        # Defensive: _check_footprints guarantees a lone
-                        # request's blocks always fit, so this only fires if
-                        # something else squats on the pool.
-                        raise RuntimeError(
-                            f"token budget {self.token_budget} cannot hold request "
-                            f"{req.request_id!r} alone; raise --budget or shrink the request"
-                        )
-                    # Policy-chosen victim: may sit anywhere in the active
-                    # list (SLO-aware policies evict the lowest class, not
-                    # necessarily the tail), so preempt and retry the same
-                    # lineage unit; if the raiser itself was evicted, every
-                    # lineage died with it.
-                    self._preempt_one()
-                    if state not in self.active:
-                        evicted = True
-                        break
-                    continue
+                # Flush before relief (see docstring): victim selection,
+                # trace order and timing marks must match the per-request
+                # loop exactly.  (Flushing before a *spill* keeps the same
+                # equivalence: already-appended requests filter against
+                # pre-spill planes in both modes.)  If the raiser itself
+                # was evicted, every lineage died with it.
+                if not self._append_with_relief(
+                    state, unit.cache, unit.decode_k[:, t, :], unit.decode_v[:, t, :],
+                    before_relief=flush,
+                ):
+                    evicted = True
+                    break
                 pending.append((state, unit))
                 if not batching:
-                    self._flush_decode(pending, round_ids)
+                    flush()
                 j += 1
             if evicted:
                 # The element now at slot i is the next one due.
                 continue
             i = self.active.index(state) + 1
-        self._flush_decode(pending, round_ids)
+        flush()
         if round_ids:
             self._record("decode_round", tuple(round_ids))
         return len(round_ids)
@@ -1581,36 +1474,58 @@ class ContinuousScheduler:
             round_ids.append(state.request.request_id)
         pending.clear()
 
-    # -- speculative decoding ------------------------------------------
-    def _append_with_relief(
-        self, state: _RequestState, k_step: np.ndarray, v_step: np.ndarray
+    # -- the relief ladder ---------------------------------------------
+    def _relieve_or_preempt(
+        self, state: _RequestState, cache, units_needed: Optional[int] = None,
+        blocks_needed: int = 1,
     ) -> bool:
-        """Append one token to ``state.cache``, walking the relief ladder.
+        """One rung of relief after ``state`` hit :class:`PoolExhausted`.
 
-        Mirrors the decode loop's ``PoolExhausted`` handling: spill first
-        (keeping the append's write target resident), preempt as a last
-        resort.  Returns ``False`` when the victim turned out to be
-        ``state`` itself — everything it held (working cache, lineages,
-        speculative anchor) was released and it is back in the queue.
+        Spill first (keeping ``cache``'s write tail resident), preempt a
+        policy-chosen victim as the last resort — it may sit anywhere in
+        the active list (SLO-aware policies evict the lowest class, not
+        necessarily the tail).  The caller retries its allocation after
+        ``True``; ``False`` means the victim was ``state`` itself:
+        everything it held (working cache, lineages, speculative anchor)
+        was released and it is back in the queue.
+        """
+        if self._relieve_pressure(units_needed, blocks_needed, avoid=cache.block_table[-1:]):
+            self._record("spill", (state.request.request_id,))
+            return True
+        if len(self.active) == 1:
+            # Defensive: _check_footprints guarantees a lone request's
+            # blocks always fit, so this only fires if something else
+            # squats on the pool.
+            raise RuntimeError(
+                f"token budget {self.token_budget} cannot hold request "
+                f"{state.request.request_id!r} alone; raise --budget or "
+                f"shrink the request"
+            )
+        self._preempt_one()
+        return state in self.active
+
+    def _append_with_relief(
+        self, state: _RequestState, cache, k_step: np.ndarray, v_step: np.ndarray,
+        before_relief=None,
+    ) -> bool:
+        """Append one token to ``cache`` (one of ``state``'s lineage
+        caches), walking the relief ladder until it fits.
+
+        ``before_relief`` runs at every exhaustion, before any spill or
+        preemption (the decode round flushes its fused batch there).
+        Returns ``False`` when ``state`` itself was evicted.
         """
         while True:
             try:
-                self.engine.decode_append(state.cache, k_step, v_step)
+                self.engine.decode_append(cache, k_step, v_step)
                 return True
             except PoolExhausted:
-                tail = state.cache.block_table[-1:]
-                if self._relieve_pressure(avoid=tail):
-                    self._record("spill", (state.request.request_id,))
-                    continue
-                if len(self.active) == 1:
-                    raise RuntimeError(
-                        f"token budget {self.token_budget} cannot hold request "
-                        f"{state.request.request_id!r} alone; raise --budget or "
-                        f"shrink the request"
-                    ) from None
-                self._preempt_one()
-                if state not in self.active:
+                if before_relief is not None:
+                    before_relief()
+                if not self._relieve_or_preempt(state, cache):
                     return False
+
+    # -- speculative decoding ------------------------------------------
 
     def _spec_rollback(self, state: _RequestState) -> None:
         """Rewind a rejected draft block to the pre-round fork point.
@@ -1654,7 +1569,7 @@ class ContinuousScheduler:
         for j in range(gamma):
             step = t0 + j
             if not self._append_with_relief(
-                state, req.decode_k[:, step, :], req.decode_v[:, step, :]
+                state, state.cache, req.decode_k[:, step, :], req.decode_v[:, step, :]
             ):
                 return  # evicted: anchor and working cache already freed
             # engine=None: the draft pass is bookkept as part of the
@@ -1717,7 +1632,8 @@ class ContinuousScheduler:
             for j in range(emitted):
                 step = t0 + j
                 if not self._append_with_relief(
-                    state, req.decode_k[:, step, :], req.decode_v[:, step, :]
+                    state, state.cache, req.decode_k[:, step, :],
+                    req.decode_v[:, step, :],
                 ):
                     return
         self._record("spec", (rid,))
@@ -1726,19 +1642,16 @@ class ContinuousScheduler:
     def _extend_with_preemption(self, state: _RequestState, tokens: int) -> int:
         """Feed ``tokens`` prompt tokens to one prefilling request.
 
-        :class:`PoolExhausted` preempts the youngest active request and
-        retries, exactly like the decode path; if the victim turns out to
-        be ``state`` itself, the chunk is abandoned (the request is back
-        in the queue, its blocks freed).
+        :class:`PoolExhausted` walks the same relief ladder as the decode
+        path and retries; if the victim turns out to be ``state`` itself,
+        the chunk is abandoned (the request is back in the queue, its
+        blocks freed).
         """
         while True:
             try:
                 written = self.engine.prefill_extend(state.cache, tokens)
                 break
             except PoolExhausted:
-                # Spill ladder first (the chunk resumes inside its tail
-                # block, so that write target must stay resident);
-                # preemption only when even fully-spilled state is full.
                 # The chunk may need several blocks at once, so relief
                 # must free the whole chunk's worth before the retry —
                 # anything less would loop on the same exhaustion.
@@ -1749,22 +1662,8 @@ class ContinuousScheduler:
                 chunk_blocks = max(
                     1, -(-end // self.block_size) - len(cache.block_table)
                 )
-                tail = cache.block_table[-1:]
-                if self._relieve_pressure(
-                    chunk_blocks * (self.pool.bits if self.pool else 8),
-                    chunk_blocks,
-                    avoid=tail,
-                ):
-                    self._record("spill", (state.request.request_id,))
-                    continue
-                if len(self.active) == 1:
-                    raise RuntimeError(
-                        f"token budget {self.token_budget} cannot hold request "
-                        f"{state.request.request_id!r} alone; raise --budget or "
-                        f"shrink the request"
-                    ) from None
-                self._preempt_one()
-                if state not in self.active:
+                units = chunk_blocks * (self.pool.bits if self.pool else 8)
+                if not self._relieve_or_preempt(state, cache, units, chunk_blocks):
                     return 0
         self._charge_service(state, written)
         if not state.prefilling:

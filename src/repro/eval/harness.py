@@ -939,13 +939,14 @@ def engine_decode_profile(
     model = get_model(model_name)
     cfg = PadeConfig.standard()
     engine = PadeEngine(cfg)
-    for i in range(requests):
-        engine.submit(
+    results = engine.serve(
+        [
             build_engine_request(
                 f"req{i}", num_heads, context, steps, min(model.head_dim, 64), seed=i
             )
-        )
-    results = engine.run()
+            for i in range(requests)
+        ]
+    )
     stats = engine.stats
     # A per-call pipeline re-decomposes the whole cache every step.
     percall_rows = sum(
@@ -1030,7 +1031,8 @@ def serving_profile(
     the listening port, 0 = ephemeral).
     ``replicas`` > 1 shards the workload over that many engine worker
     subprocesses behind the prefix-affinity router
-    (:mod:`repro.cluster`), each with its own ``budget``-token pool, and
+    (:mod:`repro.cluster`), each running the same scheduler settings
+    with its own ``budget``-token pool, and
     reports the cluster roll-up (``cluster_throughput_tokens_per_round``,
     ``jain_replica_index``, request-weighted prefix hit rate);
     ``routing`` picks the routing mode (``prefix`` / ``random`` /
@@ -1144,14 +1146,7 @@ def serving_profile(
     if replicas > 1:
         # Sharded serving: the workload fans out over subprocess workers,
         # each a full engine with a private pool, behind the affinity
-        # router.  Workers run the standard batched decode path only.
-        if chunk or round_tokens or tenant_weights is not None or not batched \
-                or tiering:
-            raise ValueError(
-                "replicas > 1 serves through cluster workers, which run the "
-                "standard batched decode path (no chunked prefill, prefill "
-                "cost model, tenant weights, or tiered memory)"
-            )
+        # router.
         from repro.cluster.server import serve_workload_over_cluster
 
         _dones, ack, _cluster = serve_workload_over_cluster(
@@ -1161,14 +1156,8 @@ def serving_profile(
             barrier=True,
             seed=seed,
             port=port,
-            max_active=max_active,
-            token_budget=budget,
-            block_size=block_size,
-            policy=policy,
             attention=attention,
-            prefix_sharing=prefix_sharing,
-            draft_policy=draft_policy,
-            spec_accept_tol=spec_accept_tol,
+            **serve_kwargs,
         )
         report = ack["report"]
     elif async_serve:

@@ -22,6 +22,11 @@ Server → client::
      "wall", "output_digest", "retained_digest", ...}
     {"type": "shutdown_ack", "leaked_blocks", "served", "report"}
 
+Scheduler settings cross a process boundary the same way: the server
+entry point takes them as one JSON object (``--config``, built by
+:func:`encode_settings`) and passes it to
+:class:`~repro.engine.scheduler.ContinuousScheduler` unchanged.
+
 ``arrival: "now"`` asks the server to stamp the request's round-clock
 arrival at the moment the engine loop picks it up (live traffic);
 omitting it (or sending a number) keeps the workload's own arrival
@@ -37,7 +42,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, is_dataclass, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -48,6 +53,7 @@ __all__ = [
     "MAX_LINE_BYTES",
     "encode_message",
     "decode_message",
+    "encode_settings",
     "encode_array",
     "decode_array",
     "encode_request",
@@ -71,6 +77,25 @@ def decode_message(line: bytes) -> Dict:
     if not isinstance(msg, dict) or "type" not in msg:
         raise ValueError("protocol message must be a JSON object with a 'type'")
     return msg
+
+
+def encode_settings(settings: Dict) -> str:
+    """Scheduler keyword arguments as one JSON object.
+
+    A :class:`~repro.engine.cache.TierConfig` travels as its field dict
+    (the scheduler's ``tiering`` accepts that back); anything else JSON
+    cannot carry — a :class:`SchedulingPolicy` instance, say — raises
+    :class:`TypeError`.
+    """
+    def default(obj):
+        if is_dataclass(obj) and not isinstance(obj, type):
+            return asdict(obj)
+        raise TypeError(
+            f"scheduler setting {obj!r} cannot cross a process boundary as "
+            f"JSON; pass it by name"
+        )
+
+    return json.dumps(settings, default=default)
 
 
 def encode_array(arr: np.ndarray) -> Dict:

@@ -28,13 +28,27 @@ Flow control, cancellation, shutdown:
 ``start_barrier`` holds the engine loop until that many submits are
 queued before the first round runs — the deterministic-replay mode the
 parity benchmark uses (every request is in the scheduler before round 0,
-exactly like a batch :meth:`PadeEngine.serve` call).
+exactly like a batch :meth:`PadeEngine.serve` call).  A ``barrier``
+message re-arms it at runtime: the cluster spawns replay-mode replicas
+with an unreachable barrier, routes every submit, then lowers each
+replica's barrier to its routed count.
+
+Run standalone (also how the cluster spawns each replica)::
+
+    python -m repro.serve.server --port 0 --config '{"token_budget": 1536}'
+
+``--config`` is one JSON object of :class:`ContinuousScheduler` keyword
+arguments (see :func:`repro.serve.protocol.encode_settings`); once the
+socket is bound the process prints one JSON line
+``{"type": "ready", "host": ..., "port": ...}`` (port 0 = ephemeral, so
+a parent reads the real port from it).
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import json
 import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
@@ -401,16 +415,13 @@ async def _amain(args) -> int:
         port=args.port,
         queue_limit=args.queue_limit,
         start_barrier=args.start_barrier,
-        max_active=args.max_active,
-        token_budget=args.budget,
-        block_size=args.block_size,
-        policy=args.policy,
-        prefix_sharing=args.prefix_sharing,
-        draft_policy=args.draft_policy,
-        spec_accept_tol=args.spec_accept_tol,
+        **json.loads(args.config),
     )
     await server.start()
-    print(f"serving on {server.host}:{server.port}")
+    print(
+        json.dumps({"type": "ready", "host": server.host, "port": server.port}),
+        flush=True,
+    )
     await server.wait_closed()
     return 0
 
@@ -421,14 +432,12 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--queue-limit", type=int, default=64)
     parser.add_argument("--start-barrier", type=int, default=0)
-    parser.add_argument("--max-active", type=int, default=4)
-    parser.add_argument("--prefix-sharing", action="store_true")
-    parser.add_argument("--budget", type=int, default=1536)
-    parser.add_argument("--block-size", type=int, default=16)
-    parser.add_argument("--policy", default="fcfs")
     parser.add_argument("--attention", default="pade")
-    parser.add_argument("--draft-policy", default="streaming-llm")
-    parser.add_argument("--spec-accept-tol", type=float, default=0.05)
+    parser.add_argument(
+        "--config", default="{}",
+        help="scheduler settings as one JSON object of ContinuousScheduler "
+        "keyword arguments, e.g. '{\"token_budget\": 1536, \"max_active\": 4}'",
+    )
     args = parser.parse_args(argv)
     return asyncio.run(_amain(args))
 

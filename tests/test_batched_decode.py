@@ -354,16 +354,6 @@ def test_serve_batched_deterministic():
     assert a_sched.trace == b_sched.trace
 
 
-def test_legacy_scheduler_uses_batched_rounds():
-    """EngineScheduler's round goes through decode_step_batch too."""
-    engine = PadeEngine(PadeConfig.standard(), backend="fast", max_active=4)
-    for req in _engine_requests(3):
-        engine.submit(req)
-    results = engine.run()
-    assert all(r.status == "ok" for r in results.values())
-    assert engine.stats.batched_rounds > 0
-
-
 def test_summarize_serving_reports_batch_columns():
     results, sched, _ = _serve("fast", True, token_budget=512, block_size=16)
     report = summarize_serving(

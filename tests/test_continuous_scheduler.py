@@ -8,7 +8,8 @@ The invariants ISSUE 2 pins down:
 * preempted requests still finish, with retained sets byte-identical to
   an uncontended (ample-budget) run;
 * with every arrival at 0, ``fcfs`` and an uncontended pool, the event
-  trace reduces exactly to the old lockstep :class:`EngineScheduler`.
+  trace is plain lockstep batching and every output matches a direct
+  dense-cache loop (``new_cache`` + ``prefill`` + ``decode_step``).
 """
 
 from __future__ import annotations
@@ -139,20 +140,37 @@ class TestPreemption:
 class TestPolicies:
     def test_fcfs_reduces_to_lockstep_trace_on_ample_pool(self):
         reqs = [build_engine_request(f"r{i}", 2, 24, 3, head_dim=8, seed=i) for i in range(3)]
-        lock = PadeEngine(max_active=2)
-        for r in reqs:
-            lock.submit(r)
-        lock_results = lock.run()
         cont = PadeEngine()
         cont_results = cont.serve(reqs, max_active=2, token_budget=4096, block_size=8)
-        assert cont.last_serve.trace == lock.schedule_trace
-        for rid in lock_results:
-            assert (
-                lock_results[rid].retained_bytes() == cont_results[rid].retained_bytes()
+        lockstep = (
+            [("prefill", ("r0",)), ("prefill", ("r1",))]
+            + [("decode_round", ("r0", "r1"))] * 3
+            + [("finish", ("r0",)), ("finish", ("r1",)), ("prefill", ("r2",))]
+            + [("decode_round", ("r2",))] * 3
+            + [("finish", ("r2",))]
+        )
+        assert cont.last_serve.trace == lockstep
+        dense = PadeEngine()
+        for req in reqs:
+            cache = dense.new_cache(2, 8, 8)
+            prefill = dense.prefill(
+                cache, req.k, req.v, q=req.q_prompt, total_tokens=req.total_tokens
             )
+            steps = [
+                dense.decode_step(
+                    cache, req.decode_q[:, t], req.decode_k[:, t], req.decode_v[:, t]
+                )
+                for t in range(req.decode_steps)
+            ]
+            res = cont_results[req.request_id]
+            np.testing.assert_array_equal(res.prefill_output, prefill.output)
             np.testing.assert_array_equal(
-                lock_results[rid].decode_outputs, cont_results[rid].decode_outputs
+                res.decode_outputs, np.stack([r.output[:, 0] for r in steps], axis=1)
             )
+            assert len(res.retained_history) == len(steps)
+            for got, r in zip(res.retained_history, steps):
+                np.testing.assert_array_equal(got, r.retained[:, 0])
+        assert dense.stats.sparsity == cont.stats.sparsity
 
     def test_shortest_prompt_reorders_admission(self):
         engine = PadeEngine()

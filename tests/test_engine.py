@@ -144,10 +144,9 @@ class TestEngineAttention:
         results = {}
         for backend in ("reference", "fast"):
             engine = PadeEngine(backend=backend)
-            engine.submit(
-                build_engine_request("r", 3, 96, 6, head_dim=16, seed=5)
-            )
-            results[backend] = engine.run()["r"]
+            results[backend] = engine.serve(
+                [build_engine_request("r", 3, 96, 6, head_dim=16, seed=5)]
+            )["r"]
         assert (
             results["reference"].retained_bytes() == results["fast"].retained_bytes()
         )
@@ -158,12 +157,13 @@ class TestEngineAttention:
 
 class TestScheduler:
     def test_requests_batched_per_round(self):
-        engine = PadeEngine(max_active=2)
-        for i in range(3):
-            engine.submit(build_engine_request(f"r{i}", 2, 32, 3, head_dim=8, seed=i))
-        results = engine.run()
+        engine = PadeEngine()
+        results = engine.serve(
+            [build_engine_request(f"r{i}", 2, 32, 3, head_dim=8, seed=i) for i in range(3)],
+            max_active=2,
+        )
         assert set(results) == {"r0", "r1", "r2"}
-        trace = engine.schedule_trace
+        trace = engine.last_serve.trace
         # First decode round covers both admitted requests at once.
         rounds = [ids for event, ids in trace if event == "decode_round"]
         assert rounds[0] == ("r0", "r1")
@@ -175,8 +175,7 @@ class TestScheduler:
 
     def test_results_carry_outputs_and_history(self):
         engine = PadeEngine()
-        engine.submit(build_engine_request("a", 2, 24, 4, head_dim=8, seed=1))
-        res = engine.run()["a"]
+        res = engine.serve([build_engine_request("a", 2, 24, 4, head_dim=8, seed=1)])["a"]
         assert res.decode_outputs.shape == (2, 4, 8)
         assert res.steps == 4
         assert res.final_length == 28
@@ -186,17 +185,18 @@ class TestScheduler:
 
     def test_prefill_only_request(self):
         engine = PadeEngine()
-        engine.submit(build_engine_request("p", 2, 16, 0, head_dim=8, prompt_queries=4))
-        res = engine.run()["p"]
+        res = engine.serve(
+            [build_engine_request("p", 2, 16, 0, head_dim=8, prompt_queries=4)]
+        )["p"]
         assert res.prefill_output.shape == (2, 4, 8)
         assert res.decode_outputs.shape == (2, 0, 8)
         assert res.steps == 0
 
     def test_duplicate_request_id_rejected(self):
         engine = PadeEngine()
-        engine.submit(build_engine_request("dup", 2, 16, 2, head_dim=8))
+        dup = build_engine_request("dup", 2, 16, 2, head_dim=8)
         with pytest.raises(ValueError, match="dup"):
-            engine.submit(build_engine_request("dup", 2, 16, 2, head_dim=8))
+            engine.serve([dup, dup])
 
     def test_mismatched_decode_streams_rejected(self):
         k = np.zeros((1, 4, 4))
