@@ -17,8 +17,8 @@ Two measurements (ISSUE 7):
   non-negative, with monotone p50 <= p95 <= p99 tails, and a positive
   sustained wall-clock token throughput.
 
-    python benchmarks/bench_async_serve.py [--requests N] [--budget B]
-    python benchmarks/bench_async_serve.py --quick --json-out BENCH_async_serve.json
+    PYTHONPATH=src python benchmarks/bench_async_serve.py [--requests N] [--budget B]
+    PYTHONPATH=src python benchmarks/bench_async_serve.py --quick --json-out BENCH_async_serve.json
 
 ``--quick`` shrinks the workload for the CI perf-smoke job (same
 assertions, less wall-clock) and ``--json-out`` archives the measured

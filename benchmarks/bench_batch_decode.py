@@ -27,8 +27,8 @@ fused round beats the loop at every active-set size >= 8, and (c) the
 fused round is >= 3x faster at active-set 16 (the ISSUE 6 acceptance
 bar).
 
-    python benchmarks/bench_batch_decode.py [--context S] [--steps T]
-    python benchmarks/bench_batch_decode.py --quick --json-out BENCH_batch_decode.json
+    PYTHONPATH=src python benchmarks/bench_batch_decode.py [--context S] [--steps T]
+    PYTHONPATH=src python benchmarks/bench_batch_decode.py --quick --json-out BENCH_batch_decode.json
 
 ``--quick`` shrinks the sweep for the CI perf-smoke job (same assertions,
 less wall-clock) and ``--json-out`` archives the measured dict.  Also

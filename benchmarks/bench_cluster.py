@@ -20,8 +20,8 @@ Three measurements (ISSUE 8):
   re-routed or aborted, exactly one replica reported lost, and the
   surviving pools leak zero blocks at drain.
 
-    python benchmarks/bench_cluster.py [--replicas N] [--per-group G]
-    python benchmarks/bench_cluster.py --quick --json-out BENCH_cluster.json
+    PYTHONPATH=src python benchmarks/bench_cluster.py [--replicas N] [--per-group G]
+    PYTHONPATH=src python benchmarks/bench_cluster.py --quick --json-out BENCH_cluster.json
 
 ``--quick`` shrinks the workload for the CI perf-smoke job (same
 assertions, less wall-clock) and ``--json-out`` archives the measured

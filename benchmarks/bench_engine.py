@@ -15,8 +15,8 @@ The script asserts (a) the engine is >= 3x faster, and (b) the engine's
 retained-token sets are byte-identical between the ``"reference"`` and
 ``"fast"`` backends.
 
-    python benchmarks/bench_engine.py [--steps N] [--context S] [--heads H]
-    python benchmarks/bench_engine.py --quick --json-out BENCH_engine.json
+    PYTHONPATH=src python benchmarks/bench_engine.py [--steps N] [--context S] [--heads H]
+    PYTHONPATH=src python benchmarks/bench_engine.py --quick --json-out BENCH_engine.json
 
 ``--quick`` shrinks the sweep for the CI perf-smoke job (same assertions,
 less wall-clock) and ``--json-out`` writes the measured dict to disk so

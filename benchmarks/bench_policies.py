@@ -20,8 +20,8 @@ Two regression gates ride along:
   allclose outputs (H2O compares its decode loop; MInference its
   prefill-block selection, which is where its one pattern choice lives).
 
-    python benchmarks/bench_policies.py [--requests N] [--budget B]
-    python benchmarks/bench_policies.py --quick --json-out BENCH_policies.json
+    PYTHONPATH=src python benchmarks/bench_policies.py [--requests N] [--budget B]
+    PYTHONPATH=src python benchmarks/bench_policies.py --quick --json-out BENCH_policies.json
 
 ``--quick`` shrinks the workload for the CI perf-smoke job (same
 assertions, less wall-clock) and ``--json-out`` archives the measured

@@ -16,8 +16,8 @@ Acceptance workload (ISSUE 3), two halves:
   (chunk boundaries never change the stored planes: scales are frozen on
   the full prompt).
 
-    python benchmarks/bench_prefix.py [--requests N] [--prefix P] [--quick]
-    python benchmarks/bench_prefix.py --quick --json-out BENCH_prefix.json
+    PYTHONPATH=src python benchmarks/bench_prefix.py [--requests N] [--prefix P] [--quick]
+    PYTHONPATH=src python benchmarks/bench_prefix.py --quick --json-out BENCH_prefix.json
 
 Also runnable under pytest (the module-level tests use reduced workloads
 so the benchmark suite stays tractable).

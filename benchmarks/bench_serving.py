@@ -19,8 +19,8 @@ paged and dense cache paths under both kernel backends
 (``RequestResult.retained_bytes``).  A second sweep reports throughput
 and preemption counts as the token budget shrinks.
 
-    python benchmarks/bench_serving.py [--requests N] [--rate R] [--budget B]
-    python benchmarks/bench_serving.py --quick --json-out BENCH_serving.json
+    PYTHONPATH=src python benchmarks/bench_serving.py [--requests N] [--rate R] [--budget B]
+    PYTHONPATH=src python benchmarks/bench_serving.py --quick --json-out BENCH_serving.json
 
 ``--quick`` shrinks the workload for the CI perf-smoke job (same
 assertions, less wall-clock) and ``--json-out`` writes the measured dict

@@ -18,8 +18,8 @@ continuous scheduler under one pool budget, three claims:
   and registered blocks are in play) release every pool block: the pool
   is byte-for-byte empty after the run.
 
-    python benchmarks/bench_slo.py [--requests N] [--budget B]
-    python benchmarks/bench_slo.py --quick --json-out BENCH_slo.json
+    PYTHONPATH=src python benchmarks/bench_slo.py [--requests N] [--budget B]
+    PYTHONPATH=src python benchmarks/bench_slo.py --quick --json-out BENCH_slo.json
 
 ``--quick`` shrinks the workloads for the CI perf-smoke job (same
 assertions, less wall-clock) and ``--json-out`` archives the measured

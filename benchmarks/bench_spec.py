@@ -18,8 +18,8 @@ their plain-decode baselines, three claims:
   output and retained-set digests, no ``spec_*`` / ``parallel_*``
   report columns).
 
-    python benchmarks/bench_spec.py [--requests N] [--budget B]
-    python benchmarks/bench_spec.py --quick --json-out BENCH_spec.json
+    PYTHONPATH=src python benchmarks/bench_spec.py [--requests N] [--budget B]
+    PYTHONPATH=src python benchmarks/bench_spec.py --quick --json-out BENCH_spec.json
 
 ``--quick`` shrinks the workloads for the CI perf-smoke job (same
 assertions, less wall-clock) and ``--json-out`` archives the measured

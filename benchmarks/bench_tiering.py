@@ -23,8 +23,8 @@ DRAM budget, three claims:
   tiered arm itself is backend-invariant too (spills happen on round
   boundaries after the decode flush, never splitting a fused round).
 
-    python benchmarks/bench_tiering.py [--requests N] [--budget B]
-    python benchmarks/bench_tiering.py --quick --json-out BENCH_tiering.json
+    PYTHONPATH=src python benchmarks/bench_tiering.py [--requests N] [--budget B]
+    PYTHONPATH=src python benchmarks/bench_tiering.py --quick --json-out BENCH_tiering.json
 
 ``--quick`` shrinks the workloads for the CI perf-smoke job (same
 assertions, less wall-clock) and ``--json-out`` archives the measured

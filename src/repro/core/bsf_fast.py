@@ -62,7 +62,7 @@ def plane_products(q_dot: np.ndarray, plane: np.ndarray) -> np.ndarray:
     worker threads and take milliseconds (up to 100x a gemv on a busy
     2-core host), while gemv stays fast at every row count.
     """
-    products = np.matmul(plane.astype(q_dot.dtype)[..., None, :, :], q_dot[..., None])
+    products = np.matmul(plane.astype(q_dot.dtype, copy=False)[..., None, :, :], q_dot[..., None])
     return products[..., 0].astype(np.int64)
 
 

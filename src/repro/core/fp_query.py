@@ -50,7 +50,11 @@ def align_query(q_row: np.ndarray, mantissa_bits: int = 12) -> AlignedQuery:
     if max_abs == 0.0:
         return AlignedQuery(np.zeros(q.shape, dtype=np.int64), 0, 0.0)
     qmax = (1 << (mantissa_bits - 1)) - 1
-    exponent = int(np.ceil(np.log2(max_abs / qmax)))
+    # ceil(log2(max_abs / qmax)) with max_abs split as frac * 2^exp2, so
+    # a subnormal row never underflows the ratio to 0; the clamp keeps
+    # 2^exponent at or above the smallest subnormal.
+    frac, exp2 = np.frexp(max_abs)
+    exponent = max(int(exp2) + int(np.ceil(np.log2(frac / qmax))), -1074)
     scale = 2.0 ** exponent
     mantissa = np.floor(q / scale + 0.5).astype(np.int64)
     mantissa = np.clip(mantissa, -qmax - 1, qmax)

@@ -961,9 +961,11 @@ class PagedBitPlaneKVCache:
         self.policy_state = None  # per-request AttentionPolicy state
         # Resident plane view: rows [0, _mirrored) of the gathered planes
         # and popcounts, valid while the pool epoch equals _mirror_epoch.
-        # Token-major, so the fused kernel pads it into its (bits, R, S,
-        # Hh, D) lattice with plain block copies.
-        self._mirror: Optional[np.ndarray] = None  # (bits, cap, H, D) uint8
+        # Head-major like the pool, so every (plane, head) is one
+        # contiguous run of rows: appends copy pool rows as they are, and
+        # the fused kernel converts each run into its float product slab
+        # in one pass.
+        self._mirror: Optional[np.ndarray] = None  # (bits, H, cap, D) uint8
         self._mirror_pc: Optional[np.ndarray] = None  # (bits, H, cap)
         self._mirrored = 0
         self._mirror_epoch = -1
@@ -1029,22 +1031,22 @@ class PagedBitPlaneKVCache:
         counts_dtype = popcount_dtype(self.head_dim)
         if self._mirror is None or self._mirror_epoch != self.pool.plane_epoch:
             start = 0
-        if start == 0 or n > self._mirror.shape[1]:
+        if start == 0 or n > self._mirror.shape[2]:
             cap = n + (n >> 1)
-            planes = np.empty((self.bits, cap, self.num_heads, self.head_dim), dtype=np.uint8)
+            planes = np.empty((self.bits, self.num_heads, cap, self.head_dim), dtype=np.uint8)
             counts = np.empty((self.bits, self.num_heads, cap), dtype=counts_dtype)
             if start:  # growth: carry the still-valid rows over
-                planes[:, :start] = self._mirror[:, :start]
+                planes[:, :, :start] = self._mirror[:, :, :start]
                 counts[:, :, :start] = self._mirror_pc[:, :, :start]
             self._mirror, self._mirror_pc = planes, counts
             self._mirror_epoch = self.pool.plane_epoch
         if start < n:
             new = self.pool._planes[:, :, self._rows_for(start, n), :]
-            self._mirror[:, start:n] = new.transpose(0, 2, 1, 3)
+            self._mirror[:, :, start:n] = new
             new.sum(axis=-1, dtype=counts_dtype, out=self._mirror_pc[:, :, start:n])
         self._mirrored = n
         return BitPlanes(
-            planes=self._mirror[:, :n].transpose(0, 2, 1, 3),
+            planes=self._mirror[:, :, :n],
             bits=self.bits,
             popcounts=self._mirror_pc[:, :, :n],
         )

@@ -51,9 +51,10 @@ import asyncio
 import json
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import replace
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
-from repro.engine.scheduler import ContinuousScheduler
+from repro.engine.scheduler import ContinuousScheduler, EngineRequest
 from repro.eval.serving_metrics import (
     summarize_serving,
     timing_from_result,
@@ -103,7 +104,8 @@ class AsyncPadeServer:
         self.scheduler.token_sink = self._on_token
         self.results: Dict[str, object] = {}
         self.epoch = time.perf_counter()
-        self._accept_queue: Deque[Tuple[dict, _Connection]] = deque()
+        # Accepted submits, decoded once on receipt: (request, arrival).
+        self._accept_queue: Deque[Tuple[EngineRequest, Any]] = deque()
         self._connections: List[_Connection] = []
         self._owners: Dict[str, _Connection] = {}
         self._wall: Dict[str, Dict[str, float]] = {}
@@ -273,12 +275,10 @@ class AsyncPadeServer:
             return 0
         drained = 0
         while self._accept_queue:
-            msg, conn = self._accept_queue.popleft()
-            arrival = msg.get("arrival")
-            request = decode_request(
-                msg["request"],
-                arrival_time=self.scheduler.time if arrival == "now" else arrival,
-            )
+            request, arrival = self._accept_queue.popleft()
+            if arrival is not None:  # the override decode_request(arrival_time=) applies
+                arrival_time = self.scheduler.time if arrival == "now" else arrival
+                request = replace(request, arrival_time=float(arrival_time))
             self.scheduler.submit(request)
             drained += 1
         return drained
@@ -294,14 +294,14 @@ class AsyncPadeServer:
         if len(self._accept_queue) >= self.queue_limit:
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "overloaded"})
             return
-        probe = decode_request(msg["request"])
-        if not self.scheduler.fits_budget(probe):
+        request = decode_request(msg["request"])
+        if not self.scheduler.fits_budget(request):
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "too-large"})
             return
         self._owners[rid] = conn
         conn.owned.add(rid)
         self._wall.setdefault(rid, {})["arrival"] = self._now_ms()
-        self._accept_queue.append((msg, conn))
+        self._accept_queue.append((request, msg.get("arrival")))
         self._send(conn, {"type": "accepted", "request_id": rid})
         self._wake.set()
 

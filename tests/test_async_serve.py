@@ -143,6 +143,43 @@ class TestParity:
             assert dones[rid]["timing"]["first_token_time"] == res.first_token_time
         assert ack["leaked_blocks"] == 0
 
+    def test_each_submit_is_decoded_once(self, monkeypatch):
+        import repro.serve.server as server_mod
+
+        calls = []
+
+        def counting_decode(obj, *args, **kwargs):
+            calls.append(obj["request_id"])
+            return decode_request(obj, *args, **kwargs)
+
+        monkeypatch.setattr(server_mod, "decode_request", counting_decode)
+        workload = build_serving_workload(4, 2, 16, 3, 8, rate=1.0, seed=5)
+        serve_workload_over_loopback(
+            PadeEngine(), workload, barrier=True, max_active=2, token_budget=512, block_size=8
+        )
+        assert sorted(calls) == sorted(r.request_id for r in workload)
+
+        calls.clear()
+
+        async def run():
+            server = await _start()
+            conn = await ServeConnection.open(server.host, server.port)
+            try:
+                for rid in ("now-a", "now-b"):
+                    reply = await conn.submit(_req(rid, arrival=50.0), arrival="now")
+                    assert reply["type"] == "accepted"
+                for rid in ("now-a", "now-b"):
+                    assert (await conn.result(rid))["status"] == "ok"
+            finally:
+                await conn.close()
+            await _graceful_stop(server)
+            return server
+
+        server = asyncio.run(run())
+        assert calls == ["now-a", "now-b"]
+        # "now" still replaces the encoded arrival with the pickup round.
+        assert all(server.results[rid].arrival_time < 50.0 for rid in calls)
+
     def test_wall_marks_are_monotone_per_request(self):
         workload = build_serving_workload(4, 2, 16, 3, 8, rate=1.0, seed=5)
         dones, ack, _server = serve_workload_over_loopback(

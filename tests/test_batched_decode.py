@@ -48,6 +48,12 @@ def _random_request(rng, num_heads, num_rows, seq_len, head_dim, masks, guard_ki
     planes = decompose_bitplanes(k, bits=BITS)
     if guard_kind == "inf":
         guards = np.full(num_heads, np.inf)
+    elif guard_kind == "zero":
+        guards = np.zeros(num_heads)
+    elif guard_kind == "negative":
+        # Threshold above every upper bound: without protection every
+        # column dies in round 0, so the kernels stop early.
+        guards = np.full(num_heads, -float(1 << 40))
     elif guard_kind == "mixed":
         guards = np.where(
             rng.random(num_heads) < 0.5, np.inf, rng.uniform(0.0, 40.0, num_heads)
@@ -75,13 +81,14 @@ def _assert_results_identical(got, want, label):
     seed=st.integers(0, 2**32 - 1),
     num_requests=st.integers(1, 5),
     num_heads=st.integers(1, 3),
-    num_rows=st.integers(1, 2),
+    num_rows=st.integers(1, 5),  # up to the speculative-verify width
     head_dim=st.integers(4, 12),
     masks=st.booleans(),
-    guard_kind=st.sampled_from(["finite", "inf", "mixed"]),
+    guard_kind=st.sampled_from(["finite", "inf", "mixed", "zero", "negative"]),
+    dead_request=st.booleans(),
 )
 def test_kernel_parity_ragged(
-    seed, num_requests, num_heads, num_rows, head_dim, masks, guard_kind
+    seed, num_requests, num_heads, num_rows, head_dim, masks, guard_kind, dead_request
 ):
     """Fused filter == per-request loop, bit for bit, on ragged sets."""
     rng = np.random.default_rng(seed)
@@ -90,6 +97,13 @@ def test_kernel_parity_ragged(
         _random_request(rng, num_heads, num_rows, int(s), head_dim, masks, guard_kind)
         for s in seq_lens
     ]
+    if dead_request:  # a request with nothing allowed, next to live ones
+        q, planes, guards, _, protect = _random_request(
+            rng, num_heads, num_rows, 17, head_dim, masks, guard_kind
+        )
+        dead = np.zeros((num_heads, num_rows, 17), bool)
+        reqs.insert(num_requests // 2, (q, planes, guards, dead, protect))
+        num_requests += 1
     qs = [r[0] for r in reqs]
     planes = [r[1] for r in reqs]
     guards = [r[2] for r in reqs]
@@ -103,6 +117,9 @@ def test_kernel_parity_ragged(
             qs[i], planes[i], guards[i], allowed=alloweds[i], protect=protects[i]
         )
         _assert_results_identical(fused[i], loop, f"request {i} vs fast heads loop")
+    if guard_kind == "negative" and not masks:
+        for res in fused:  # every column died in round 0
+            assert not res.retained.any() and res.planes_processed.max() <= 1
 
     ref = get_backend("reference").filter_heads_batch(
         qs, planes, guards, alloweds=alloweds, protects=protects

@@ -1,7 +1,7 @@
 """Tests for the FP-query exponent-alignment extension (§VI-F)."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,6 +16,7 @@ fp_rows = arrays(
 
 class TestAlignment:
     @given(fp_rows)
+    @example(np.full(4, 5e-324))  # subnormal row: the ratio to qmax underflows
     def test_reconstruction_error_bounded(self, q):
         aligned = align_query(q, mantissa_bits=12)
         err = np.abs(q - aligned.reconstruct()).max() if q.size else 0.0
@@ -24,6 +25,7 @@ class TestAlignment:
         assert aligned.truncation_error <= 2.0 ** aligned.exponent * 0.5 + 1e-12
 
     @given(fp_rows)
+    @example(np.full(4, 5e-324))
     def test_mantissa_within_width(self, q):
         aligned = align_query(q, mantissa_bits=12)
         assert np.abs(aligned.mantissa).max(initial=0) <= 2**11
