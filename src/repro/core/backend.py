@@ -53,6 +53,19 @@ DEFAULT_BACKEND_ENV = "REPRO_BACKEND"
 _FALLBACK = "fast"
 
 
+def _check_guards(*guards) -> None:
+    """Reject negative guards at the backend boundary.
+
+    The engine's guards are ``alpha · radius / scale`` with ``alpha`` in
+    ``[0, 1]`` and ``radius >= 0``, and the filter's bounds assume a
+    threshold at or below the best lower bound, so a negative guard is
+    always a caller bug (it would prune every unprotected key in round 0).
+    """
+    for guard in guards:
+        if np.any(np.asarray(guard, dtype=np.float64) < 0):
+            raise ValueError(f"filter guards must be >= 0, got {guard!r}")
+
+
 @runtime_checkable
 class KernelBackend(Protocol):
     """One implementation of the fused predict/execute filter.
@@ -126,6 +139,7 @@ class ReferenceBackend:
         allowed: Optional[np.ndarray] = None,
         protect: Optional[np.ndarray] = None,
     ) -> BSFResult:
+        _check_guards(guard)
         return bsf_filter(q_int, key_planes, guard, allowed=allowed, protect=protect)
 
     def filter_row(
@@ -138,6 +152,7 @@ class ReferenceBackend:
         protect: Optional[np.ndarray] = None,
         gfilter: Optional[GuardedFilter] = None,
     ) -> BSFRowResult:
+        _check_guards(guard)
         return bsf_filter_row(
             q_row, key_planes, guard, lut=lut, allowed=allowed, protect=protect, gfilter=gfilter
         )
@@ -151,6 +166,7 @@ class ReferenceBackend:
         protect: Optional[np.ndarray] = None,
     ) -> BSFResult:
         """Head loop over the batched reference filter (stacked results)."""
+        _check_guards(guards)
         q = np.asarray(q_int, dtype=np.int64)
         num_heads, num_rows, _ = q.shape
         num_keys = key_planes.value_shape[1]
@@ -197,6 +213,7 @@ class ReferenceBackend:
     ) -> List[BSFResult]:
         """Per-request loop over :meth:`filter_heads` (the semantic ground
         truth the fused fast kernel must match bit for bit)."""
+        _check_guards(*guards)
         num = len(key_planes)
         if alloweds is None:
             alloweds = [None] * num
@@ -228,6 +245,7 @@ class FastBackend(ReferenceBackend):
         allowed: Optional[np.ndarray] = None,
         protect: Optional[np.ndarray] = None,
     ) -> BSFResult:
+        _check_guards(guard)
         return bsf_filter_fast(q_int, key_planes, guard, allowed=allowed, protect=protect)
 
     def filter_heads(
@@ -238,6 +256,7 @@ class FastBackend(ReferenceBackend):
         allowed: Optional[np.ndarray] = None,
         protect: Optional[np.ndarray] = None,
     ) -> BSFResult:
+        _check_guards(guards)
         return bsf_filter_fast_heads(
             q_int, key_planes, guards, allowed=allowed, protect=protect
         )
@@ -250,6 +269,7 @@ class FastBackend(ReferenceBackend):
         alloweds: Optional[Sequence[Optional[np.ndarray]]] = None,
         protects: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> List[BSFResult]:
+        _check_guards(*guards)
         return bsf_filter_fast_batch(
             q_ints, key_planes, guards, alloweds=alloweds, protects=protects
         )

@@ -5,11 +5,15 @@ runs the whole query block per bit round with one matmul, trading the exact
 per-row "observe then decide within a round" interleaving for a synchronous
 round barrier across the block.  The two produce identical results because
 the threshold is row-private either way — only the loop structure differs.
+
+The kernels read the keys in integer form (``BitPlanes.ints``): by the
+truncation identity the running partial after round ``r`` is
+``q · (k & prefix_masks(bits)[r])``, so each round is one product of the
+query with a masked-integer slab and no plane is ever weighted or summed.
 The matmuls run in the float dtype :func:`exact_dot_dtype` picks, in which
-every bit-round product is exact (:func:`plane_products`), and the op
-counters read the planes' cached popcounts.  Used by the harness and
-benches where the functional pass dominates runtime (~5-8× faster on
-8×2048 problems).
+every such product is exact (:func:`plane_products`), and the op counters
+read the planes' cached popcounts.  Used by the harness and benches where
+the functional pass dominates runtime (~5-8× faster on 8×2048 problems).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from repro.core.bsf import BSFResult
 from repro.core.bui import build_bui_lut
-from repro.quant.bitplane import BitPlanes, plane_weights
+from repro.quant.bitplane import BitPlanes, prefix_masks
 
 __all__ = ["bsf_filter_fast", "bsf_filter_fast_heads", "exact_dot_dtype", "plane_products"]
 
@@ -29,41 +33,49 @@ _FLOAT32_EXACT = 1 << 24
 _FLOAT64_EXACT = 1 << 53
 
 
-def exact_dot_dtype(q: np.ndarray, head_dim: int) -> type:
-    """Float dtype in which every ``q · plane`` bit-round product is exact.
+def exact_dot_dtype(q: np.ndarray, head_dim: int, bits: int) -> type:
+    """Float dtype in which every masked-key product ``q · (k & mask)`` is exact.
 
-    A plane entry is 0 or 1, so every partial sum of a ``head_dim``-long
-    product has magnitude at most ``head_dim · max|q|`` (at most
-    ``head_dim · 2^(bits-1)`` for in-range queries).  While that bound
-    stays below the mantissa limit every partial sum is an exactly
+    A masked ``bits``-wide key entry has magnitude at most
+    ``2^(bits-1)``, so every partial sum of a ``head_dim``-long product
+    has magnitude at most ``head_dim · max|q| · 2^(bits-1)``.  While that
+    bound stays below the mantissa limit every partial sum is an exactly
     representable integer, so a BLAS matmul returns the int64 result
     bit for bit whatever its summation order (DESIGN.md §13).
     """
     qa = np.asarray(q)
     q_max = max(int(qa.max()), -int(qa.min())) if qa.size else 0
-    bound = head_dim * q_max
+    bound = head_dim * q_max << (bits - 1)
     if bound < _FLOAT32_EXACT:
         return np.float32
     if bound < _FLOAT64_EXACT:
         return np.float64
     raise ValueError(
-        f"query magnitude {q_max} x head_dim {head_dim} reaches 2^53: "
+        f"query magnitude {q_max} x head_dim {head_dim} x 2^{bits - 1} reaches 2^53: "
         "bit-round products would not be exact in float64"
     )
 
 
-def plane_products(q_dot: np.ndarray, plane: np.ndarray) -> np.ndarray:
-    """Exact ``q · plane`` of every query row with every key, as int64.
+def plane_products(q_dot: np.ndarray, slab: np.ndarray) -> np.ndarray:
+    """Exact ``q · slab`` of every query row with every slab row, as int64.
 
     ``q_dot`` has shape ``(..., P, D)`` in the dtype :func:`exact_dot_dtype`
-    chose; ``plane`` has shape ``(..., S, D)`` with 0/1 entries.  Returns
-    ``(..., P, S)``.  One batched ``np.matmul`` runs a matrix-vector
-    product per query row: BLAS gemm on a few rows can wake sleeping
-    worker threads and take milliseconds (up to 100x a gemv on a busy
-    2-core host), while gemv stays fast at every row count.
+    chose; ``slab`` has shape ``(..., S, D)`` with masked-key entries
+    (``k & prefix_masks(bits)[r]``).  Returns ``(..., P, S)``.  One
+    batched ``np.matmul`` runs a matrix-vector product per query row:
+    BLAS gemm on a few rows can wake sleeping worker threads and take
+    milliseconds (up to 100x a gemv on a busy 2-core host), while gemv
+    stays fast at every row count.
     """
-    products = np.matmul(plane.astype(q_dot.dtype, copy=False)[..., None, :, :], q_dot[..., None])
+    products = np.matmul(slab.astype(q_dot.dtype, copy=False)[..., None, :, :], q_dot[..., None])
     return products[..., 0].astype(np.int64)
+
+
+def _masked(keys: np.ndarray, mask: np.integer, dtype: type) -> np.ndarray:
+    """``keys & mask`` converted to the product dtype in one pass."""
+    out = np.empty(keys.shape, dtype=dtype)
+    np.bitwise_and(keys, mask, out=out, casting="unsafe")
+    return out
 
 
 def bsf_filter_fast(
@@ -78,9 +90,10 @@ def bsf_filter_fast(
     num_rows = q.shape[0]
     bits = key_planes.bits
     num_keys, head_dim = key_planes.value_shape
-    q_dot = q.astype(exact_dot_dtype(q, head_dim))
+    q_dot = q.astype(exact_dot_dtype(q, head_dim, bits))
     lut = build_bui_lut(q, bits=bits)
-    weights = plane_weights(bits)
+    keys = key_planes.ints
+    masks = prefix_masks(bits).astype(keys.dtype)
 
     if allowed is None:
         alive = np.ones((num_rows, num_keys), dtype=bool)
@@ -93,6 +106,8 @@ def bsf_filter_fast(
         arr = np.asarray(protect, dtype=bool)
         protected = np.broadcast_to(arr, (num_rows, num_keys))
 
+    # Running partial of every cell: alive cells read it, dead ones never
+    # do, and a cell still alive at the end was alive in every round.
     partial = np.zeros((num_rows, num_keys), dtype=np.int64)
     planes_processed = np.zeros((num_rows, num_keys), dtype=np.int64)
     max_lb = np.full(num_rows, -np.inf)
@@ -105,8 +120,7 @@ def bsf_filter_fast(
     for r in range(bits):
         if not alive.any():
             break
-        delta = plane_products(q_dot, key_planes.planes[r])  # (P, S)
-        partial = np.where(alive, partial + weights[r] * delta, partial)
+        partial = plane_products(q_dot, _masked(keys, masks[r], q_dot.dtype))  # (P, S)
         planes_processed = np.where(alive, r + 1, planes_processed)
         loads += int(alive.sum())
         pc = key_planes.popcounts[r].astype(np.int64)
@@ -172,13 +186,14 @@ def bsf_filter_fast_heads(
     bits = key_planes.bits
     num_keys = key_planes.value_shape[1]
     guards = np.broadcast_to(np.asarray(guards, dtype=np.float64), (num_heads,))
-    q_dot = q.astype(exact_dot_dtype(q, head_dim))
+    q_dot = q.astype(exact_dot_dtype(q, head_dim, bits))
     popcounts = key_planes.popcounts
+    keys = key_planes.ints
+    masks = prefix_masks(bits).astype(keys.dtype)
 
     lut = build_bui_lut(q.reshape(num_heads * num_rows, head_dim), bits=bits)
     i_min = lut.i_min.reshape(num_heads, num_rows, bits + 1)
     i_max = lut.i_max.reshape(num_heads, num_rows, bits + 1)
-    weights = plane_weights(bits)
 
     shape = (num_heads, num_rows, num_keys)
     if allowed is None:
@@ -212,10 +227,8 @@ def bsf_filter_fast_heads(
         if active_cols.size < cols.size:
             cols = cols[active_cols]
         alive_c = alive[:, :, cols]
-        plane = key_planes.planes[r][:, cols, :]  # (Hh, S', H) uint8
-        delta = plane_products(q_dot, plane)  # (Hh, P, S')
-        sub = partial[:, :, cols]
-        sub = np.where(alive_c, sub + weights[r] * delta, sub)
+        slab = _masked(keys[:, cols, :], masks[r], q_dot.dtype)  # (Hh, S', H)
+        sub = plane_products(q_dot, slab)  # (Hh, P, S') running partials
         partial[:, :, cols] = sub
         planes_processed[:, :, cols] = np.where(alive_c, r + 1, planes_processed[:, :, cols])
         loads += int(alive_c.sum())

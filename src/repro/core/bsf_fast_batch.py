@@ -17,23 +17,27 @@ therefore *bit for bit* the :func:`bsf_filter_fast_heads` result for that
 request alone, including the ``bit_plane_loads`` / ``effective_bit_ops``
 / ``naive_bit_ops`` counters, which keep the request axis separate.
 
-The products come first, all bit planes at once.  Per (request, head)
-one gemv pass (:func:`repro.core.bsf_fast.plane_products`, exact in the
-float dtype :func:`repro.core.bsf_fast.exact_dot_dtype` picks) multiplies
-the query rows with a reused ``(bits·S_i, D)`` float slab copied straight
-from the head's planes; the slab stays cache-resident, so the
-uint8→float expansion never round-trips through memory.  The weighted
-products land in one ``(bits, R, Hh, P, S_max)`` int64 lattice.
+The products come first, all bit rounds at once.  By the truncation
+identity (DESIGN.md §6) the running partial after round ``r`` is
+``q · (k & prefix_masks(bits)[r])``, so per (request, head) one gemv
+pass (:func:`repro.core.bsf_fast.plane_products`, exact in the float
+dtype :func:`repro.core.bsf_fast.exact_dot_dtype` picks) multiplies the
+query rows with a reused ``(bits·S_i, D)`` float slab of masked integer
+keys, filled straight from the head's key rows; the slab stays
+cache-resident, so the masked copy never round-trips through memory.
+The products *are* the running partials — no plane weight, no
+accumulation — and land in one ``(bits, R, Hh, P, S_max)`` int64
+lattice.
 
-The rounds then add a whole product plane to every cell's running
-partial, alive or not.  Dead cells keep accumulating but are never read:
-only alive cells feed the max and the outputs, and a cell alive at the
-end was alive in every round, so its partial is its exact score.  No
-column is ever gathered or compacted — on decode rounds nearly every
-column stays alive for most rounds, so compaction saved little and cost
-gathers and scatters.  The op counters never sum planes: they read the
-popcounts the :class:`BitPlanes` carry, counting a (request, head, row,
-key) cell in round ``r`` exactly when its final ``planes_processed > r``.
+The rounds then read round ``r``'s partial for every cell, alive or
+not.  Dead cells are never read: only alive cells feed the max and the
+outputs, and a cell alive at the end was alive in every round, so its
+last partial is its exact score.  No column is ever gathered or
+compacted — on decode rounds nearly every column stays alive for most
+rounds, so compaction saved little and cost gathers and scatters.  The
+op counters never sum planes: they read the popcounts the
+:class:`BitPlanes` carry, counting a (request, head, row, key) cell in
+round ``r`` exactly when its final ``planes_processed > r``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 from repro.core.bsf import BSFResult
 from repro.core.bsf_fast import exact_dot_dtype, plane_products
 from repro.core.bui import build_bui_lut
-from repro.quant.bitplane import BitPlanes, plane_weights, popcount_dtype
+from repro.quant.bitplane import BitPlanes, popcount_dtype, prefix_masks
 
 __all__ = ["bsf_filter_fast_batch"]
 
@@ -110,16 +114,16 @@ def bsf_filter_fast_batch(
     s_max = max(seq_lens)
 
     q = np.stack(qs)  # (R, Hh, P, D)
-    q_dot = q.astype(exact_dot_dtype(q, head_dim))
+    q_dot = q.astype(exact_dot_dtype(q, head_dim, bits))
     guard_mat = np.stack(
         [np.broadcast_to(np.asarray(g, dtype=np.float64), (num_heads,)) for g in guards]
     )  # (R, Hh)
-    weights = plane_weights(bits)[:, None, None]
+    masks = prefix_masks(bits)[:, None, None]
 
-    # Weighted products of every bit plane, with zero ragged tails.  One
+    # Running partials of every bit round, with zero ragged tails.  One
     # (bits·S_i, D) slab per head, reused across heads and requests: at
     # decode sizes one head's slab fits a core's L2 where a whole
-    # request's would not, so the uint8→float copy is read back from L2.
+    # request's would not, so the masked copy is read back from L2.
     shape = (num_requests, num_heads, num_rows, s_max)
     prods = np.zeros((bits,) + shape, dtype=np.int64)
     slab_buf = np.empty(bits * s_max * head_dim, dtype=q_dot.dtype)
@@ -128,16 +132,13 @@ def bsf_filter_fast_batch(
     pc = np.zeros((bits, num_requests, num_heads, s_max), dtype=popcount_dtype(head_dim))
     for i, (kp, s) in enumerate(zip(key_planes, seq_lens)):
         pc[:, i, :, :s] = kp.popcounts
-        planes = np.asarray(kp.planes)
+        keys = np.asarray(kp.ints)
+        key_masks = masks.astype(keys.dtype)
         slab = slab_buf[: bits * s * head_dim].reshape(bits, s, head_dim)
         for h in range(num_heads):
-            slab[...] = planes[:, h]
+            np.bitwise_and(keys[h], key_masks, out=slab, casting="unsafe")
             products = plane_products(q_dot[i, h], slab.reshape(bits * s, head_dim))
-            np.multiply(
-                products.reshape(num_rows, bits, s).transpose(1, 0, 2),
-                weights,
-                out=prods[:, i, h, :, :s],
-            )
+            prods[:, i, h, :, :s] = products.reshape(num_rows, bits, s).transpose(1, 0, 2)
         sub = (num_heads, num_rows, s)
         if alloweds[i] is None:
             alive[i, :, :, :s] = True
@@ -158,16 +159,15 @@ def bsf_filter_fast_batch(
     # the row is permanently dead anyway.
     int_floor = np.int64(-(2**62))
 
-    # Running-partial invariant: every cell adds every round's product,
-    # but only alive cells are ever read, and alive cells have been alive
-    # since round 0 — so an alive cell's ``partial`` is exactly its
-    # processed-plane prefix sum, and a retained cell's is its score.
-    partial = np.zeros(shape, dtype=np.int64)
+    # Running-partial invariant: ``prods[r]`` holds round r's partial
+    # for every cell, but only alive cells are ever read, and alive cells
+    # have been alive since round 0 — so a retained cell's last partial
+    # is its exact score.
     pp = np.zeros(shape, dtype=np.uint8)  # bits < 256; widened after the loop
     for r in range(bits):
         if not alive.any():
             break
-        partial += prods[r]
+        partial = prods[r]
         pp += alive  # processed rounds are consecutive from round 0
         # Row-private threshold fold, all-integer until the last step: the
         # per-round BUI addend i_min[r+1] is constant per (request, head,
@@ -178,7 +178,8 @@ def bsf_filter_fast_batch(
         threshold = np.where(finite_guard, max_lb - guard_mat[:, :, None], -np.inf)
         ub = partial + i_max[..., r + 1][..., None]
         alive &= (ub >= threshold[..., None]) | protected
-    scores = np.where(alive, partial, 0)
+    # A cell alive here survived every round, so its partial is prods[-1].
+    scores = np.where(alive, prods[-1], 0)
     pp = pp.astype(np.int64)
 
     # Counters from the planes' cached popcounts: processed rounds are

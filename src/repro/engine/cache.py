@@ -3,10 +3,10 @@
 The per-call operator (:func:`repro.core.pade_attention.pade_attention`)
 re-quantizes K and re-decomposes its bit planes on every invocation — fine
 for one-shot figure generation, ruinous for decode serving where the same
-cache is filtered thousands of times.  This module keeps the decomposed
-planes *resident*: keys are quantized and decomposed exactly once when they
-enter the cache (prefill bulk, decode appends), and every subsequent filter
-round reads the stored planes directly.
+cache is filtered thousands of times.  This module keeps the quantized
+keys *resident*: keys are quantized exactly once when they enter the cache
+(prefill bulk, decode appends), and every subsequent filter round reads the
+stored integer rows directly.
 
 Two storage strategies share one interface
 (``planes/values/k_int/scales/length/prefill/append``):
@@ -27,13 +27,13 @@ Two sharing mechanisms ride on the paged pool (both off by default):
 
 * **Hash-based prefix sharing** — with ``prefix_sharing=True``, full
   prompt blocks are content-addressed by a chained key
-  ``sha256(parent ‖ k_int_block ‖ v_block)`` rooted at a digest of the
-  cache config *and the frozen per-head scales*.  Because the stored
-  planes are a pure function of ``k_int``, a key match guarantees the
-  shared block is byte-identical to what this request would have
-  written, so retained sets are provably unchanged by sharing.  Matched
-  blocks are attached by reference count instead of re-allocated and
-  re-decomposed (pool budget *and* prefill compute saved).
+  ``sha256(parent ‖ k_int_block ‖ k_block ‖ v_block)`` rooted at a
+  digest of the cache config *and the frozen per-head scales*.  Because
+  the stored rows are a pure function of those tensors, a key match
+  guarantees the shared block is byte-identical to what this request
+  would have written, so retained sets are provably unchanged by
+  sharing.  Matched blocks are attached by reference count instead of
+  re-allocated and re-quantized (pool budget *and* prefill compute saved).
 * **Copy-on-write forking** — :meth:`PagedBitPlaneKVCache.fork` clones a
   cache onto the same ref-counted blocks (parallel sampling / beam
   forking); the first divergent ``append`` into a shared partial tail
@@ -41,31 +41,32 @@ Two sharing mechanisms ride on the paged pool (both off by default):
 
 With a :class:`TierConfig`, the pool becomes a **two-tier plane
 memory**: under pressure, low-order bit planes of cold blocks are
-*spilled* — moved byte-exact into a side store, their primary rows
-zeroed — so the same plane budget keeps more sequences resident at
-degraded precision instead of preempting one (the filter transparently
-scores the partial reconstruction; spilled planes are restored
-byte-identical on touch or by the scheduler's prefetch pass).  See
-DESIGN.md §16.
+*spilled* — their low bits cleared from the stored key rows and stashed
+byte-exact in a side store — so the same plane budget keeps more
+sequences resident at degraded precision instead of preempting one (the
+filter transparently scores the partial reconstruction; spilled planes
+are restored byte-identical on touch or by the scheduler's prefetch
+pass).  See DESIGN.md §16.
 
 Chunked prefill is supported at cache level by the
 ``begin_prefill`` / ``extend_prefill`` / ``finish_prefill`` triple:
 scales are calibrated on the *full* prompt up front, so chunk-by-chunk
-decomposition stays byte-identical to one-shot :meth:`prefill`.
+quantization stays byte-identical to one-shot :meth:`prefill`.
 
 Two serving-specific choices apply to both:
 
 * **Frozen scales.**  Per-head quantization scales are calibrated on the
   prefill keys and frozen; decode appends are quantized with the same
   scale (clipping outliers).  This matches static-scale deployment and is
-  what makes incremental decomposition sound — a rescale would invalidate
-  every stored plane.
-* **Head-major layout.**  Planes are stored as one ``(bits, H, S, D)``
-  array so the head-batched kernel
-  (:func:`repro.core.bsf_fast.bsf_filter_fast_heads`) can consume a round
-  for all heads with a single matmul, no per-call stacking.  (The paged
-  cache's resident view mirrors its rows token-major instead and hands
-  out a transposed view of the same value shape.)
+  what makes incremental storage sound — a rescale would invalidate
+  every stored key row.
+* **One stored integer K.**  Each key row is stored once, head-major
+  ``(H, rows, D)`` in ``signed_dtype(bits)`` (int8 up to 8 bits), next to
+  the popcount of every (plane, head, row) written when it is quantized.
+  The first ``r`` planes of a key are the key with its low ``bits - r``
+  bits cleared (``prefix_masks``, DESIGN.md §6), which is what the fast
+  kernels read; ``planes`` returns an integer-backed ``BitPlanes`` whose
+  uint8 planes are built only if a consumer reads them.
 """
 
 from __future__ import annotations
@@ -73,11 +74,17 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.quant.bitplane import BitPlanes, decompose_bitplanes, popcount_dtype
+from repro.quant.bitplane import (
+    BitPlanes,
+    decompose_bitplanes,
+    popcount_dtype,
+    prefix_masks,
+    signed_dtype,
+)
 from repro.quant.integer import int_range
 
 __all__ = [
@@ -168,6 +175,12 @@ def quantize_heads(
     return k_int, scales
 
 
+def _key_rows(k_int: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Storage form of quantized keys: ``signed_dtype`` rows + popcounts."""
+    bp = decompose_bitplanes(k_int, bits=bits)
+    return bp.ints, bp.popcounts
+
+
 def _check_prefill(cache, k: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Shared prefill validation for both cache implementations."""
     if cache.length:
@@ -195,17 +208,17 @@ def _check_step(cache, k_step: np.ndarray, v_step: np.ndarray) -> Tuple[np.ndarr
 
 
 class BitPlaneKVCache:
-    """Appendable per-head Key bit planes + float Values for one sequence.
+    """Appendable per-head integer Keys + float Values for one sequence.
 
     Attributes
     ----------
     num_heads / head_dim / v_dim:
         Shapes of the cached tensors.
     bits:
-        Operand bit width of the stored planes.
+        Operand bit width of the stored keys.
     rows_decomposed:
-        Total (head, token) rows ever decomposed — the work a per-call
-        pipeline would redo every step, counted once here.
+        Total (head, token) rows ever quantized and stored — the work a
+        per-call pipeline would redo every step, counted once here.
     appends:
         Number of incremental ``append`` calls since prefill.
     """
@@ -219,9 +232,8 @@ class BitPlaneKVCache:
         self.bits = bits
         self._length = 0
         self._capacity = 0
-        self._planes: Optional[np.ndarray] = None  # (bits, H, cap, D) uint8
+        self._keys: Optional[np.ndarray] = None  # (H, cap, D) signed_dtype(bits)
         self._popcounts: Optional[np.ndarray] = None  # (bits, H, cap) per-plane set bits
-        self._k_int: Optional[np.ndarray] = None  # (H, cap, D) int64
         self._k: Optional[np.ndarray] = None  # (H, cap, D) float64 raw keys
         self._values: Optional[np.ndarray] = None  # (H, cap, Dv) float64
         self._scales: Optional[np.ndarray] = None  # (H,) frozen at prefill
@@ -244,12 +256,12 @@ class BitPlaneKVCache:
 
     @property
     def planes(self) -> BitPlanes:
-        """View of the cached planes, value shape ``(H, length, D)``."""
-        if self._planes is None:
+        """Integer-backed view of the cached keys, value shape ``(H, length, D)``."""
+        if self._keys is None:
             raise RuntimeError("cache is empty; call prefill() first")
         n = self._length
         return BitPlanes(
-            planes=self._planes[:, :, :n, :], bits=self.bits, popcounts=self._popcounts[:, :, :n]
+            ints=self._keys[:, :n, :], bits=self.bits, popcounts=self._popcounts[:, :, :n]
         )
 
     @property
@@ -261,10 +273,10 @@ class BitPlaneKVCache:
 
     @property
     def k_int(self) -> np.ndarray:
-        """View of the cached integer keys, shape ``(H, length, D)``."""
-        if self._k_int is None:
+        """The cached integer keys as int64, shape ``(H, length, D)``."""
+        if self._keys is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        return self._k_int[:, : self._length, :]
+        return self._keys[:, : self._length, :].astype(np.int64)
 
     @property
     def k_float(self) -> np.ndarray:
@@ -280,7 +292,7 @@ class BitPlaneKVCache:
 
     # ------------------------------------------------------------------
     def prefill(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Quantize, decompose and store the prompt keys/values.
+        """Quantize and store the prompt keys/values.
 
         ``k`` has shape ``(H, S, D)`` and ``v`` shape ``(H, S, Dv)``.  May
         only be called once per cache; per-head scales are calibrated here
@@ -290,32 +302,26 @@ class BitPlaneKVCache:
         seq_len = k.shape[1]
         k_int, scales = quantize_heads(k, bits=self.bits)  # (H, S, D)
         self._scales = scales
-        bp = decompose_bitplanes(k_int, bits=self.bits)
 
         self._reserve(max(seq_len, 1))
-        self._planes[:, :, :seq_len, :] = bp.planes
-        self._popcounts[:, :, :seq_len] = bp.popcounts
-        self._k_int[:, :seq_len, :] = k_int
+        self._keys[:, :seq_len, :], self._popcounts[:, :, :seq_len] = _key_rows(k_int, self.bits)
         self._k[:, :seq_len, :] = k
         self._values[:, :seq_len, :] = v
         self._length = seq_len
         self.rows_decomposed += self.num_heads * seq_len
 
     def append(self, k_step: np.ndarray, v_step: np.ndarray) -> None:
-        """Add one token per head, decomposing only the new rows.
+        """Add one token per head, quantizing only the new rows.
 
         ``k_step`` has shape ``(H, D)`` and ``v_step`` shape ``(H, Dv)``.
-        Uses the frozen prefill scales, so the stored planes of earlier
+        Uses the frozen prefill scales, so the stored rows of earlier
         tokens stay valid untouched.
         """
         k_step, v_step = _check_step(self, k_step, v_step)
         self._reserve(self._length + 1)
         k_int, _ = quantize_heads(k_step, bits=self.bits, scales=self._scales)  # (H, D)
-        bp = decompose_bitplanes(k_int, bits=self.bits)  # (bits, H, D)
         pos = self._length
-        self._planes[:, :, pos, :] = bp.planes
-        self._popcounts[:, :, pos] = bp.popcounts
-        self._k_int[:, pos, :] = k_int
+        self._keys[:, pos, :], self._popcounts[:, :, pos] = _key_rows(k_int, self.bits)
         self._k[:, pos, :] = k_step
         self._values[:, pos, :] = v_step
         self._length = pos + 1
@@ -327,22 +333,19 @@ class BitPlaneKVCache:
         if needed <= self._capacity:
             return
         new_cap = max(needed, max(1, self._capacity) * 2)
-        planes = np.zeros((self.bits, self.num_heads, new_cap, self.head_dim), dtype=np.uint8)
+        keys = np.zeros((self.num_heads, new_cap, self.head_dim), dtype=signed_dtype(self.bits))
         popcounts = np.zeros(
             (self.bits, self.num_heads, new_cap), dtype=popcount_dtype(self.head_dim)
         )
-        k_int = np.zeros((self.num_heads, new_cap, self.head_dim), dtype=np.int64)
         k = np.zeros((self.num_heads, new_cap, self.head_dim), dtype=np.float64)
         values = np.zeros((self.num_heads, new_cap, self.v_dim), dtype=np.float64)
         if self._length:
-            planes[:, :, : self._length, :] = self._planes[:, :, : self._length, :]
+            keys[:, : self._length, :] = self._keys[:, : self._length, :]
             popcounts[:, :, : self._length] = self._popcounts[:, :, : self._length]
-            k_int[:, : self._length, :] = self._k_int[:, : self._length, :]
             k[:, : self._length, :] = self._k[:, : self._length, :]
             values[:, : self._length, :] = self._values[:, : self._length, :]
-        self._planes = planes
+        self._keys = keys
         self._popcounts = popcounts
-        self._k_int = k_int
         self._k = k
         self._values = values
         self._capacity = new_cap
@@ -403,13 +406,21 @@ class PoolExhausted(RuntimeError):
     """
 
 
-class PlaneBlockPool:
-    """Fixed-size token blocks of plane/k_int/value rows under one budget.
+class _Spilled(NamedTuple):
+    """Spill-tier entry of a block at residency ``r``."""
 
-    The pool owns three backing stores shaped for ``num_blocks × block_size``
-    token rows (planes ``(bits, H, rows, D)`` uint8, integer keys
-    ``(H, rows, D)`` int64, values ``(H, rows, Dv)`` float64) and hands out
-    block indices.  Block ``b`` owns physical rows
+    low: np.ndarray  # (H, block_size, D) the cleared low bits of its keys
+    popcounts: np.ndarray  # (bits - r, H, block_size) the spilled planes' counts
+
+
+class PlaneBlockPool:
+    """Fixed-size token blocks of key/value rows under one budget.
+
+    The pool owns four backing stores shaped for ``num_blocks × block_size``
+    token rows — integer keys ``(H, rows, D)`` in ``signed_dtype(bits)``,
+    their per-plane popcounts ``(bits, H, rows)``, raw float keys
+    ``(H, rows, D)`` float64 and values ``(H, rows, Dv)`` float64 — and
+    hands out block indices.  Block ``b`` owns physical rows
     ``[b * block_size, (b + 1) * block_size)``; a
     :class:`PagedBitPlaneKVCache` maps its logical token positions onto
     those rows through its block table.
@@ -452,8 +463,10 @@ class PlaneBlockPool:
         self.block_size = block_size
         self.num_blocks = token_budget // block_size
         rows = self.num_blocks * block_size
-        self._planes = np.zeros((bits, num_heads, rows, head_dim), dtype=np.uint8)
-        self._k_int = np.zeros((num_heads, rows, head_dim), dtype=np.int64)
+        key_dtype = signed_dtype(bits)
+        self._keys = np.zeros((num_heads, rows, head_dim), dtype=key_dtype)
+        self._popcounts = np.zeros((bits, num_heads, rows), dtype=popcount_dtype(head_dim))
+        self._masks = prefix_masks(bits).astype(key_dtype)  # [r]: keep planes 0..r
         self._k = np.zeros((num_heads, rows, head_dim), dtype=np.float64)
         self._values = np.zeros((num_heads, rows, v_dim), dtype=np.float64)
         # LIFO free list seeded so the first allocations come out 0, 1, 2...
@@ -491,7 +504,7 @@ class PlaneBlockPool:
         else:
             self.plane_budget_blocks = self.num_blocks
         self._resident: Dict[int, int] = {}  # block -> planes in primary tier
-        self._spill_store: Dict[int, np.ndarray] = {}  # block -> planes[r:bits) bytes
+        self._spill_store: Dict[int, _Spilled] = {}  # block -> planes [r, bits)
         self._plane_units_used = 0  # sum of residencies of live blocks
         self._touch_clock = 0
         self._last_touch: Dict[int, int] = {}
@@ -502,10 +515,6 @@ class PlaneBlockPool:
         self.restored_plane_bytes = 0  # modeled packed bytes moved back
         self._tier_plane_writes = 0  # (plane, key) rows spilled, for the DRAM model
         self._tier_plane_reads = 0  # (plane, key) rows restored
-        # Bumped whenever stored planes of a live block change in place
-        # (spill zeroes rows, restore writes them back): every cache's
-        # resident plane view taken at an older epoch must be rebuilt.
-        self.plane_epoch = 0
 
     # ------------------------------------------------------------------
     @property
@@ -537,10 +546,10 @@ class PlaneBlockPool:
 
     @property
     def bytes_per_block(self) -> int:
-        """Backing-store bytes one block occupies (planes + k_int + k + values)."""
+        """Backing-store bytes of one block: integer K, popcounts, float K, values."""
         h, d, dv = self.num_heads, self.head_dim, self.v_dim
-        per_row = self.bits * h * d + h * d * 8 + h * d * 8 + h * dv * 8
-        return self.block_size * per_row
+        per_row = h * d * self._keys.itemsize + self.bits * h * self._popcounts.itemsize
+        return self.block_size * (per_row + 8 * h * (d + dv))
 
     # ------------------------------------------------------------------
     # Two-tier accounting.  The primary tier's capacity is denominated in
@@ -726,8 +735,8 @@ class PlaneBlockPool:
         fresh = self.allocate()
         src = self.rows_of(block)[:rows_used]
         dst = self.rows_of(fresh)[:rows_used]
-        self._planes[:, :, dst, :] = self._planes[:, :, src, :]
-        self._k_int[:, dst, :] = self._k_int[:, src, :]
+        self._keys[:, dst, :] = self._keys[:, src, :]
+        self._popcounts[:, :, dst] = self._popcounts[:, :, src]
         self._k[:, dst, :] = self._k[:, src, :]
         self._values[:, dst, :] = self._values[:, src, :]
         self._decref(block)
@@ -739,15 +748,28 @@ class PlaneBlockPool:
         start = block * self.block_size
         return np.arange(start, start + self.block_size)
 
+    def gather_keys(self, blocks: List[int], length: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Integer key rows ``(H, length, D)`` and per-plane popcounts
+        ``(bits, H, length)`` of the first ``length`` tokens of a block
+        table, gathered a whole block (one run of rows) at a time."""
+        table = np.asarray(blocks, dtype=np.intp)
+        h, d, nb, bs = self.num_heads, self.head_dim, self.num_blocks, self.block_size
+        rows = len(table) * bs
+        keys = np.take(self._keys.reshape(h, nb, bs, d), table, axis=1)
+        counts = np.take(self._popcounts.reshape(self.bits, h, nb, bs), table, axis=2)
+        keys, counts = keys.reshape(h, rows, d), counts.reshape(self.bits, h, rows)
+        return keys[:, :length], counts[:, :, :length]
+
     # ------------------------------------------------------------------
-    # Plane-granular spill / restore (the two-tier extension).  Spilled
-    # planes are *moved*, byte-exact, into a per-block side store and
-    # their primary rows zeroed — so every consumer of the gathered
-    # planes (both kernel backends, fused and per-request) transparently
-    # scores a partial reconstruction with the unknown low-order planes
-    # contributing zero, exactly the ``partial_reconstruct`` semantics of
-    # ``quant/bitplane`` (error bound: ``unknown_weight_sum(bits, r)``).
-    # Restore copies the bytes back, so a round-trip is the identity.
+    # Plane-granular spill / restore (the two-tier extension).  Spilling
+    # planes [r, bits) of a block clears the low bits of its key rows and
+    # zeroes those planes' popcounts, stashing both byte-exact in a
+    # per-block side store — so every consumer of the gathered keys
+    # transparently scores a partial reconstruction with the unknown
+    # low-order planes contributing zero, exactly ``partial_reconstruct``
+    # (error bound: ``unknown_weight_sum(bits, r)``).  Restore ORs both
+    # back, so a round-trip is the identity; the tier model still prices
+    # the moved planes as packed bit planes.
     def _require_tiering(self) -> TierConfig:
         if self.tiering is None:
             raise RuntimeError("pool was built without tiering (TierConfig)")
@@ -810,13 +832,17 @@ class PlaneBlockPool:
             return 0
         start = block * self.block_size
         rows = slice(start, start + self.block_size)
-        chunk = self._planes[target_planes:current, :, rows, :].copy()
+        keys = self._keys[:, rows]
+        keep = self._masks[target_planes - 1]
+        low = keys & ~keep
+        counts = self._popcounts[target_planes:current, :, rows].copy()
         store = self._spill_store.get(block)
-        self._spill_store[block] = (
-            chunk if store is None else np.concatenate([chunk, store], axis=0)
-        )
-        self._planes[target_planes:current, :, rows, :] = 0
-        self.plane_epoch += 1
+        if store is not None:  # planes [current, bits) are already stashed
+            low |= store.low
+            counts = np.concatenate([counts, store.popcounts], axis=0)
+        self._spill_store[block] = _Spilled(low, counts)
+        keys &= keep
+        self._popcounts[target_planes:current, :, rows] = 0
         self._resident[block] = target_planes
         moved = current - target_planes
         self._plane_units_used -= moved
@@ -845,12 +871,13 @@ class PlaneBlockPool:
         moved = target - current
         start = block * self.block_size
         rows = slice(start, start + self.block_size)
-        self._planes[current:target, :, rows, :] = store[:moved]
-        self.plane_epoch += 1
-        if moved == store.shape[0]:
+        band = self._masks[target - 1] & ~self._masks[current - 1]  # planes [current, target)
+        self._keys[:, rows] |= store.low & band
+        self._popcounts[current:target, :, rows] = store.popcounts[:moved]
+        if moved == store.popcounts.shape[0]:
             del self._spill_store[block]
         else:
-            self._spill_store[block] = store[moved:].copy()
+            self._spill_store[block] = _Spilled(store.low & ~band, store.popcounts[moved:].copy())
         self._resident[block] = target
         self._plane_units_used += moved
         self.restore_events += 1
@@ -905,7 +932,7 @@ class PlaneBlockPool:
 
 
 class PagedBitPlaneKVCache:
-    """Block-table bit-plane cache over a shared :class:`PlaneBlockPool`.
+    """Block-table KV cache over a shared :class:`PlaneBlockPool`.
 
     Presents exactly the :class:`BitPlaneKVCache` interface —
     ``planes/values/k_int/scales/length/prefill/append`` plus the
@@ -914,13 +941,12 @@ class PagedBitPlaneKVCache:
     interleave allocation from one pool, and :meth:`release` returns a
     sequence's blocks for immediate reuse (completion or preemption).
 
-    ``planes`` is a *resident view* (DESIGN.md §9): the cache mirrors its
-    gathered planes and their popcounts in a private contiguous buffer
-    and each call gathers only the rows appended since the last one.
-    A move of the pool's ``plane_epoch`` (spill/restore) rebuilds the
-    mirror; a rebuild or growth always allocates a fresh buffer, so a
-    :class:`BitPlanes` already handed out is never mutated.  ``values``,
-    ``k_int`` and ``k_float`` remain gathers through the block table.
+    Every view is a gather through the block table (DESIGN.md §9):
+    ``planes`` gathers the sequence's integer key rows and their stored
+    popcounts into a fresh integer-backed :class:`BitPlanes` each call,
+    so a view already handed out is never mutated by later writes,
+    spills or restores; ``values``, ``k_int`` and ``k_float`` gather the
+    same way.
 
     Raises :class:`PoolExhausted` from ``prefill``/``append`` *before*
     mutating any state, so a failed allocation is always safe to retry
@@ -934,8 +960,8 @@ class PagedBitPlaneKVCache:
     cache writes itself are registered for later requests.  Sharing is
     invisible to every consumer: a hit block is byte-identical to what
     this cache would have written (the key covers config, frozen scales,
-    ``k_int`` and values), so gathers — and therefore retained sets —
-    are unchanged.
+    integer and raw keys and values), so gathers — and therefore
+    retained sets — are unchanged.
     """
 
     def __init__(self, pool: PlaneBlockPool, prefix_sharing: bool = False) -> None:
@@ -955,20 +981,10 @@ class PagedBitPlaneKVCache:
         self._prefill_target = 0  # prompt length once begin_prefill ran
         self._block_keys: List[bytes] = []  # chain keys of full prompt blocks
         self._next_register = 0  # first full prompt block not yet registered
-        self._pending_k_int: Optional[np.ndarray] = None  # (H, S, D) during prefill
+        self._pending_keys: Optional[np.ndarray] = None  # (H, S, D) int64 during prefill
         self._pending_k: Optional[np.ndarray] = None  # (H, S, D) raw, during prefill
         self._pending_v: Optional[np.ndarray] = None  # (H, S, Dv) during prefill
         self.policy_state = None  # per-request AttentionPolicy state
-        # Resident plane view: rows [0, _mirrored) of the gathered planes
-        # and popcounts, valid while the pool epoch equals _mirror_epoch.
-        # Head-major like the pool, so every (plane, head) is one
-        # contiguous run of rows: appends copy pool rows as they are, and
-        # the fused kernel converts each run into its float product slab
-        # in one pass.
-        self._mirror: Optional[np.ndarray] = None  # (bits, H, cap, D) uint8
-        self._mirror_pc: Optional[np.ndarray] = None  # (bits, H, cap)
-        self._mirrored = 0
-        self._mirror_epoch = -1
 
     # ------------------------------------------------------------------
     @property
@@ -996,81 +1012,54 @@ class PagedBitPlaneKVCache:
     @property
     def prefill_remaining(self) -> int:
         """Prompt tokens still to be written by :meth:`extend_prefill`."""
-        if self._pending_k_int is None:
+        if self._pending_keys is None:
             return 0
         return self._prefill_target - self._length
-
-    def _row_index(self) -> np.ndarray:
-        """Physical pool rows of tokens ``0 .. length-1``, in order."""
-        if not self._blocks:
-            return np.empty(0, dtype=np.int64)
-        bs = self.pool.block_size
-        table = np.asarray(self._blocks, dtype=np.int64)
-        rows = (table[:, None] * bs + np.arange(bs, dtype=np.int64)[None, :]).reshape(-1)
-        return rows[: self._length]
 
     def _rows_for(self, start: int, end: int) -> np.ndarray:
         """Physical pool rows of token positions ``start .. end-1``."""
         bs = self.pool.block_size
-        pos = np.arange(start, end, dtype=np.int64)
-        table = np.asarray(self._blocks, dtype=np.int64)
-        return table[pos // bs] * bs + pos % bs
+        table = np.asarray(self._blocks[start // bs : -(-end // bs)], dtype=np.int64)
+        rows = (table[:, None] * bs + np.arange(bs, dtype=np.int64)).reshape(-1)
+        return rows[start % bs : start % bs + end - start]
 
     @property
     def planes(self) -> BitPlanes:
-        """Resident view of this sequence's planes, value shape ``(H, length, D)``.
+        """This sequence's keys as integer-backed planes, value shape ``(H, length, D)``.
 
-        Gathers only rows ``[mirrored, length)`` from the pool.  The
-        returned arrays are slices of a buffer whose rows below
-        ``length`` are never written again.
+        One gather of the integer key rows and their stored per-plane
+        popcounts through the block table, into fresh arrays.  Rows of
+        degraded blocks read with their spilled low bits cleared and
+        those planes' popcounts zero.
         """
         if self._scales is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        n = self._length
-        start = self._mirrored
-        counts_dtype = popcount_dtype(self.head_dim)
-        if self._mirror is None or self._mirror_epoch != self.pool.plane_epoch:
-            start = 0
-        if start == 0 or n > self._mirror.shape[2]:
-            cap = n + (n >> 1)
-            planes = np.empty((self.bits, self.num_heads, cap, self.head_dim), dtype=np.uint8)
-            counts = np.empty((self.bits, self.num_heads, cap), dtype=counts_dtype)
-            if start:  # growth: carry the still-valid rows over
-                planes[:, :, :start] = self._mirror[:, :, :start]
-                counts[:, :, :start] = self._mirror_pc[:, :, :start]
-            self._mirror, self._mirror_pc = planes, counts
-            self._mirror_epoch = self.pool.plane_epoch
-        if start < n:
-            new = self.pool._planes[:, :, self._rows_for(start, n), :]
-            self._mirror[:, :, start:n] = new
-            new.sum(axis=-1, dtype=counts_dtype, out=self._mirror_pc[:, :, start:n])
-        self._mirrored = n
-        return BitPlanes(
-            planes=self._mirror[:, :, :n],
-            bits=self.bits,
-            popcounts=self._mirror_pc[:, :, :n],
-        )
+        keys, counts = self.pool.gather_keys(self._blocks, self._length)
+        return BitPlanes(ints=keys, bits=self.bits, popcounts=counts)
 
     @property
     def values(self) -> np.ndarray:
         """Gathered V rows, shape ``(H, length, Dv)``."""
         if self._scales is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        return self.pool._values[:, self._row_index(), :]
+        return self.pool._values[:, self._rows_for(0, self._length), :]
 
     @property
     def k_int(self) -> np.ndarray:
-        """Gathered integer keys, shape ``(H, length, D)``."""
+        """Gathered integer keys as int64, shape ``(H, length, D)``.
+
+        Rows of degraded blocks read with their spilled low bits cleared.
+        """
         if self._scales is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        return self.pool._k_int[:, self._row_index(), :]
+        return self.pool.gather_keys(self._blocks, self._length)[0].astype(np.int64)
 
     @property
     def k_float(self) -> np.ndarray:
         """Gathered raw (pre-quantization) keys, shape ``(H, length, D)``."""
         if self._scales is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        return self.pool._k[:, self._row_index(), :]
+        return self.pool._k[:, self._rows_for(0, self._length), :]
 
     # ------------------------------------------------------------------
     def _chain_keys(
@@ -1097,7 +1086,7 @@ class PagedBitPlaneKVCache:
     def begin_prefill(self, k: np.ndarray, v: np.ndarray) -> int:
         """Calibrate scales on the full prompt and attach shared prefix blocks.
 
-        Quantizes the whole prompt up front (so chunked decomposition is
+        Quantizes the whole prompt up front (so chunked prefill is
         byte-identical to one-shot :meth:`prefill`), looks the leading
         full blocks up in the pool's prefix index, and attaches every hit
         by reference.  Returns the number of tokens already resident;
@@ -1121,7 +1110,7 @@ class PagedBitPlaneKVCache:
         self._prefill_target = seq_len
         self._block_keys = keys
         self._next_register = len(hits)
-        self._pending_k_int = k_int
+        self._pending_keys = k_int
         self._pending_k = k
         self._pending_v = v
         self.prefix_hit_blocks += len(hits)
@@ -1129,7 +1118,7 @@ class PagedBitPlaneKVCache:
         return self._length
 
     def extend_prefill(self, max_tokens: Optional[int] = None) -> int:
-        """Decompose and write up to ``max_tokens`` more prompt rows.
+        """Write up to ``max_tokens`` more prompt rows.
 
         Blocks for the chunk are claimed atomically before any write
         (:meth:`PlaneBlockPool.allocate_many`), so :class:`PoolExhausted`
@@ -1147,7 +1136,7 @@ class PagedBitPlaneKVCache:
         as they appear, chunk by chunk.  Attached blocks are free: they
         advance the prefill without counting against ``max_tokens``.
         """
-        if self._pending_k_int is None:
+        if self._pending_keys is None:
             raise RuntimeError("no prefill in progress; call begin_prefill() first")
         if self.prefix_sharing:
             bs_probe = self.pool.block_size
@@ -1178,14 +1167,13 @@ class PagedBitPlaneKVCache:
             self._blocks.extend(self.pool.allocate_many(needed))
         # A chunk resuming inside an existing partial tail block writes
         # into it: spilled planes must be restored first so the side
-        # store never holds stale bytes for freshly written rows.
+        # store never holds stale bits for freshly written rows.
         if start // bs < prior_blocks:
             self.pool.ensure_resident(self._blocks[start // bs])
-        k_int = self._pending_k_int[:, start:end, :]
-        bp = decompose_bitplanes(k_int, bits=self.bits)
         rows = self._rows_for(start, end)
-        self.pool._planes[:, :, rows, :] = bp.planes
-        self.pool._k_int[:, rows, :] = k_int
+        self.pool._keys[:, rows, :], self.pool._popcounts[:, :, rows] = _key_rows(
+            self._pending_keys[:, start:end, :], self.bits
+        )
         self.pool._k[:, rows, :] = self._pending_k[:, start:end, :]
         self.pool._values[:, rows, :] = self._pending_v[:, start:end, :]
         self._length = end
@@ -1198,18 +1186,18 @@ class PagedBitPlaneKVCache:
 
     def finish_prefill(self) -> None:
         """Seal the prompt: drop staging buffers, enable ``append``."""
-        if self._pending_k_int is None:
+        if self._pending_keys is None:
             raise RuntimeError("no prefill in progress")
         if self._length < self._prefill_target:
             raise RuntimeError(
                 f"prefill incomplete: {self._length}/{self._prefill_target} tokens resident"
             )
-        self._pending_k_int = None
+        self._pending_keys = None
         self._pending_k = None
         self._pending_v = None
 
     def prefill(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Quantize, decompose and scatter the prompt into pool blocks.
+        """Quantize and scatter the prompt into pool blocks.
 
         One-shot path: prefix hits attach shared blocks, the rest is
         claimed atomically before any write.  On :class:`PoolExhausted`
@@ -1253,7 +1241,7 @@ class PagedBitPlaneKVCache:
         scheduler can preempt a victim and retry.
         """
         k_step, v_step = _check_step(self, k_step, v_step)
-        if self._pending_k_int is not None:
+        if self._pending_keys is not None:
             raise RuntimeError("append() during an unfinished chunked prefill")
         bs = self.pool.block_size
         if self._length == len(self._blocks) * bs:
@@ -1264,11 +1252,9 @@ class PagedBitPlaneKVCache:
             # must come home first (see PlaneBlockPool.spill_block).
             self.pool.ensure_resident(self._blocks[-1])
         k_int, _ = quantize_heads(k_step, bits=self.bits, scales=self._scales)
-        bp = decompose_bitplanes(k_int, bits=self.bits)  # (bits, H, D)
         pos = self._length
         row = self._blocks[pos // bs] * bs + pos % bs
-        self.pool._planes[:, :, row, :] = bp.planes
-        self.pool._k_int[:, row, :] = k_int
+        self.pool._keys[:, row, :], self.pool._popcounts[:, :, row] = _key_rows(k_int, self.bits)
         self.pool._k[:, row, :] = k_step
         self.pool._values[:, row, :] = v_step
         self._length = pos + 1
@@ -1286,7 +1272,7 @@ class PagedBitPlaneKVCache:
         """
         if self._scales is None:
             raise RuntimeError("cannot fork an empty cache")
-        if self._pending_k_int is not None:
+        if self._pending_keys is not None:
             raise RuntimeError("cannot fork during an unfinished chunked prefill")
         clone = PagedBitPlaneKVCache(self.pool, prefix_sharing=self.prefix_sharing)
         clone._blocks = [self.pool.share(b) for b in self._blocks]
@@ -1311,9 +1297,7 @@ class PagedBitPlaneKVCache:
         self._prefill_target = 0
         self._block_keys = []
         self._next_register = 0
-        self._pending_k_int = None
+        self._pending_keys = None
         self._pending_k = None
         self._pending_v = None
         self.policy_state = None
-        self._mirror = self._mirror_pc = None
-        self._mirrored = 0

@@ -15,7 +15,6 @@ the property the bit-wise uncertainty interval (BUI, §IV-A) is built on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -29,6 +28,8 @@ __all__ = [
     "partial_reconstruct",
     "popcount_per_plane",
     "popcount_dtype",
+    "prefix_masks",
+    "signed_dtype",
 ]
 
 
@@ -73,38 +74,123 @@ def popcount_dtype(length: int) -> type:
     return np.uint32
 
 
-@dataclass(frozen=True)
+def signed_dtype(bits: int) -> type:
+    """Smallest signed integer dtype holding a ``bits``-wide 2's-complement int."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bits <= np.iinfo(dtype).bits:
+            return dtype
+    return np.int64
+
+
+def prefix_masks(bits: int) -> np.ndarray:
+    """Masks that keep the first ``r + 1`` MSB-first planes of an integer.
+
+    In 2's complement, knowing planes ``0 .. r`` of a key and treating the
+    rest as zero is exactly the key with its low ``bits - 1 - r`` bits
+    cleared, so ``values & prefix_masks(bits)[r] ==
+    partial_reconstruct(decompose_bitplanes(values), r + 1)`` (the
+    truncation identity, DESIGN.md §6).  The masks are negative, so the
+    sign extension above bit ``bits - 1`` survives in any wider dtype.
+
+    >>> prefix_masks(4).tolist()
+    [-8, -4, -2, -1]
+    """
+    return -(np.int64(1) << np.arange(bits - 1, -1, -1, dtype=np.int64))
+
+
+def _split_bits(values: np.ndarray, bits: int) -> np.ndarray:
+    """MSB-first 0/1 planes of in-range integers, shape ``(bits,) + shape``."""
+    # 2's complement: reinterpret as unsigned bits-wide, then slice bits.
+    unsigned = values.astype(np.int64) & ((1 << bits) - 1)
+    planes = np.empty((bits,) + values.shape, dtype=np.uint8)
+    for i in range(bits):
+        shift = bits - 1 - i  # plane 0 = MSB
+        planes[i] = (unsigned >> shift) & 1
+    return planes
+
+
 class BitPlanes:
     """MSB-first bit planes of an integer tensor.
 
-    ``planes`` has shape ``(bits,) + value_shape`` with entries in {0, 1};
-    ``planes[0]`` is the sign plane.
+    Holds one of two equivalent forms and derives the other on first
+    read:
+
+    * ``planes`` — shape ``(bits,) + value_shape`` with entries in {0, 1};
+      ``planes[0]`` is the sign plane;
+    * ``ints`` — the 2's-complement integers themselves, ``value_shape``.
+
+    The serving caches store only the integers and hand out integer-backed
+    views: the fast kernels read ``ints`` (bit round ``r`` is
+    ``ints & prefix_masks(bits)[r]``), so the uint8 plane array is built
+    only when a consumer — the reference backend, the simulator, the
+    exhibits — reads ``planes``.
 
     ``popcounts`` holds the set bits of every plane along the last value
-    axis, shape ``planes.shape[:-1]`` in :func:`popcount_dtype` of that
-    axis.  A plane's popcount depends on the stored plane only, never on
-    the query, so the fast kernels read it instead of re-summing planes
-    every filter call.  Producers that already know the counts pass them
-    in; otherwise they are computed once here.  The field is derived
-    data, so it takes no part in equality.
+    axis, shape ``(bits,) + value_shape[:-1]`` in :func:`popcount_dtype`
+    of that axis.  A plane's popcount depends on the stored plane only,
+    never on the query, so the fast kernels read it instead of re-summing
+    planes every filter call.  Producers that already know the counts
+    pass them in; otherwise they are computed on first read.  The field
+    is derived data, so it takes no part in equality, which compares
+    ``bits`` and the planes.
     """
 
-    planes: np.ndarray
-    bits: int
-    popcounts: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+    __slots__ = ("bits", "_plane_array", "_ints", "_popcounts")
 
-    def __post_init__(self) -> None:
-        if self.popcounts is None:
-            if np.ndim(self.planes) < 2:  # scalar values: one bit per plane
-                counts = np.asarray(self.planes, dtype=np.uint8)
+    def __init__(
+        self,
+        planes: Optional[np.ndarray] = None,
+        *,
+        bits: int,
+        popcounts: Optional[np.ndarray] = None,
+        ints: Optional[np.ndarray] = None,
+    ) -> None:
+        if planes is None and ints is None:
+            raise ValueError("BitPlanes needs planes or ints")
+        self.bits = bits
+        self._plane_array = planes
+        self._ints = ints
+        self._popcounts = popcounts
+
+    @property
+    def planes(self) -> np.ndarray:
+        if self._plane_array is None:
+            self._plane_array = _split_bits(np.asarray(self._ints), self.bits)
+        return self._plane_array
+
+    @property
+    def ints(self) -> np.ndarray:
+        if self._ints is None:
+            self._ints = partial_reconstruct(self, self.bits)
+        return self._ints
+
+    @property
+    def popcounts(self) -> np.ndarray:
+        if self._popcounts is None:
+            if len(self.value_shape) < 1:  # scalar values: one bit per plane
+                self._popcounts = np.asarray(self.planes, dtype=np.uint8)
             else:
-                length = np.shape(self.planes)[-1]
-                counts = popcount_per_plane(self, axis=-1, dtype=popcount_dtype(length))
-            object.__setattr__(self, "popcounts", counts)
+                length = self.value_shape[-1]
+                self._popcounts = popcount_per_plane(
+                    self, axis=-1, dtype=popcount_dtype(length)
+                )
+        return self._popcounts
 
     @property
     def value_shape(self) -> Tuple[int, ...]:
-        return self.planes.shape[1:]
+        if self._ints is not None:
+            return np.shape(self._ints)
+        return np.shape(self._plane_array)[1:]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BitPlanes):
+            return NotImplemented
+        return self.bits == other.bits and np.array_equal(self.planes, other.planes)
+
+    __hash__ = None  # mutable arrays inside
+
+    def __repr__(self) -> str:
+        return f"BitPlanes(bits={self.bits}, value_shape={self.value_shape})"
 
     def plane(self, index: int) -> np.ndarray:
         """Return plane ``index`` (0 = MSB)."""
@@ -123,7 +209,9 @@ class BitPlanes:
 def decompose_bitplanes(values: np.ndarray, bits: int = 8) -> BitPlanes:
     """Split an integer tensor into MSB-first 2's-complement bit planes.
 
-    ``values`` must fit in a signed ``bits``-wide integer.
+    ``values`` must fit in a signed ``bits``-wide integer.  The result
+    carries both forms: the planes and a :func:`signed_dtype` copy of the
+    integers.
     """
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.integer):
@@ -131,13 +219,9 @@ def decompose_bitplanes(values: np.ndarray, bits: int = 8) -> BitPlanes:
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     if values.size and (values.min() < lo or values.max() > hi):
         raise ValueError(f"values out of int{bits} range [{lo}, {hi}]")
-    # 2's complement: reinterpret as unsigned bits-wide, then slice bits.
-    unsigned = values.astype(np.int64) & ((1 << bits) - 1)
-    planes = np.empty((bits,) + values.shape, dtype=np.uint8)
-    for i in range(bits):
-        shift = bits - 1 - i  # plane 0 = MSB
-        planes[i] = (unsigned >> shift) & 1
-    return BitPlanes(planes=planes, bits=bits)
+    return BitPlanes(
+        planes=_split_bits(values, bits), bits=bits, ints=values.astype(signed_dtype(bits))
+    )
 
 
 def reconstruct_from_planes(bp: BitPlanes) -> np.ndarray:

@@ -159,6 +159,27 @@ class TestBackendParity:
         assert ref.retained.all()
         assert (ref.planes_processed == planes.bits).all()
 
+    @pytest.mark.parametrize("name", ["reference", "fast"])
+    def test_negative_guards_rejected_at_the_boundary(self, name):
+        """Every filter entry point of both backends refuses a negative
+        guard (the engine's ``alpha · radius / scale`` is never negative)."""
+        backend = get_backend(name)
+        q, planes, _ = _problem(11, num_rows=2, num_keys=16)
+        q3, planes3 = q[None], decompose_bitplanes(planes.ints[None])
+        with pytest.raises(ValueError, match=">= 0"):
+            backend.filter(q, planes, -1.0)
+        with pytest.raises(ValueError, match=">= 0"):
+            backend.filter_row(q[0], planes, -0.5)
+        with pytest.raises(ValueError, match=">= 0"):
+            backend.filter_heads(q3, planes3, np.array([-1.0]))
+        with pytest.raises(ValueError, match=">= 0"):
+            backend.filter_heads_batch(
+                [q3, q3], [planes3, planes3], [np.array([1.0]), np.array([-1.0])]
+            )
+        # Zero and infinite guards stay valid.
+        backend.filter(q, planes, 0.0)
+        backend.filter_heads_batch([q3], [planes3], [np.array([np.inf])])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_filter_heads_parity(self, seed):
         rng = np.random.default_rng(seed + 400)

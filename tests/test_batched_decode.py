@@ -117,9 +117,17 @@ def test_kernel_parity_ragged(
             qs[i], planes[i], guards[i], allowed=alloweds[i], protect=protects[i]
         )
         _assert_results_identical(fused[i], loop, f"request {i} vs fast heads loop")
-    if guard_kind == "negative" and not masks:
-        for res in fused:  # every column died in round 0
-            assert not res.retained.any() and res.planes_processed.max() <= 1
+    if guard_kind == "negative":
+        if not masks:
+            for res in fused:  # every column died in round 0
+                assert not res.retained.any() and res.planes_processed.max() <= 1
+        # The backends refuse negative guards at their boundary.
+        for name in ("fast", "reference"):
+            with pytest.raises(ValueError, match=">= 0"):
+                get_backend(name).filter_heads_batch(
+                    qs, planes, guards, alloweds=alloweds, protects=protects
+                )
+        return
 
     ref = get_backend("reference").filter_heads_batch(
         qs, planes, guards, alloweds=alloweds, protects=protects
@@ -148,15 +156,16 @@ def test_kernel_batch_via_registry():
     [
         (8, 32, np.float32),
         (8, 37, np.float32),
-        (19, 31, np.float32),  # largest partial sums just below 2^24
-        (20, 32, np.float64),  # head_dim * 2^(bits-1) == 2^24
-        (20, 37, np.float64),
+        (10, 63, np.float32),  # largest partial sums just below 2^24
+        (10, 64, np.float64),  # head_dim * 2^(bits-1) * 2^(bits-1) == 2^24
+        (10, 67, np.float64),
     ],
 )
 def test_kernel_parity_at_exact_float_bounds(bits, head_dim, dot_dtype):
     """Both fast kernels equal the reference backend bit for bit on both
     sides of the float32 bound, on adversarial extremes: the most negative
-    query everywhere, all-ones planes, head_dim not a multiple of 8."""
+    query everywhere, the most negative and all-ones keys (the largest
+    masked-slab magnitudes), head_dim not a multiple of 8."""
     rng = np.random.default_rng(bits * 100 + head_dim)
     lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
     num_heads, num_rows = 2, 2
@@ -167,10 +176,11 @@ def test_kernel_parity_at_exact_float_bounds(bits, head_dim, dot_dtype):
         q[1, 1] = rng.choice([lo, hi, 0, -1], size=head_dim)
         k = rng.integers(lo, hi + 1, size=(num_heads, seq_len, head_dim))
         k[:, ::3] = -1  # all-ones planes on every third key
+        k[:, 1::3] = lo  # the most negative key: |k & mask| == 2^(bits-1)
         qs.append(q)
         planes.append(decompose_bitplanes(k, bits=bits))
-        guards.append(np.array([float(1 << (bits + 4)), np.inf]))
-    assert exact_dot_dtype(np.stack(qs), head_dim) is dot_dtype
+        guards.append(np.array([float(1 << (2 * bits + 4)), np.inf]))
+    assert exact_dot_dtype(np.stack(qs), head_dim, bits) is dot_dtype
 
     fast, ref = get_backend("fast"), get_backend("reference")
     want = ref.filter_heads_batch(qs, planes, guards)
@@ -182,7 +192,7 @@ def test_kernel_parity_at_exact_float_bounds(bits, head_dim, dot_dtype):
 
 
 def test_kernels_reject_queries_past_the_float64_bound():
-    bits, head_dim = 50, 32  # 32 * 2^49 == 2^54
+    bits, head_dim = 25, 32  # 32 * 2^24 * 2^24 == 2^53
     q = np.full((1, 1, head_dim), -(1 << (bits - 1)), dtype=np.int64)
     planes = decompose_bitplanes(np.full((1, 4, head_dim), -1, dtype=np.int64), bits=bits)
     guards = np.array([np.inf])

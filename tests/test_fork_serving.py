@@ -51,8 +51,9 @@ def _fill_cache(pool, rng, tokens):
 
 
 def _block_bytes(pool, block):
+    """Stored integer key rows and per-plane popcounts of ``block``."""
     rows = pool.rows_of(block)
-    return pool._planes[:, :, rows, :].tobytes()
+    return pool._keys[:, rows, :].tobytes() + pool._popcounts[:, :, rows].tobytes()
 
 
 class TestForkUnderTiering:

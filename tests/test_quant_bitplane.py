@@ -12,7 +12,9 @@ from repro.quant.bitplane import (
     partial_reconstruct,
     plane_weights,
     popcount_per_plane,
+    prefix_masks,
     reconstruct_from_planes,
+    signed_dtype,
     unknown_weight_sum,
 )
 
@@ -105,6 +107,33 @@ class TestPartialReconstruct:
             cur = partial_reconstruct(bp, known)
             assert np.all(cur >= prev)
             prev = cur
+
+    @given(st.data())
+    def test_truncation_identity(self, data):
+        """The first r planes of a key are the key with its low bits
+        cleared: partial_reconstruct(decompose(k), r) == k & mask_r, in
+        the signed storage dtype as well as in int64."""
+        bits = data.draw(st.integers(2, 16), label="bits")
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        values = data.draw(
+            arrays(np.int64, st.integers(1, 24), elements=st.integers(lo, hi)), label="k"
+        )
+        bp = decompose_bitplanes(values, bits=bits)
+        assert bp.ints.dtype == signed_dtype(bits)
+        masks = prefix_masks(bits)
+        for r in range(1, bits + 1):
+            want = partial_reconstruct(bp, r)
+            np.testing.assert_array_equal(values & masks[r - 1], want)
+            np.testing.assert_array_equal(bp.ints & masks[r - 1].astype(bp.ints.dtype), want)
+
+    def test_integer_backed_planes_build_on_read(self):
+        values = np.array([[-128, 127, -1], [0, 5, -6]], dtype=np.int8)
+        bp = BitPlanes(ints=values, bits=8)
+        want = decompose_bitplanes(values, bits=8)
+        assert bp == want
+        np.testing.assert_array_equal(bp.popcounts, want.popcounts)
+        assert bp.value_shape == (2, 3)
+        assert signed_dtype(8) is np.int8 and signed_dtype(9) is np.int16
 
     def test_zero_planes_gives_zero(self):
         bp = decompose_bitplanes(np.array([42, -42]))

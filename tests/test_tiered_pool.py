@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import PadeConfig
+from repro.core.backend import get_backend
 from repro.engine import (
     PadeEngine,
     PagedBitPlaneKVCache,
@@ -24,7 +25,7 @@ from repro.engine import (
     PoolExhausted,
 )
 from repro.engine.cache import TierConfig
-from repro.quant.bitplane import BitPlanes, popcount_per_plane
+from repro.quant.bitplane import decompose_bitplanes, prefix_masks
 
 
 def _tiered_pool(budget_blocks=6, block_size=4, bits=8, min_resident=2,
@@ -54,9 +55,16 @@ def _check_tier_invariants(pool):
     for block in live:
         r = pool.resident_planes(block)
         assert pool.tiering.min_resident_planes <= r <= pool.bits
+        rows = pool.rows_of(block)
+        low_bits = (1 << (pool.bits - r)) - 1
+        # Resident rows hold planes [0, r) only: low bits clear, counts 0.
+        assert not (pool._keys[:, rows] & low_bits).any()
+        assert not pool._popcounts[r:, :, rows].any()
         if r < pool.bits:
-            # The spill store holds exactly the missing plane prefix.
-            assert pool._spill_store[block].shape[0] == pool.bits - r
+            # The spill store holds exactly the missing planes.
+            store = pool._spill_store[block]
+            assert store.popcounts.shape[0] == pool.bits - r
+            assert not (store.low & ~low_bits).any()
         else:
             assert block not in pool._spill_store
     # Free blocks carry no tier state.
@@ -114,20 +122,26 @@ class TestPoolLifecycle:
         seed=st.integers(0, 2**16),
     )
     def test_spill_restore_roundtrip_is_byte_identical(self, tokens, target, seed):
-        """Restoring a spilled block reproduces its plane bytes exactly;
-        while spilled, the low planes read as zero (partial reconstruction)."""
+        """Restoring a spilled block reproduces its key rows and popcounts
+        exactly; while spilled, the low planes read as zero (partial
+        reconstruction)."""
         rng = np.random.default_rng(seed)
         pool = _tiered_pool(budget_blocks=6, min_resident=1)
         cache = _fill_cache(pool, rng, tokens)
         block = cache.block_table[0]
         rows = slice(block * pool.block_size, (block + 1) * pool.block_size)
-        before = pool._planes[:, :, rows, :].copy()
+        keys, counts = pool._keys[:, rows].copy(), pool._popcounts[:, :, rows].copy()
+        before = decompose_bitplanes(keys, bits=pool.bits).planes
         moved = pool.spill_block(block, target)
         assert moved == pool.bits - target
-        assert not pool._planes[target:, :, rows, :].any()
-        assert (pool._planes[:target, :, rows, :] == before[:target]).all()
+        spilled = decompose_bitplanes(pool._keys[:, rows], bits=pool.bits).planes
+        assert not spilled[target:].any()
+        assert (spilled[:target] == before[:target]).all()
+        assert not pool._popcounts[target:, :, rows].any()
+        assert (pool._popcounts[:target, :, rows] == counts[:target]).all()
         pool.restore_block(block)
-        assert pool._planes[:, :, rows, :].tobytes() == before.tobytes()
+        assert pool._keys[:, rows].tobytes() == keys.tobytes()
+        assert pool._popcounts[:, :, rows].tobytes() == counts.tobytes()
         cache.release()
 
     @given(seed=st.integers(0, 2**16))
@@ -164,10 +178,8 @@ class TestSharingAndCow:
         assert pool.resident_planes(fork) == pool.bits
         src = slice(block * pool.block_size, (block + 1) * pool.block_size)
         dst = slice(fork * pool.block_size, (fork + 1) * pool.block_size)
-        assert (
-            pool._planes[:, :, src, :].tobytes()
-            == pool._planes[:, :, dst, :].tobytes()
-        )
+        assert pool._keys[:, src].tobytes() == pool._keys[:, dst].tobytes()
+        assert pool._popcounts[:, :, src].tobytes() == pool._popcounts[:, :, dst].tobytes()
         # The fork consumed the share() reference; only the cache's remains.
         assert pool.ref_count(block) == 1
         pool.release([fork])
@@ -200,25 +212,32 @@ class TestSharingAndCow:
 
 
 class TestResidentPlaneView:
-    """``PagedBitPlaneKVCache.planes`` is a resident mirror, not a gather:
-    under any interleaving of the pool's write paths it must still equal
-    a fresh gather through the block table, and no view it handed out
-    earlier may ever change."""
+    """``PagedBitPlaneKVCache.planes`` gathers integer key rows and stored
+    popcounts: under any interleaving of the pool's write paths its planes
+    must equal the decomposition of the pool's key rows, its stored
+    popcounts must equal the counts of those planes (spilled planes read
+    0), and no view it handed out earlier may ever change."""
 
     OPS = ("append", "admit", "extend", "fork", "spill", "restore", "release", "readmit")
 
     @staticmethod
     def _check_views(pool, caches, published):
+        _check_tier_invariants(pool)
         for cache in caches:
             if cache._scales is None:
                 continue
             view = cache.planes
-            fresh = pool._planes[:, :, cache._row_index(), :]
-            assert view.planes.tobytes() == fresh.tobytes()
-            want = popcount_per_plane(BitPlanes(planes=fresh, bits=pool.bits), axis=-1)
-            assert np.array_equal(view.popcounts, want)
-            published.append((view, view.planes.tobytes(), view.popcounts.tobytes()))
-        for view, planes_bytes, counts_bytes in published:
+            keys = pool._keys[:, cache._rows_for(0, cache.length), :]
+            fresh = decompose_bitplanes(keys, bits=pool.bits)
+            assert np.array_equal(view.ints, keys)
+            assert view.planes.tobytes() == fresh.planes.tobytes()
+            assert view.popcounts.dtype == fresh.popcounts.dtype
+            assert np.array_equal(view.popcounts, fresh.popcounts)
+            published.append(
+                (view, view.ints.tobytes(), view.planes.tobytes(), view.popcounts.tobytes())
+            )
+        for view, ints_bytes, planes_bytes, counts_bytes in published:
+            assert view.ints.tobytes() == ints_bytes
             assert view.planes.tobytes() == planes_bytes
             assert view.popcounts.tobytes() == counts_bytes
 
@@ -253,8 +272,8 @@ class TestResidentPlaneView:
             caches.append(cache)
         for op, pick in steps:
             live = [c for c in caches if c._scales is not None]
-            sealed = [c for c in live if c._pending_k_int is None]
-            pending = [c for c in live if c._pending_k_int is not None]
+            sealed = [c for c in live if c._pending_keys is None]
+            pending = [c for c in live if c._pending_keys is not None]
             try:
                 if op == "append" and sealed:
                     sealed[pick % len(sealed)].append(
@@ -301,6 +320,86 @@ class TestResidentPlaneView:
         for cache in caches:
             cache.release()
         assert pool.used_block_count == 0
+
+
+class TestIntegerStore:
+    """Spill and restore act on the one stored integer K by masking."""
+
+    @given(
+        bits=st.sampled_from([4, 8, 12, 16]),
+        min_resident=st.integers(1, 3),
+        ops=st.lists(st.tuples(st.booleans(), st.integers(0, 2**16)), max_size=12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_spill_restore_sequences_keep_bytes_and_popcounts(
+        self, bits, min_resident, ops, seed
+    ):
+        """Any sequence of spills down to the floor and partial or full
+        restores keeps every resident plane's bits and popcount, reads
+        spilled planes' popcounts as 0, and ends byte-identical."""
+        rng = np.random.default_rng(seed)
+        pool = _tiered_pool(budget_blocks=4, bits=bits, min_resident=min_resident)
+        cache = _fill_cache(pool, rng, 2 * pool.block_size)
+        block = cache.block_table[1]
+        rows = pool.rows_of(block)
+        keys, counts = pool._keys[:, rows].copy(), pool._popcounts[:, :, rows].copy()
+        assert pool._keys.dtype == (np.int8 if bits <= 8 else np.int16)
+        masks = prefix_masks(bits)
+        for spill, pick in ops:
+            current = pool.resident_planes(block)
+            if spill and current > min_resident:
+                pool.spill_block(block, min_resident + pick % (current - min_resident))
+            elif not spill and current < bits:
+                pool.restore_block(block, current + 1 + pick % (bits - current))
+            r = pool.resident_planes(block)
+            assert np.array_equal(pool._keys[:, rows], keys & masks[r - 1])
+            assert np.array_equal(pool._popcounts[:r, :, rows], counts[:r])
+            assert not pool._popcounts[r:, :, rows].any()
+        pool.restore_block(block)
+        assert pool._keys[:, rows].tobytes() == keys.tobytes()
+        assert pool._popcounts[:, :, rows].tobytes() == counts.tobytes()
+        cache.release()
+
+    @pytest.mark.parametrize("bits", [8, 12])
+    def test_fast_equals_reference_on_degraded_paged_cache(self, bits):
+        """Every ``BSFResult`` field of every fast entry point equals the
+        reference backend on views of a paged cache with degraded blocks
+        (int8 storage at 8 bits, int16 above)."""
+        rng = np.random.default_rng(bits)
+        pool = _tiered_pool(budget_blocks=24, bits=bits, min_resident=2, head_dim=6)
+        caches = [_fill_cache(pool, rng, n) for n in (13, 22, 5)]
+        for i, block in enumerate(pool.spill_candidates()[::2]):
+            pool.spill_block(block, 2 + i % (bits - 2))
+        assert pool.degraded_block_count > 0
+        views = [c.planes for c in caches]
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        qs = [rng.integers(lo, hi + 1, size=(pool.num_heads, 2, pool.head_dim)) for _ in caches]
+        scale = float(1 << (2 * bits - 3))
+        guards = [np.array([0.0, np.inf]), np.array([scale, 0.25 * scale]), np.zeros(2)]
+        protects = [None, rng.random((pool.num_heads, 2, 22)) < 0.2, None]
+        fast, ref = get_backend("fast"), get_backend("reference")
+        want = ref.filter_heads_batch(qs, views, guards, protects=protects)
+        got = fast.filter_heads_batch(qs, views, guards, protects=protects)
+        for i, w in enumerate(want):
+            _assert_fields_equal(got[i], w)
+            _assert_fields_equal(
+                fast.filter_heads(qs[i], views[i], guards[i], protect=protects[i]), w
+            )
+            for h in range(pool.num_heads):  # the single-head kernel
+                head = decompose_bitplanes(views[i].ints[h], bits=bits)
+                _assert_fields_equal(
+                    fast.filter(qs[i][h], head, guards[i][h]),
+                    ref.filter(qs[i][h], head, guards[i][h]),
+                )
+        for cache in caches:
+            cache.release()
+
+
+def _assert_fields_equal(got, want):
+    for name in ("retained", "planes_processed", "scores"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("bit_plane_loads", "effective_bit_ops", "naive_bit_ops"):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 class TestSchedulerIntegration:
