@@ -80,7 +80,6 @@ import numpy as np
 
 from repro.quant.bitplane import (
     BitPlanes,
-    decompose_bitplanes,
     popcount_dtype,
     prefix_masks,
     signed_dtype,
@@ -176,9 +175,23 @@ def quantize_heads(
 
 
 def _key_rows(k_int: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Storage form of quantized keys: ``signed_dtype`` rows + popcounts."""
-    bp = decompose_bitplanes(k_int, bits=bits)
-    return bp.ints, bp.popcounts
+    """Storage form of quantized keys: ``signed_dtype`` rows + popcounts.
+
+    Equal to ``decompose_bitplanes(k_int, bits)``'s ``ints`` and
+    ``popcounts``, but the per-plane set bits are counted straight from
+    the two's-complement bit patterns, without materializing the planes.
+    """
+    lo, hi = int_range(bits)
+    if k_int.size and (k_int.min() < lo or k_int.max() > hi):
+        raise ValueError(f"values out of int{bits} range [{lo}, {hi}]")
+    mask = (1 << bits) - 1
+    pattern = k_int.astype(np.min_scalar_type(mask))  # integer casts wrap: two's complement
+    pattern &= mask
+    shifts = np.arange(bits - 1, -1, -1, dtype=pattern.dtype)
+    planes = pattern >> shifts.reshape((bits,) + (1,) * k_int.ndim)
+    planes &= 1
+    popcounts = planes.sum(axis=-1, dtype=popcount_dtype(k_int.shape[-1]))
+    return k_int.astype(signed_dtype(bits)), popcounts
 
 
 def _check_prefill(cache, k: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -270,6 +283,10 @@ class BitPlaneKVCache:
         if self._values is None:
             raise RuntimeError("cache is empty; call prefill() first")
         return self._values[:, : self._length, :]
+
+    def value_rows(self, heads: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Fresh copy of the V rows at (head, key position) pairs, shape ``(N, Dv)``."""
+        return self._values[heads, keys]
 
     @property
     def k_int(self) -> np.ndarray:
@@ -946,7 +963,9 @@ class PagedBitPlaneKVCache:
     popcounts into a fresh integer-backed :class:`BitPlanes` each call,
     so a view already handed out is never mutated by later writes,
     spills or restores; ``values``, ``k_int`` and ``k_float`` gather the
-    same way.
+    same way.  ``values`` copies all ``length`` rows per head, so only
+    the baseline policies read it; the PADE attend gathers just the
+    retained keys' rows through :meth:`value_rows`.
 
     Raises :class:`PoolExhausted` from ``prefill``/``append`` *before*
     mutating any state, so a failed allocation is always safe to retry
@@ -1043,6 +1062,15 @@ class PagedBitPlaneKVCache:
         if self._scales is None:
             raise RuntimeError("cache is empty; call prefill() first")
         return self.pool._values[:, self._rows_for(0, self._length), :]
+
+    def value_rows(self, heads: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Fresh copy of the V rows at (head, key position) pairs, shape ``(N, Dv)``.
+
+        Gathers only the requested rows through the block table; the
+        retained-only attend reads V this way, never through
+        :attr:`values`.
+        """
+        return self.pool._values[heads, self._rows_for(0, self._length)[keys]]
 
     @property
     def k_int(self) -> np.ndarray:

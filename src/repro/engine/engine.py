@@ -213,13 +213,12 @@ class PadeEngine:
         block inside the sequence for causal/recency masks; it defaults to
         ``length - P`` (the trailing block, i.e. the prefill/decode case).
         """
-        q_int, logit_scales, guards, allowed, protect = self._attend_params(
-            cache, q, query_offset
-        )
+        params = self._attend_params(cache, q, query_offset)
+        q_int, _, guards, allowed, protect = params
         res = self.kernel.filter_heads(
             q_int, cache.planes, guards, allowed=allowed, protect=protect
         )
-        return self._finish_attend(cache, res, logit_scales, guards, allowed)
+        return self._finish_attend_batch([cache], [res], [params])[0]
 
     def attend_batch(
         self,
@@ -329,45 +328,48 @@ class PadeEngine:
         return params
 
     def _finish_attend_batch(self, caches, results, params):
-        """Fold a round of filter results through softmax/V, batched.
+        """Fold a round of filter results through softmax/V and the stats.
 
-        The request-independent elementwise stages (logit scaling, the
-        masked ``-inf`` fill, row max, ``exp``, the guarded divide) run
-        on one padded ``(R, Hh, P, S_max)`` lattice; the softmax
-        *denominators* and the probability·V einsums stay per-request on
-        the real ``S_i`` slices so every pairwise summation tree is the
-        one :meth:`_finish_attend` would build — outputs match the
-        per-request path byte for byte, not just numerically.
+        Retained-only (DESIGN.md §13): each result's retained cells are
+        taken in C order, so every (request, head, query) row is one
+        contiguous segment with its keys ascending.  Only those cells'
+        logits are exponentiated and only their V rows are gathered
+        (``cache.value_rows``).  Row maxima and softmax denominators are
+        ``reduceat`` reductions over the whole round's segments; the
+        probability·V sums reduce each request's own gathered rows the
+        same way, so no round-sized V buffer is allocated.  A segment's
+        output depends on that segment alone, so a fused round is
+        byte-equal to :meth:`attend`, which runs this routine on one
+        request.  Rows with no retained key output exact zeros.
         """
-        seq_lens = [cache.length for cache in caches]
-        s_max = max(seq_lens)
-        num_requests = len(caches)
-        num_heads, num_queries = results[0].retained.shape[:2]
-        retained_pad = np.zeros((num_requests, num_heads, num_queries, s_max), dtype=bool)
-        scores_pad = np.zeros((num_requests, num_heads, num_queries, s_max))
-        for i, res in enumerate(results):
-            retained_pad[i, :, :, : seq_lens[i]] = res.retained
-            scores_pad[i, :, :, : seq_lens[i]] = res.scores
-        scale_mat = np.stack([p[1] for p in params])  # (R, Hh)
-        logits = scores_pad * scale_mat[:, :, None, None]
-        logits = np.where(retained_pad, logits, -np.inf)
-        row_max = logits.max(axis=3, keepdims=True)
-        row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-        probs = np.exp(logits - row_max)
-        denom = np.empty((num_requests, num_heads, num_queries, 1))
-        for i, s in enumerate(seq_lens):
-            denom[i] = probs[i, :, :, :s].sum(axis=2, keepdims=True)
-        probs = np.divide(probs, denom, out=np.zeros_like(probs), where=denom > 0)
-        retained_counts = retained_pad.sum(axis=(1, 2, 3))
+        logits, v_rows, counts = [], [], []
+        for cache, res, (_, logit_scales, _, _, _) in zip(caches, results, params):
+            heads, _, keys = cells = np.nonzero(res.retained)
+            logits.append(res.scores[cells] * logit_scales[heads])
+            v_rows.append(cache.value_rows(heads, keys))
+            counts.append(res.retained.sum(axis=2).ravel())
+        row_counts = np.concatenate(counts)
+        live = row_counts > 0
+        starts = (np.cumsum(row_counts) - row_counts)[live]
+        segment = np.repeat(np.arange(starts.size), row_counts[live])
+        logits = np.concatenate(logits)
+        logits -= np.maximum.reduceat(logits, starts)[segment]
+        probs = np.exp(logits, out=logits)
+        probs /= np.add.reduceat(probs, starts)[segment]
 
         out = []
-        for i, (cache, res) in enumerate(zip(caches, results)):
-            _, logit_scales, guards, allowed, _ = params[i]
-            output = np.einsum(
-                "hps,hsd->hpd", probs[i, :, :, : seq_lens[i]], cache.values
-            )
-            candidates = (
-                int(np.broadcast_to(allowed, res.retained.shape).sum())
+        first = 0
+        for res, (_, logit_scales, guards, allowed, _), count, rows in zip(
+            results, params, counts, v_rows
+        ):
+            rows *= probs[first : first + len(rows), None]
+            first += len(rows)
+            live = count > 0
+            output = np.zeros((count.size, rows.shape[1]))
+            output[live] = np.add.reduceat(rows, (np.cumsum(count) - count)[live], axis=0)
+            retained = int(count.sum())
+            candidates = (  # ``allowed`` broadcasts: each cell repeats size-ratio times
+                np.count_nonzero(allowed) * (res.retained.size // allowed.size)
                 if allowed is not None
                 else res.retained.size
             )
@@ -375,20 +377,21 @@ class PadeEngine:
             self.stats.bit_plane_loads += res.bit_plane_loads
             self.stats.effective_bit_ops += res.effective_bit_ops
             self.stats.naive_bit_ops += res.naive_bit_ops
-            self.stats.retained_keys += int(retained_counts[i])
+            self.stats.retained_keys += retained
             self.stats.candidate_keys += candidates
             out.append(
                 EngineAttentionResult(
-                    output=output,
+                    output=output.reshape(res.retained.shape[:2] + (-1,)),
                     retained=res.retained,
                     scores=res.scores,
                     logit_scales=logit_scales,
                     guards=guards,
                     candidate_keys=candidates,
+                    # PADE has no separate predictor: the bound evaluation
+                    # is the execution's first bit planes, so the whole
+                    # cost is execution.
                     prediction_cost=0.0,
-                    execution_cost=(
-                        float(retained_counts[i]) / candidates if candidates else 0.0
-                    ),
+                    execution_cost=float(retained) / candidates if candidates else 0.0,
                 )
             )
         return out
@@ -427,52 +430,6 @@ class PadeEngine:
             num_queries, seq_len, cfg.sink_tokens, cfg.recent_tokens, offset
         )
         return q_int, logit_scales, guards, allowed, protect
-
-    def _finish_attend(
-        self,
-        cache: BitPlaneKVCache,
-        res,
-        logit_scales: np.ndarray,
-        guards: np.ndarray,
-        allowed,
-    ) -> EngineAttentionResult:
-        """Fold one filter result through softmax/V and the stats counters."""
-        # Retained scores are exact integer Q·K products; fold them through
-        # a masked softmax and the cached V rows.
-        logits = res.scores.astype(np.float64) * logit_scales[:, None, None]
-        logits = np.where(res.retained, logits, -np.inf)
-        row_max = logits.max(axis=2, keepdims=True)
-        row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-        probs = np.exp(logits - row_max)
-        denom = probs.sum(axis=2, keepdims=True)
-        probs = np.divide(probs, denom, out=np.zeros_like(probs), where=denom > 0)
-        output = np.einsum("hps,hsd->hpd", probs, cache.values)
-
-        candidates = (
-            int(np.broadcast_to(allowed, res.retained.shape).sum())
-            if allowed is not None
-            else res.retained.size
-        )
-        self.stats.filter_calls += 1
-        self.stats.bit_plane_loads += res.bit_plane_loads
-        self.stats.effective_bit_ops += res.effective_bit_ops
-        self.stats.naive_bit_ops += res.naive_bit_ops
-        self.stats.retained_keys += int(res.retained.sum())
-        self.stats.candidate_keys += candidates
-        return EngineAttentionResult(
-            output=output,
-            retained=res.retained,
-            scores=res.scores,
-            logit_scales=logit_scales,
-            guards=guards,
-            candidate_keys=candidates,
-            # PADE has no separate predictor: the bound evaluation is the
-            # execution's first bit planes, so the whole cost is execution.
-            prediction_cost=0.0,
-            execution_cost=(
-                float(res.retained.sum()) / candidates if candidates else 0.0
-            ),
-        )
 
     def prefill(
         self,

@@ -22,8 +22,9 @@ from repro.engine import (
     PlaneBlockPool,
     PoolExhausted,
 )
-from repro.engine.cache import quantize_heads
-from repro.quant.integer import quantize_symmetric
+from repro.engine.cache import _key_rows, quantize_heads
+from repro.quant.bitplane import decompose_bitplanes
+from repro.quant.integer import int_range, quantize_symmetric
 
 
 def _kv(rng, num_heads, seq_len, head_dim, v_dim):
@@ -271,6 +272,37 @@ class TestVectorizedQuantizationRegression:
         )
         assert cache.scales.tobytes() == frozen.tobytes()
         assert cache.k_int.tobytes() == looped_all.tobytes()
+
+
+class TestKeyRowStorage:
+    """``_key_rows`` counts plane bits straight from the integers; it is
+    pinned equal to ``decompose_bitplanes``' ints and popcounts."""
+
+    @given(
+        bits=st.integers(2, 16),
+        shape=st.sampled_from([(4, 32), (2, 5, 7), (3, 1), (2, 0, 3), (1, 300)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_decompose_bitplanes(self, bits, shape, seed):
+        rng = np.random.default_rng(seed)
+        lo, hi = int_range(bits)
+        k_int = rng.integers(lo, hi + 1, size=shape)
+        k_int.reshape(-1)[: k_int.size // 2] = lo  # most-negative: only the sign bit set
+        if k_int.size:
+            k_int.reshape(-1)[-1] = hi
+        ints, popcounts = _key_rows(k_int, bits)
+        want = decompose_bitplanes(k_int, bits=bits)
+        assert ints.dtype == want.ints.dtype and ints.tobytes() == want.ints.tobytes()
+        assert popcounts.dtype == want.popcounts.dtype
+        assert popcounts.shape == want.popcounts.shape
+        assert popcounts.tobytes() == want.popcounts.tobytes()
+
+    @pytest.mark.parametrize("bits", [2, 8, 16])
+    def test_out_of_range_rejected(self, bits):
+        lo, hi = int_range(bits)
+        for bad in (lo - 1, hi + 1):
+            with pytest.raises(ValueError, match="out of int"):
+                _key_rows(np.array([[0, bad]]), bits)
 
 
 class TestPoolLifecycleEdges:
