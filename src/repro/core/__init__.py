@@ -24,8 +24,7 @@ from repro.core.bsf import BSFResult, bsf_filter_row, bsf_filter
 from repro.core.ista import ISTAResult, ista_attention, head_tail_order
 from repro.core.mx import MXBUILookupTable, build_mx_bui_lut
 from repro.core.pade_attention import PadeAttentionResult, pade_attention
-from repro.core.bsf_fast import bsf_filter_fast, bsf_filter_fast_heads
-from repro.core.bsf_fast_batch import bsf_filter_fast_batch
+from repro.core.bsf_fast import bsf_filter_fast_batch
 from repro.core.backend import (
     FastBackend,
     KernelBackend,
@@ -60,8 +59,6 @@ __all__ = [
     "build_mx_bui_lut",
     "PadeAttentionResult",
     "pade_attention",
-    "bsf_filter_fast",
-    "bsf_filter_fast_heads",
     "bsf_filter_fast_batch",
     "KernelBackend",
     "ReferenceBackend",

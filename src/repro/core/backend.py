@@ -3,7 +3,8 @@
 The repository ships two functionally identical implementations of the
 bit-serial stage-fusion filter: the Python-loop reference
 (:func:`repro.core.bsf.bsf_filter`) and the round-vectorized fast path
-(:func:`repro.core.bsf_fast.bsf_filter_fast`).  Callers used to hand-pick
+(:func:`repro.core.bsf_fast.bsf_filter_fast_batch`, which every fast
+entry point reshapes into).  Callers used to hand-pick
 one by importing it directly; this module puts both behind a single
 :class:`KernelBackend` interface so the choice becomes configuration:
 
@@ -23,13 +24,13 @@ selection only affects speed; third-party backends register via
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
 import numpy as np
 
 from repro.core.bsf import BSFResult, BSFRowResult, bsf_filter, bsf_filter_row
-from repro.core.bsf_fast import bsf_filter_fast, bsf_filter_fast_heads
-from repro.core.bsf_fast_batch import bsf_filter_fast_batch
+from repro.core.bsf_fast import bsf_filter_fast_batch
 from repro.core.bui import BUILookupTable
 from repro.core.bui_gf import GuardedFilter
 from repro.quant.bitplane import BitPlanes
@@ -54,15 +55,18 @@ _FALLBACK = "fast"
 
 
 def _check_guards(*guards) -> None:
-    """Reject negative guards at the backend boundary.
+    """Reject negative and NaN guards at the backend boundary.
 
     The engine's guards are ``alpha · radius / scale`` with ``alpha`` in
     ``[0, 1]`` and ``radius >= 0``, and the filter's bounds assume a
     threshold at or below the best lower bound, so a negative guard is
     always a caller bug (it would prune every unprotected key in round 0).
+    A NaN guard is one too, and the backends would disagree on it: the
+    reference threshold compares false everywhere while the fast kernel
+    treats a non-finite guard as "keep everything".
     """
     for guard in guards:
-        if np.any(np.asarray(guard, dtype=np.float64) < 0):
+        if not np.all(np.asarray(guard, dtype=np.float64) >= 0):
             raise ValueError(f"filter guards must be >= 0, got {guard!r}")
 
 
@@ -77,12 +81,10 @@ class KernelBackend(Protocol):
     bit-identical :class:`BSFResult` fields for the same inputs — only the
     loop structure may differ.
 
-    ``filter_heads_batch`` — the cross-request fused round the continuous
-    scheduler dispatches at every decode round — is *optional*: the engine
-    probes for it with ``getattr`` and falls back to a per-request
-    ``filter_heads`` loop when a third-party backend predates it.  Both
-    shipped backends implement it (the reference one as the per-request
-    loop itself, so the fallback and the method agree by construction).
+    ``filter_heads_batch`` is the cross-request fused round the engine
+    dispatches at every decode round; the reference backend implements it
+    as a per-request ``filter_heads`` loop, the fast backend as its one
+    kernel, which ``filter`` and ``filter_heads`` reshape into.
     """
 
     name: str
@@ -227,12 +229,14 @@ class ReferenceBackend:
 
 
 class FastBackend(ReferenceBackend):
-    """The round-vectorized kernels (one matmul per bit round).
+    """The round-vectorized kernel :func:`bsf_filter_fast_batch`.
 
-    ``filter_row`` is inherited from the reference backend: ISTA's
-    streaming windows carry an externally owned :class:`GuardedFilter`
-    across calls, and the row kernel is already vectorized over keys
-    within each round, so there is no separate fast variant to dispatch.
+    ``filter`` and ``filter_heads`` are one-request reshapes into it; they
+    call the module function, not :meth:`filter_heads_batch`, so a tracer
+    wrapping the methods sees one span per call.  ``filter_row`` is
+    inherited from the reference backend: ISTA's streaming windows carry
+    an externally owned :class:`GuardedFilter` across calls, and the row
+    kernel is already vectorized over keys within each round.
     """
 
     name = "fast"
@@ -246,7 +250,18 @@ class FastBackend(ReferenceBackend):
         protect: Optional[np.ndarray] = None,
     ) -> BSFResult:
         _check_guards(guard)
-        return bsf_filter_fast(q_int, key_planes, guard, allowed=allowed, protect=protect)
+        q = np.atleast_2d(np.asarray(q_int, dtype=np.int64))
+        one_head = BitPlanes(
+            ints=key_planes.ints[None], popcounts=key_planes.popcounts[:, None],
+            bits=key_planes.bits,
+        )
+        res = bsf_filter_fast_batch(
+            [q[None]], [one_head], [guard], alloweds=[allowed], protects=[protect]
+        )[0]
+        return replace(
+            res, retained=res.retained[0], planes_processed=res.planes_processed[0],
+            scores=res.scores[0],
+        )
 
     def filter_heads(
         self,
@@ -257,9 +272,9 @@ class FastBackend(ReferenceBackend):
         protect: Optional[np.ndarray] = None,
     ) -> BSFResult:
         _check_guards(guards)
-        return bsf_filter_fast_heads(
-            q_int, key_planes, guards, allowed=allowed, protect=protect
-        )
+        return bsf_filter_fast_batch(
+            [q_int], [key_planes], [guards], alloweds=[allowed], protects=[protect]
+        )[0]
 
     def filter_heads_batch(
         self,

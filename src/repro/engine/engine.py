@@ -12,9 +12,11 @@ rebuilt per call), the engine is the layer a serving stack talks to:
 * **persistent bit-plane cache**: Key planes are decomposed once at
   prefill (:class:`repro.engine.cache.BitPlaneKVCache`) and extended
   incrementally each decode step, never rebuilt;
-* **head-batched fast path**: each filter round covers all heads with one
-  matmul via ``KernelBackend.filter_heads`` (the ``"fast"`` backend
-  dispatches :func:`repro.core.bsf_fast.bsf_filter_fast_heads`);
+* **one fused filter call per round**: a single request's attend covers
+  all heads via ``KernelBackend.filter_heads`` and a decode round covers
+  every active request via ``KernelBackend.filter_heads_batch``; the
+  ``"fast"`` backend runs both on
+  :func:`repro.core.bsf_fast.bsf_filter_fast_batch`;
 * **request scheduling**: :meth:`PadeEngine.serve` runs requests through
   continuous batching — arrival-aware admission every round over a
   paged block pool with a global token budget and preemption under
@@ -237,9 +239,7 @@ class PadeEngine:
         per request.  Result-identical to calling :meth:`attend` per
         request in order — including every per-request ``EngineStats``
         counter — by DESIGN.md §13; the only extra accounting is the
-        ``batched_rounds`` / ``fused_rows`` occupancy counters on the
-        fused path.  Backends that predate ``filter_heads_batch`` fall
-        back to a per-request ``filter_heads`` loop transparently.
+        ``batched_rounds`` / ``fused_rows`` occupancy counters.
         """
         if len(caches) != len(qs):
             raise ValueError("attend_batch needs one query block per cache")
@@ -252,24 +252,14 @@ class PadeEngine:
         protects = [p[4] for p in params]
         key_planes = [cache.planes for cache in caches]
 
-        fused = getattr(self.kernel, "filter_heads_batch", None)
-        if fused is not None:
-            results = fused(
-                q_ints, key_planes, guards_list, alloweds=alloweds, protects=protects
-            )
-            seq_lens = [cache.length for cache in caches]
-            cells_per_key = q_ints[0].shape[0] * q_ints[0].shape[1]
-            self.stats.batched_rounds += 1
-            self.stats.fused_rows += cells_per_key * sum(seq_lens)
-            self.stats.fused_padded_rows += cells_per_key * len(caches) * max(seq_lens)
-        else:
-            results = [
-                self.kernel.filter_heads(
-                    q_ints[i], key_planes[i], guards_list[i],
-                    allowed=alloweds[i], protect=protects[i],
-                )
-                for i in range(len(caches))
-            ]
+        results = self.kernel.filter_heads_batch(
+            q_ints, key_planes, guards_list, alloweds=alloweds, protects=protects
+        )
+        seq_lens = [cache.length for cache in caches]
+        cells_per_key = q_ints[0].shape[0] * q_ints[0].shape[1]
+        self.stats.batched_rounds += 1
+        self.stats.fused_rows += cells_per_key * sum(seq_lens)
+        self.stats.fused_padded_rows += cells_per_key * len(caches) * max(seq_lens)
         return self._finish_attend_batch(caches, results, params)
 
     def _attend_params_batch(self, caches, qs):

@@ -149,12 +149,15 @@ class EngineRequest:
 
     def __post_init__(self) -> None:
         streams = (self.decode_q, self.decode_k, self.decode_v)
+        samples = (self.sample_decode_q, self.sample_decode_k, self.sample_decode_v)
+        tensors = (self.k, self.v, self.q_prompt) + streams + samples
+        if not all(np.isfinite(t).all() for t in tensors if t is not None):
+            raise ValueError("request tensors must be finite")
         present = [s for s in streams if s is not None]
         if present and len(present) != 3:
             raise ValueError("decode_q/decode_k/decode_v must be provided together")
         if present and len({s.shape[1] for s in present}) != 1:
             raise ValueError("decode streams must share the same step count")
-        samples = (self.sample_decode_q, self.sample_decode_k, self.sample_decode_v)
         sample_present = [s for s in samples if s is not None]
         if sample_present and len(sample_present) != 3:
             raise ValueError(
@@ -832,12 +835,31 @@ class ContinuousScheduler:
         in_flight += [s.request.request_id for s in self.active]
         if request.request_id in in_flight:
             raise ValueError(f"request id {request.request_id!r} already queued")
+        self.check_request(request)
+        self.pending.append((self._submit_seq, request))
+        self._submit_seq += 1
+        if self._charged or self.tiering is not None:
+            # Tiered mode reuses the charged-footprint oversizing: the
+            # backing store is sized to the dense worst case while the
+            # token budget lives on as the primary tier's plane-unit
+            # ceiling — spilled planes free accounting units, and the
+            # physical rows to admit into always exist.
+            bs = self.block_size
+            self._physical_tokens += self._dense_blocks(request) * bs
+        self._timings.setdefault(request.request_id, _Timing(arrival_time=request.arrival_time))
+
+    def check_request(self, request: EngineRequest) -> None:
+        """Raise ``ValueError`` if this engine can never serve ``request``.
+
+        :meth:`submit`'s checks minus the duplicate-id test; the async
+        front-end runs them before it accepts a submission.
+        """
+        attn_name = getattr(getattr(self.engine, "policy", None), "name", None)
         if request.speculative:
             # The verifier is the engine's own policy: accept/reject is
             # only meaningful when it is the plane-consuming PADE filter
             # (the draft is a *different*, cheaper selection over the
             # same pool; a baseline verifying a baseline proves nothing).
-            attn_name = getattr(getattr(self.engine, "policy", None), "name", None)
             if attn_name != "pade":
                 raise ValueError(
                     f"speculative decoding requires the 'pade' verifier policy "
@@ -850,23 +872,11 @@ class ContinuousScheduler:
             # decodes each lineage correctly; a stateful baseline (H2O
             # accumulators) would silently restart its statistics per
             # fork, so parallel sampling is PADE-only.
-            attn_name = getattr(getattr(self.engine, "policy", None), "name", None)
             if attn_name != "pade":
                 raise ValueError(
                     f"parallel sampling requires the 'pade' attention policy "
                     f"(engine serves {attn_name!r})"
                 )
-        self.pending.append((self._submit_seq, request))
-        self._submit_seq += 1
-        if self._charged or self.tiering is not None:
-            # Tiered mode reuses the charged-footprint oversizing: the
-            # backing store is sized to the dense worst case while the
-            # token budget lives on as the primary tier's plane-unit
-            # ceiling — spilled planes free accounting units, and the
-            # physical rows to admit into always exist.
-            bs = self.block_size
-            self._physical_tokens += self._dense_blocks(request) * bs
-        self._timings.setdefault(request.request_id, _Timing(arrival_time=request.arrival_time))
 
     def _resolve_draft(self):
         """Instantiate the draft policy on first speculative use."""

@@ -16,7 +16,10 @@ Flow control, cancellation, shutdown:
   loop drains at round boundaries; a submit past ``queue_limit`` is
   rejected with ``overloaded`` instead of buffering without bound.
   Requests that could never fit the token budget are rejected up front
-  (``too-large``) via :meth:`ContinuousScheduler.fits_budget`.
+  (``too-large``) via :meth:`ContinuousScheduler.fits_budget`, and
+  requests that fail validation (non-finite tensors, a mode this engine
+  cannot serve; :meth:`ContinuousScheduler.check_request`) as
+  ``invalid``, so one bad submit never reaches the engine loop.
 * **Cancellation** — a ``cancel`` message or a client disconnect marks
   the request via :meth:`ContinuousScheduler.cancel`; the next round
   boundary aborts it (blocks, staging and prefix refs freed) and the
@@ -276,9 +279,8 @@ class AsyncPadeServer:
         drained = 0
         while self._accept_queue:
             request, arrival = self._accept_queue.popleft()
-            if arrival is not None:  # the override decode_request(arrival_time=) applies
-                arrival_time = self.scheduler.time if arrival == "now" else arrival
-                request = replace(request, arrival_time=float(arrival_time))
+            if arrival == "now":  # stamp the round-clock arrival at pickup
+                request = replace(request, arrival_time=float(self.scheduler.time))
             self.scheduler.submit(request)
             drained += 1
         return drained
@@ -294,14 +296,22 @@ class AsyncPadeServer:
         if len(self._accept_queue) >= self.queue_limit:
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "overloaded"})
             return
-        request = decode_request(msg["request"])
+        arrival = msg.get("arrival")
+        try:  # a malformed request must not reach, and kill, the engine loop
+            request = decode_request(msg["request"])
+            if arrival not in (None, "now"):
+                request, arrival = replace(request, arrival_time=float(arrival)), None
+            self.scheduler.check_request(request)
+        except ValueError:
+            self._send(conn, {"type": "rejected", "request_id": rid, "error": "invalid"})
+            return
         if not self.scheduler.fits_budget(request):
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "too-large"})
             return
         self._owners[rid] = conn
         conn.owned.add(rid)
         self._wall.setdefault(rid, {})["arrival"] = self._now_ms()
-        self._accept_queue.append((request, msg.get("arrival")))
+        self._accept_queue.append((request, arrival))
         self._send(conn, {"type": "accepted", "request_id": rid})
         self._wake.set()
 

@@ -13,8 +13,8 @@ What ISSUE 7 pins down:
   block and surfaces ``abort_reason="cancelled"`` through the async
   layer;
 * admission backpressure rejects with the right reason (``overloaded``,
-  ``too-large``, ``duplicate``, ``shutting-down``) without touching the
-  scheduler;
+  ``too-large``, ``duplicate``, ``shutting-down``, ``invalid``) without
+  touching the scheduler;
 * graceful shutdown drains in-flight work, reports zero leaked blocks,
   and carries the wall-clock latency columns in its report.
 
@@ -31,7 +31,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import PadeEngine
+from repro.engine import EngineRequest, PadeEngine
 from repro.eval.workloads import build_engine_request, build_serving_workload
 from repro.serve.client import (
     ServeConnection,
@@ -338,6 +338,48 @@ class TestBackpressure:
             assert ack["served"] == 1
 
         asyncio.run(run())
+
+    @pytest.mark.parametrize("policy", ["pade", "h2o"])
+    def test_invalid_submit_is_rejected_and_the_server_survives(self, policy):
+        """A request the engine loop could not serve — a NaN query, a
+        negative arrival override, speculative decoding on a non-PADE
+        engine — is rejected as ``invalid`` to its sender only, before it
+        is accepted; the sender's connection and every other client's
+        requests carry on."""
+        from dataclasses import replace
+
+        async def run():
+            server = await _start(engine=PadeEngine(policy=policy))
+            good = await ServeConnection.open(server.host, server.port)
+            bad = await ServeConnection.open(server.host, server.port)
+            try:
+                nan_req = _req("nan")
+                nan_req.decode_q[0, 1, 2] = np.nan  # arrays stay mutable
+                submits = [(nan_req, None), (_req("neg"), -1.0)]
+                if policy != "pade":
+                    submits.append((replace(_req("spec"), speculative=True), None))
+                for request, arrival in submits:
+                    reply = await bad.submit(request, arrival=arrival)
+                    assert reply == {
+                        "type": "rejected", "request_id": request.request_id, "error": "invalid"
+                    }
+                assert (await good.submit(_req("ok-a", seed=1)))["type"] == "accepted"
+                assert (await bad.submit(_req("ok-b", seed=2)))["type"] == "accepted"
+                assert (await good.result("ok-a"))["status"] == "ok"
+                assert (await bad.result("ok-b"))["status"] == "ok"
+            finally:
+                await good.close()
+                await bad.close()
+            ack = await _graceful_stop(server)
+            assert ack["served"] == 2
+            assert ack["leaked_blocks"] == 0
+
+        asyncio.run(run())
+
+    def test_non_finite_request_tensors_are_rejected(self):
+        request = _req("nan")
+        with pytest.raises(ValueError, match="finite"):
+            EngineRequest(request.request_id, request.k, request.v * np.inf)
 
     def test_submit_while_draining_is_rejected(self):
         async def run():

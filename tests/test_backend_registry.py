@@ -161,21 +161,23 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("name", ["reference", "fast"])
     def test_negative_guards_rejected_at_the_boundary(self, name):
-        """Every filter entry point of both backends refuses a negative
-        guard (the engine's ``alpha · radius / scale`` is never negative)."""
+        """Every filter entry point of both backends refuses a negative or
+        NaN guard (the engine's ``alpha · radius / scale`` is never
+        negative, and on a NaN guard the two kernels would disagree)."""
         backend = get_backend(name)
         q, planes, _ = _problem(11, num_rows=2, num_keys=16)
         q3, planes3 = q[None], decompose_bitplanes(planes.ints[None])
-        with pytest.raises(ValueError, match=">= 0"):
-            backend.filter(q, planes, -1.0)
-        with pytest.raises(ValueError, match=">= 0"):
-            backend.filter_row(q[0], planes, -0.5)
-        with pytest.raises(ValueError, match=">= 0"):
-            backend.filter_heads(q3, planes3, np.array([-1.0]))
-        with pytest.raises(ValueError, match=">= 0"):
-            backend.filter_heads_batch(
-                [q3, q3], [planes3, planes3], [np.array([1.0]), np.array([-1.0])]
-            )
+        for bad in (-1.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match=">= 0"):
+                backend.filter(q, planes, bad)
+            with pytest.raises(ValueError, match=">= 0"):
+                backend.filter_row(q[0], planes, bad)
+            with pytest.raises(ValueError, match=">= 0"):
+                backend.filter_heads(q3, planes3, np.array([bad]))
+            with pytest.raises(ValueError, match=">= 0"):
+                backend.filter_heads_batch(
+                    [q3, q3], [planes3, planes3], [np.array([1.0]), np.array([bad])]
+                )
         # Zero and infinite guards stay valid.
         backend.filter(q, planes, 0.0)
         backend.filter_heads_batch([q3], [planes3], [np.array([np.inf])])

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.attention.baselines.dtatrans import dtatrans_layer, dtatrans_stack
+from repro.core.backend import get_backend
 from repro.core.bsf import bsf_filter
-from repro.core.bsf_fast import bsf_filter_fast
 from repro.model.synthetic import PROFILE_PRESETS, synthesize_qkv
 from repro.quant.bitplane import decompose_bitplanes
 
@@ -20,7 +20,7 @@ class TestFastPathEquivalence:
         q = rng.integers(-128, 128, size=(3, 16))
         planes = decompose_bitplanes(k)
         slow = bsf_filter(q, planes, guard)
-        fast = bsf_filter_fast(q, planes, guard)
+        fast = get_backend("fast").filter(q, planes, guard)
         np.testing.assert_array_equal(slow.retained, fast.retained)
         np.testing.assert_array_equal(slow.planes_processed, fast.planes_processed)
         np.testing.assert_array_equal(slow.scores, fast.scores)
@@ -35,7 +35,7 @@ class TestFastPathEquivalence:
         allowed = rng.random((4, 64)) < 0.7
         protect = rng.random(64) < 0.05
         slow = bsf_filter(q, planes, 400.0, allowed=allowed, protect=protect)
-        fast = bsf_filter_fast(q, planes, 400.0, allowed=allowed, protect=protect)
+        fast = get_backend("fast").filter(q, planes, 400.0, allowed=allowed, protect=protect)
         np.testing.assert_array_equal(slow.retained, fast.retained)
         np.testing.assert_array_equal(slow.planes_processed, fast.planes_processed)
 
@@ -43,7 +43,7 @@ class TestFastPathEquivalence:
         k = rng.integers(-128, 128, size=(32, 8))
         q = rng.integers(-128, 128, size=(2, 8))
         planes = decompose_bitplanes(k)
-        fast = bsf_filter_fast(q, planes, float("inf"))
+        fast = get_backend("fast").filter(q, planes, float("inf"))
         assert fast.retained.all()
         assert np.all(fast.planes_processed == 8)
 
