@@ -105,8 +105,7 @@ class QuestPolicy(BaselineAttentionPolicy):
             block = cache.block_table[page]
             meta = pool.block_meta.setdefault(block, {})
             if "quest" not in meta:
-                rows = pool.rows_of(block)
-                chunk = pool._k[:, rows, :]  # (H, ps, D)
+                chunk = cache.k_float_rows(page * ps, (page + 1) * ps)  # (H, ps, D)
                 meta["quest"] = (chunk.min(axis=1), chunk.max(axis=1))
             k_min, k_max = meta["quest"]
             return k_min[head], k_max[head]

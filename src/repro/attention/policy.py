@@ -350,7 +350,7 @@ class BaselineAttentionPolicy(AttentionPolicy):
         state = self._ensure_state(cache)
         num_heads, num_queries, _ = q.shape
         offset = cache.length - num_queries
-        k = cache.k_float  # one gather for all heads (paged caches copy here)
+        k = cache.k_float  # assembled once for all heads
         keep = np.stack(
             [
                 self.head_prefill_mask(state, h, q[h], k[h], offset)
@@ -364,7 +364,7 @@ class BaselineAttentionPolicy(AttentionPolicy):
         state = self._ensure_state(cache)
         num_heads = cache.num_heads
         seq_len = cache.length
-        k = cache.k_float  # one gather for all heads (paged caches copy here)
+        k = cache.k_float  # assembled once for all heads
         keep = np.stack(
             [self.head_decode_mask(state, h, q[h], k[h]) for h in range(num_heads)]
         )[:, None, :]

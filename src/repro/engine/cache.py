@@ -67,6 +67,11 @@ Two serving-specific choices apply to both:
   bits cleared (``prefix_masks``, DESIGN.md §6), which is what the fast
   kernels read; ``planes`` returns an integer-backed ``BitPlanes`` whose
   uint8 planes are built only if a consumer reads them.
+* **Raw K by reference.**  No cache stores float keys.  Each keeps the
+  prompt K it was prefilled with and the K step rows appended since, by
+  reference (:class:`_RawKeys`), and ``k_float`` assembles them only when
+  a consumer reads it — the baseline policies do; the PADE path never
+  does.
 """
 
 from __future__ import annotations
@@ -116,8 +121,9 @@ def chain_block_keys(
     rows are byte-identical; each block key then folds in the block's
     ``k_int``, raw ``k`` and value rows on top of its parent's key.
     (Raw K participates because the baseline attention policies score
-    against the float keys — a hit must be byte-identical for *every*
-    consumer, not just the plane-reading PADE kernels.)
+    against the float keys: a hit guarantees the shared block's raw K
+    equals the attaching request's own prompt K, which is where each
+    cache rebuilds it from — see :class:`_RawKeys`.)
 
     Module-level so out-of-process consumers — the cluster router's
     prefix-affinity index — compute the exact keys a replica's
@@ -220,6 +226,35 @@ def _check_step(cache, k_step: np.ndarray, v_step: np.ndarray) -> Tuple[np.ndarr
     return k_step, v_step
 
 
+class _RawKeys:
+    """Raw (pre-quantization) keys of one sequence, held by reference.
+
+    The prompt K ``(H, S, D)`` a cache was prefilled with plus one
+    ``(H, D)`` row per token appended since — the caller's own tensors,
+    never copied until :meth:`rows` is read, so a caller must not write
+    into a tensor once it has handed it to a cache.  Both caches keep one of
+    these instead of storing float keys: a prefix-shared block's raw K is
+    the attaching request's own prompt K (chain keys hash raw K), and a
+    fork copies the step list, so a speculative rollback anchor keeps
+    exactly the steps it had.
+    """
+
+    __slots__ = ("prompt", "steps")
+
+    def __init__(self, prompt: np.ndarray, steps=()) -> None:
+        self.prompt = prompt
+        self.steps: List[np.ndarray] = list(steps)
+
+    def rows(self, start: int, end: int) -> np.ndarray:
+        """Fresh ``(H, end - start, D)`` raw keys of positions ``start .. end-1``."""
+        prompt_len = self.prompt.shape[1]
+        parts = [self.prompt[:, start : min(end, prompt_len)]]
+        if end > prompt_len:
+            steps = self.steps[max(start, prompt_len) - prompt_len : end - prompt_len]
+            parts.append(np.stack(steps, axis=1))
+        return np.concatenate(parts, axis=1)
+
+
 class BitPlaneKVCache:
     """Appendable per-head integer Keys + float Values for one sequence.
 
@@ -247,7 +282,7 @@ class BitPlaneKVCache:
         self._capacity = 0
         self._keys: Optional[np.ndarray] = None  # (H, cap, D) signed_dtype(bits)
         self._popcounts: Optional[np.ndarray] = None  # (bits, H, cap) per-plane set bits
-        self._k: Optional[np.ndarray] = None  # (H, cap, D) float64 raw keys
+        self._raw: Optional[_RawKeys] = None  # prompt K + appended K rows
         self._values: Optional[np.ndarray] = None  # (H, cap, Dv) float64
         self._scales: Optional[np.ndarray] = None  # (H,) frozen at prefill
         self.rows_decomposed = 0
@@ -297,15 +332,21 @@ class BitPlaneKVCache:
 
     @property
     def k_float(self) -> np.ndarray:
-        """View of the raw (pre-quantization) keys, shape ``(H, length, D)``.
+        """Raw (pre-quantization) keys, a fresh array of shape ``(H, length, D)``.
 
         The software baseline policies score against the exact float keys
         the caller handed over — quantization is a PADE implementation
-        detail, not part of their selection semantics.
+        detail, not part of their selection semantics.  Assembled on each
+        read from the prompt K and appended K rows (:class:`_RawKeys`);
+        the PADE path never reads it.
         """
-        if self._k is None:
+        return self.k_float_rows(0, self._length)
+
+    def k_float_rows(self, start: int, end: int) -> np.ndarray:
+        """Raw keys of token positions ``start .. end-1``, shape ``(H, end - start, D)``."""
+        if self._raw is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        return self._k[:, : self._length, :]
+        return self._raw.rows(start, end)
 
     # ------------------------------------------------------------------
     def prefill(self, k: np.ndarray, v: np.ndarray) -> None:
@@ -322,7 +363,7 @@ class BitPlaneKVCache:
 
         self._reserve(max(seq_len, 1))
         self._keys[:, :seq_len, :], self._popcounts[:, :, :seq_len] = _key_rows(k_int, self.bits)
-        self._k[:, :seq_len, :] = k
+        self._raw = _RawKeys(k)
         self._values[:, :seq_len, :] = v
         self._length = seq_len
         self.rows_decomposed += self.num_heads * seq_len
@@ -339,7 +380,7 @@ class BitPlaneKVCache:
         k_int, _ = quantize_heads(k_step, bits=self.bits, scales=self._scales)  # (H, D)
         pos = self._length
         self._keys[:, pos, :], self._popcounts[:, :, pos] = _key_rows(k_int, self.bits)
-        self._k[:, pos, :] = k_step
+        self._raw.steps.append(k_step)
         self._values[:, pos, :] = v_step
         self._length = pos + 1
         self.rows_decomposed += self.num_heads
@@ -354,16 +395,13 @@ class BitPlaneKVCache:
         popcounts = np.zeros(
             (self.bits, self.num_heads, new_cap), dtype=popcount_dtype(self.head_dim)
         )
-        k = np.zeros((self.num_heads, new_cap, self.head_dim), dtype=np.float64)
         values = np.zeros((self.num_heads, new_cap, self.v_dim), dtype=np.float64)
         if self._length:
             keys[:, : self._length, :] = self._keys[:, : self._length, :]
             popcounts[:, :, : self._length] = self._popcounts[:, :, : self._length]
-            k[:, : self._length, :] = self._k[:, : self._length, :]
             values[:, : self._length, :] = self._values[:, : self._length, :]
         self._keys = keys
         self._popcounts = popcounts
-        self._k = k
         self._values = values
         self._capacity = new_cap
 
@@ -433,11 +471,13 @@ class _Spilled(NamedTuple):
 class PlaneBlockPool:
     """Fixed-size token blocks of key/value rows under one budget.
 
-    The pool owns four backing stores shaped for ``num_blocks × block_size``
+    The pool owns three backing stores shaped for ``num_blocks × block_size``
     token rows — integer keys ``(H, rows, D)`` in ``signed_dtype(bits)``,
-    their per-plane popcounts ``(bits, H, rows)``, raw float keys
-    ``(H, rows, D)`` float64 and values ``(H, rows, Dv)`` float64 — and
-    hands out block indices.  Block ``b`` owns physical rows
+    their per-plane popcounts ``(bits, H, rows)`` and values
+    ``(H, rows, Dv)`` float64 — and hands out block indices.  Raw float
+    keys are not stored: each cache rebuilds them from its request's own
+    tensors when a baseline policy reads them (:class:`_RawKeys`).
+    Block ``b`` owns physical rows
     ``[b * block_size, (b + 1) * block_size)``; a
     :class:`PagedBitPlaneKVCache` maps its logical token positions onto
     those rows through its block table.
@@ -484,7 +524,6 @@ class PlaneBlockPool:
         self._keys = np.zeros((num_heads, rows, head_dim), dtype=key_dtype)
         self._popcounts = np.zeros((bits, num_heads, rows), dtype=popcount_dtype(head_dim))
         self._masks = prefix_masks(bits).astype(key_dtype)  # [r]: keep planes 0..r
-        self._k = np.zeros((num_heads, rows, head_dim), dtype=np.float64)
         self._values = np.zeros((num_heads, rows, v_dim), dtype=np.float64)
         # LIFO free list seeded so the first allocations come out 0, 1, 2...
         self._free: List[int] = list(range(self.num_blocks - 1, -1, -1))
@@ -563,10 +602,10 @@ class PlaneBlockPool:
 
     @property
     def bytes_per_block(self) -> int:
-        """Backing-store bytes of one block: integer K, popcounts, float K, values."""
+        """Backing-store bytes of one block: integer K, popcounts, values."""
         h, d, dv = self.num_heads, self.head_dim, self.v_dim
         per_row = h * d * self._keys.itemsize + self.bits * h * self._popcounts.itemsize
-        return self.block_size * (per_row + 8 * h * (d + dv))
+        return self.block_size * (per_row + h * dv * self._values.itemsize)
 
     # ------------------------------------------------------------------
     # Two-tier accounting.  The primary tier's capacity is denominated in
@@ -754,7 +793,6 @@ class PlaneBlockPool:
         dst = self.rows_of(fresh)[:rows_used]
         self._keys[:, dst, :] = self._keys[:, src, :]
         self._popcounts[:, :, dst] = self._popcounts[:, :, src]
-        self._k[:, dst, :] = self._k[:, src, :]
         self._values[:, dst, :] = self._values[:, src, :]
         self._decref(block)
         self.forks += 1
@@ -962,10 +1000,12 @@ class PagedBitPlaneKVCache:
     ``planes`` gathers the sequence's integer key rows and their stored
     popcounts into a fresh integer-backed :class:`BitPlanes` each call,
     so a view already handed out is never mutated by later writes,
-    spills or restores; ``values``, ``k_int`` and ``k_float`` gather the
-    same way.  ``values`` copies all ``length`` rows per head, so only
-    the baseline policies read it; the PADE attend gathers just the
-    retained keys' rows through :meth:`value_rows`.
+    spills or restores; ``values`` and ``k_int`` gather the same way.
+    ``values`` copies all ``length`` rows per head, so only the baseline
+    policies read it; the PADE attend gathers just the retained keys'
+    rows through :meth:`value_rows`.  ``k_float`` is not in the pool at
+    all: it is assembled from the request's prompt K and appended K rows
+    (:class:`_RawKeys`), which the cache keeps by reference.
 
     Raises :class:`PoolExhausted` from ``prefill``/``append`` *before*
     mutating any state, so a failed allocation is always safe to retry
@@ -1001,7 +1041,7 @@ class PagedBitPlaneKVCache:
         self._block_keys: List[bytes] = []  # chain keys of full prompt blocks
         self._next_register = 0  # first full prompt block not yet registered
         self._pending_keys: Optional[np.ndarray] = None  # (H, S, D) int64 during prefill
-        self._pending_k: Optional[np.ndarray] = None  # (H, S, D) raw, during prefill
+        self._raw: Optional[_RawKeys] = None  # prompt K + appended K rows
         self._pending_v: Optional[np.ndarray] = None  # (H, S, Dv) during prefill
         self.policy_state = None  # per-request AttentionPolicy state
 
@@ -1084,10 +1124,19 @@ class PagedBitPlaneKVCache:
 
     @property
     def k_float(self) -> np.ndarray:
-        """Gathered raw (pre-quantization) keys, shape ``(H, length, D)``."""
-        if self._scales is None:
+        """Raw (pre-quantization) keys, a fresh array of shape ``(H, length, D)``.
+
+        Assembled on each read from the prompt K and the appended K rows
+        this cache holds by reference — correct for prefix-shared blocks
+        too, whose chain keys hash raw K.  The PADE path never reads it.
+        """
+        return self.k_float_rows(0, self._length)
+
+    def k_float_rows(self, start: int, end: int) -> np.ndarray:
+        """Raw keys of token positions ``start .. end-1``, shape ``(H, end - start, D)``."""
+        if self._raw is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        return self.pool._k[:, self._rows_for(0, self._length), :]
+        return self._raw.rows(start, end)
 
     # ------------------------------------------------------------------
     def _chain_keys(
@@ -1139,7 +1188,7 @@ class PagedBitPlaneKVCache:
         self._block_keys = keys
         self._next_register = len(hits)
         self._pending_keys = k_int
-        self._pending_k = k
+        self._raw = _RawKeys(k)
         self._pending_v = v
         self.prefix_hit_blocks += len(hits)
         self.prefix_miss_blocks += len(keys) - len(hits)
@@ -1202,7 +1251,6 @@ class PagedBitPlaneKVCache:
         self.pool._keys[:, rows, :], self.pool._popcounts[:, :, rows] = _key_rows(
             self._pending_keys[:, start:end, :], self.bits
         )
-        self.pool._k[:, rows, :] = self._pending_k[:, start:end, :]
         self.pool._values[:, rows, :] = self._pending_v[:, start:end, :]
         self._length = end
         self.rows_decomposed += self.num_heads * take
@@ -1221,7 +1269,6 @@ class PagedBitPlaneKVCache:
                 f"prefill incomplete: {self._length}/{self._prefill_target} tokens resident"
             )
         self._pending_keys = None
-        self._pending_k = None
         self._pending_v = None
 
     def prefill(self, k: np.ndarray, v: np.ndarray) -> None:
@@ -1283,7 +1330,7 @@ class PagedBitPlaneKVCache:
         pos = self._length
         row = self._blocks[pos // bs] * bs + pos % bs
         self.pool._keys[:, row, :], self.pool._popcounts[:, :, row] = _key_rows(k_int, self.bits)
-        self.pool._k[:, row, :] = k_step
+        self._raw.steps.append(k_step)
         self.pool._values[:, row, :] = v_step
         self._length = pos + 1
         self.rows_decomposed += self.num_heads
@@ -1292,8 +1339,9 @@ class PagedBitPlaneKVCache:
     def fork(self) -> "PagedBitPlaneKVCache":
         """Clone this cache onto the same ref-counted blocks (zero copy).
 
-        The clone shares every block — including a partial tail — and the
-        frozen scales; the first divergent :meth:`append` on either side
+        The clone shares every block — including a partial tail — the
+        frozen scales and the prompt K reference, and copies the list of
+        appended K rows; the first divergent :meth:`append` on either side
         copy-on-write forks the tail, so both sequences stay byte-exact.
         Forking mid-prefill is rejected (the staging buffers are not
         shareable).
@@ -1306,13 +1354,14 @@ class PagedBitPlaneKVCache:
         clone._blocks = [self.pool.share(b) for b in self._blocks]
         clone._length = self._length
         clone._scales = self._scales.copy()
+        clone._raw = _RawKeys(self._raw.prompt, self._raw.steps)
         clone._prefill_target = self._prefill_target
         clone._block_keys = list(self._block_keys)
         clone._next_register = len(clone._block_keys)  # clone registers nothing
         return clone
 
     def release(self) -> None:
-        """Drop this cache's block references and reset to the empty state.
+        """Drop this cache's block and raw-key references; reset to empty.
 
         Shared blocks merely lose one reference; privately held blocks
         return to the pool.  After release the cache may be prefilled
@@ -1326,6 +1375,6 @@ class PagedBitPlaneKVCache:
         self._block_keys = []
         self._next_register = 0
         self._pending_keys = None
-        self._pending_k = None
+        self._raw = None
         self._pending_v = None
         self.policy_state = None

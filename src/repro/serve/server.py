@@ -286,7 +286,11 @@ class AsyncPadeServer:
         return drained
 
     def _on_submit(self, conn: _Connection, msg: Dict) -> None:
-        rid = str(msg["request"]["request_id"])
+        body = msg.get("request")
+        if not isinstance(body, dict) or body.get("request_id") is None:
+            self._send(conn, {"type": "rejected", "request_id": None, "error": "invalid"})
+            return
+        rid = str(body["request_id"])
         if self._draining:
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "shutting-down"})
             return
@@ -297,12 +301,15 @@ class AsyncPadeServer:
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "overloaded"})
             return
         arrival = msg.get("arrival")
-        try:  # a malformed request must not reach, and kill, the engine loop
-            request = decode_request(msg["request"])
+        # A malformed request must not reach, and kill, the engine loop —
+        # nor this connection: a missing field or a mistyped scalar is
+        # rejected to its sender like any other invalid request.
+        try:
+            request = decode_request(body)
             if arrival not in (None, "now"):
                 request, arrival = replace(request, arrival_time=float(arrival)), None
             self.scheduler.check_request(request)
-        except ValueError:
+        except (KeyError, TypeError, ValueError):
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "invalid"})
             return
         if not self.scheduler.fits_budget(request):
@@ -330,8 +337,11 @@ class AsyncPadeServer:
                 if kind == "submit":
                     self._on_submit(conn, msg)
                 elif kind == "cancel":
-                    self.scheduler.cancel(str(msg["request_id"]))
-                    self._wake.set()
+                    if msg.get("request_id") is None:
+                        self._send(conn, {"type": "error", "error": "cancel needs a request_id"})
+                    else:
+                        self.scheduler.cancel(str(msg["request_id"]))
+                        self._wake.set()
                 elif kind == "shutdown":
                     self._draining = True
                     self._shutdown_conns.append(conn)

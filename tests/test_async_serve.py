@@ -376,6 +376,57 @@ class TestBackpressure:
 
         asyncio.run(run())
 
+    def test_malformed_messages_keep_the_connection_and_its_requests(self):
+        """A submit with no ``request``, a tensor with no ``shape``, a
+        non-numeric ``deadline_ms`` and a cancel with no ``request_id``
+        are answered on the same connection; the sender's request in
+        flight still completes ``ok``."""
+
+        async def run():
+            server = await _start(max_active=1)
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+
+            async def send(msg):
+                writer.write(encode_message(msg))
+                await writer.drain()
+
+            try:
+                await send({"type": "submit", "request": encode_request(_req("req0", steps=200)),
+                            "arrival": "now"})
+                no_shape = encode_request(_req("no-shape"))
+                del no_shape["k"]["shape"]
+                bad_deadline = encode_request(_req("bad-deadline"))
+                bad_deadline["deadline_ms"] = "abc"
+                for msg in (
+                    {"type": "submit"},
+                    {"type": "submit", "request": no_shape},
+                    {"type": "submit", "request": bad_deadline},
+                    {"type": "cancel"},
+                ):
+                    await send(msg)
+                replies, done = [], None
+                while done is None:
+                    msg = decode_message(await reader.readline())
+                    if msg["type"] == "done":
+                        done = msg
+                    elif msg["type"] != "token":
+                        replies.append(msg)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert replies[0] == {"type": "accepted", "request_id": "req0"}
+            assert replies[1:4] == [
+                {"type": "rejected", "request_id": rid, "error": "invalid"}
+                for rid in (None, "no-shape", "bad-deadline")
+            ]
+            assert replies[4]["type"] == "error"
+            assert (done["request_id"], done["status"]) == ("req0", "ok")
+            ack = await _graceful_stop(server)
+            assert ack["served"] == 1
+            assert ack["leaked_blocks"] == 0
+
+        asyncio.run(run())
+
     def test_non_finite_request_tensors_are_rejected(self):
         request = _req("nan")
         with pytest.raises(ValueError, match="finite"):
