@@ -49,7 +49,7 @@ from repro.attention.baselines.double_sparsity import (
 )
 from repro.attention.policy import available_policies, get_policy
 from repro.core import PadeConfig
-from repro.engine import PadeEngine
+from repro.engine import PadeEngine, PagedBitPlaneKVCache, PlaneBlockPool
 from repro.eval.serving_metrics import summarize_serving
 from repro.eval.workloads import build_serving_workload
 
@@ -111,12 +111,14 @@ def policy_sweep(
 # ---------------------------------------------------------------------------
 
 def _reference_pade(workload, backend):
-    """Pre-refactor code path: dense caches + direct attend, no policy."""
+    """Pre-refactor code path: solo caches + direct attend, no policy."""
     engine = PadeEngine(PadeConfig.standard(), backend=backend)
     out = {}
     for req in workload:
         num_heads, _, head_dim = np.asarray(req.k).shape
-        cache = engine.new_cache(num_heads, head_dim, np.asarray(req.v).shape[2])
+        cache = engine.new_cache(
+            num_heads, head_dim, np.asarray(req.v).shape[2], req.total_tokens
+        )
         cache.prefill(req.k, req.v)
         prefill = engine.attend(cache, req.q_prompt) if req.q_prompt is not None else None
         retained, outputs = [], []
@@ -169,11 +171,19 @@ def pade_routing_parity(
 # Gate (b): each incremental baseline == its legacy one-shot function
 # ---------------------------------------------------------------------------
 
-def _decode_incremental(policy, k, v, q, prompt_len):
-    """Single-head engine decode of ``q`` rows over a prompt + step stream."""
+def _decode_incremental(policy, k, v, q, prompt_len, block_size=16):
+    """Single-head engine decode of ``q`` rows over a prompt + step stream.
+
+    The cache's pool has ``block_size``-token blocks: Quest pages snap to
+    them, so the Quest verdict passes its page size here.
+    """
     steps, head_dim = q.shape
     engine = PadeEngine(PadeConfig.standard(), policy=policy)
-    cache = engine.new_cache(1, head_dim, v.shape[1])
+    pool = PlaneBlockPool(
+        1, head_dim, v.shape[1], block_size=block_size,
+        token_budget=-(-k.shape[0] // block_size) * block_size,
+    )
+    cache = PagedBitPlaneKVCache(pool)
     engine.prefill(cache, k[None, :prompt_len], v[None, :prompt_len],
                    total_tokens=k.shape[0])
     masks, outputs = [], []
@@ -223,7 +233,7 @@ def baseline_parity(seed: int = 42, prompt_len: int = 37, steps: int = 9,
     )
 
     masks, outs = _decode_incremental(
-        get_policy("quest", keep_fraction=0.3, page_size=8), k, v, q, prompt_len
+        get_policy("quest", keep_fraction=0.3, page_size=8), k, v, q, prompt_len, block_size=8
     )
     verdicts["quest"] = _rows_match(
         masks, outs, quest_attention(q, k, v, 0.3, page_size=8), prompt_len

@@ -9,13 +9,13 @@ global KV token budget, three ways:
 * **lockstep** — the same scheduler with ``admission="drain"``: a batch
   is formed and fully drained before new arrivals are admitted (the
   static-batching baseline the motivation section describes);
-* **dense** — every request driven alone through its own dense
-  :class:`~repro.engine.cache.BitPlaneKVCache` (``prefill`` then one
+* **solo** — every request driven alone through its own cache over a
+  private pool (``PadeEngine.new_cache``, ``prefill`` then one
   ``decode_step`` per token), used only as the retained-set oracle.
 
 The script asserts (a) continuous batching beats lockstep on mean TTFT,
 and (b) every request's retained-token sets are byte-identical across the
-paged and dense cache paths under both kernel backends
+shared-pool serve and the solo loop under both kernel backends
 (``RequestResult.retained_bytes``).  A second sweep reports throughput
 and preemption counts as the token budget shrinks.
 
@@ -60,13 +60,13 @@ def _serve(workload, backend, budget, block_size, max_active, policy, admission)
     return results, report
 
 
-def _serve_dense(workload, backend):
-    """Per-request dense-cache decode loop: the retained-set oracle."""
+def _serve_solo(workload, backend):
+    """Per-request private-pool decode loop: the retained-set oracle."""
     engine = PadeEngine(PadeConfig.standard(), backend=backend)
     out = {}
     for req in workload:
         num_heads, _, head_dim = req.k.shape
-        cache = engine.new_cache(num_heads, head_dim, req.v.shape[2])
+        cache = engine.new_cache(num_heads, head_dim, req.v.shape[2], req.total_tokens)
         prefill = engine.prefill(
             cache, req.k, req.v, q=req.q_prompt, total_tokens=req.total_tokens
         )
@@ -97,7 +97,7 @@ def run_comparison(
     max_active: int = 3,
     seed: int = 7,
 ):
-    """Continuous vs lockstep TTFT under one budget + paged/dense parity."""
+    """Continuous vs lockstep TTFT under one budget + served/solo parity."""
     workload = build_serving_workload(
         num_requests, num_heads, context, steps, head_dim, rate=rate, seed=seed
     )
@@ -110,7 +110,7 @@ def run_comparison(
         lock, lock_report = _serve(
             workload, backend, budget, block_size, max_active, "fcfs", "drain"
         )
-        dense = _serve_dense(workload, backend)
+        solo = _serve_solo(workload, backend)
         digests = {
             rid: cont[rid].retained_bytes() for rid in sorted(cont)
         }
@@ -118,7 +118,7 @@ def run_comparison(
             if not (
                 digests[rid]
                 == lock[rid].retained_bytes()
-                == dense[rid].retained_bytes()
+                == solo[rid].retained_bytes()
             ):
                 out["parity_ok"] = False
         if reference_bytes is None:
@@ -173,7 +173,7 @@ def budget_sweep(
 def test_continuous_beats_lockstep():
     """Reduced workload for the benchmark suite: same assertions, less time."""
     r = run_comparison(num_requests=6, context=48, steps=8, budget=384, max_active=2)
-    assert r["parity_ok"], "paged/dense retained sets diverged across backends"
+    assert r["parity_ok"], "served/solo retained sets diverged across backends"
     assert r["continuous"]["mean_ttft"] < r["lockstep"]["mean_ttft"], (
         f"continuous TTFT {r['continuous']['mean_ttft']:.2f} not better than "
         f"lockstep {r['lockstep']['mean_ttft']:.2f}"
@@ -232,7 +232,7 @@ def main() -> None:
             f"preemptions {rep['preemptions']:.0f}"
         )
     print(f"  TTFT improvement        : {r['ttft_improvement']:.2f}x")
-    print(f"  paged == dense retained : {r['parity_ok']} (both backends)")
+    print(f"  served == solo retained : {r['parity_ok']} (both backends)")
 
     print("\nthroughput vs budget (continuous, fast backend, longer decode):")
     sweep = budget_sweep(
@@ -249,7 +249,7 @@ def main() -> None:
             f"peak occupancy {row['peak_pool_occupancy']:.0%}"
         )
 
-    assert r["parity_ok"], "paged/dense retained sets diverged"
+    assert r["parity_ok"], "served/solo retained sets diverged"
     assert r["continuous"]["mean_ttft"] < r["lockstep"]["mean_ttft"], (
         "continuous batching did not beat lockstep on mean TTFT"
     )

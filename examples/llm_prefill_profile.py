@@ -40,7 +40,7 @@ def main(seq_len: int = 2048) -> None:
         "prefill", num_heads=8, context_len=min(seq_len, 1024), decode_steps=0,
         head_dim=model.head_dim, prompt_queries=8,
     )
-    cache = engine.new_cache(8, model.head_dim, model.head_dim)
+    cache = engine.new_cache(8, model.head_dim, model.head_dim, request.total_tokens)
     res = engine.prefill(cache, request.k, request.v, q=request.q_prompt)
     print(f"\nengine prefill ({engine.kernel.name} backend, 8 heads x {cache.length} keys):")
     print(f"  head-batched sparsity  : {res.sparsity:.3f}")

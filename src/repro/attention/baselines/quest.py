@@ -89,7 +89,7 @@ class QuestPolicy(BaselineAttentionPolicy):
         pool = getattr(cache, "pool", None)
         state.per_head["page_size"] = pool.block_size if pool is not None else self.page_size
         state.per_head["cache"] = cache
-        state.per_head["summaries"] = {}  # (head, page) -> (k_min, k_max), dense caches
+        state.per_head["summaries"] = {}  # (head, page) -> (k_min, k_max), pool-less caches
         return state
 
     def prediction_cost(self, state, num_queries: int, num_keys: int) -> float:

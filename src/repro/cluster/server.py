@@ -304,7 +304,11 @@ class ClusterServer:
 
     # ------------------------------------------------------------------
     async def _on_submit(self, conn: _ClientConn, msg: dict) -> None:
-        rid = str(msg["request"]["request_id"])
+        body = msg.get("request")
+        if not isinstance(body, dict) or body.get("request_id") is None:
+            conn.send({"type": "rejected", "request_id": None, "error": "invalid"})
+            return
+        rid = str(body["request_id"])
         if self._draining:
             conn.send({"type": "rejected", "request_id": rid, "error": "shutting-down"})
             return
@@ -316,9 +320,16 @@ class ClusterServer:
             return
         keys: List[bytes] = []
         if self.routing == "prefix":
-            keys = request_chain_keys(
-                decode_request(msg["request"]), bits=self.bits, block_size=self.block_size
-            )
+            # A malformed request must not end this connection, which
+            # would cancel every request its client owns: it is rejected
+            # to its sender, as a replica rejects one it cannot decode.
+            try:
+                keys = request_chain_keys(
+                    decode_request(body), bits=self.bits, block_size=self.block_size
+                )
+            except (KeyError, TypeError, ValueError, IndexError):
+                conn.send({"type": "rejected", "request_id": rid, "error": "invalid"})
+                return
         try:
             target = self.router.route(keys)
         except NoReplicaAvailable:
@@ -385,10 +396,12 @@ class ClusterServer:
                 if kind == "submit":
                     await self._on_submit(conn, msg)
                 elif kind == "cancel":
-                    rid = str(msg["request_id"])
-                    target = self._rid_replica.get(rid)
-                    if target is not None and self.replicas[target].alive:
-                        await self.replicas[target].send(msg)
+                    if msg.get("request_id") is None:
+                        conn.send({"type": "error", "error": "cancel needs a request_id"})
+                    else:
+                        target = self._rid_replica.get(str(msg["request_id"]))
+                        if target is not None and self.replicas[target].alive:
+                            await self.replicas[target].send(msg)
                 elif kind == "stats":
                     conn.send(self._cluster_stats())
                 elif kind == "shutdown":

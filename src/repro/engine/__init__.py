@@ -1,16 +1,16 @@
 """Batched multi-head serving layer for PADE sparse attention.
 
-* :mod:`repro.engine.cache` — persistent per-head bit-plane KV caches:
-  the dense per-sequence :class:`BitPlaneKVCache` and the paged
-  :class:`PagedBitPlaneKVCache` over a shared :class:`PlaneBlockPool`
-  (fixed-size token blocks under a global budget; same interface, so the
-  attention path is storage-agnostic).  The pool ref-counts blocks:
+* :mod:`repro.engine.cache` — the persistent per-head bit-plane KV
+  cache: :class:`PagedBitPlaneKVCache`, a block table over a
+  :class:`PlaneBlockPool` (fixed-size token blocks under a token budget —
+  one pool shared by every request when serving, a private one per
+  :meth:`PadeEngine.new_cache`).  The pool ref-counts blocks:
   content-hashed prompt-prefix sharing (``prefix_sharing=True``) and
   zero-copy cache forks with copy-on-write tails ride on top, and the
   ``begin/extend/finish_prefill`` triple supports chunked prefill with
   byte-identical results to one-shot prefill.
 * :mod:`repro.engine.engine` — :class:`PadeEngine`: multi-head attention
-  over model presets with per-head guards, a head-batched filter round
+  with per-head guards, a head-batched filter round
   (one matmul covers all heads), and aggregate serving statistics.
 * :mod:`repro.engine.scheduler` — :class:`ContinuousScheduler`
   (arrival-aware iteration-level batching with pluggable
@@ -42,7 +42,6 @@ Prefix sharing + chunked prefill::
 """
 
 from repro.engine.cache import (
-    BitPlaneKVCache,
     PagedBitPlaneKVCache,
     PlaneBlockPool,
     PoolExhausted,
@@ -64,7 +63,6 @@ from repro.engine.scheduler import (
 )
 
 __all__ = [
-    "BitPlaneKVCache",
     "PagedBitPlaneKVCache",
     "PlaneBlockPool",
     "PoolExhausted",

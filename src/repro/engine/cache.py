@@ -8,22 +8,19 @@ keys *resident*: keys are quantized exactly once when they enter the cache
 (prefill bulk, decode appends), and every subsequent filter round reads the
 stored integer rows directly.
 
-Two storage strategies share one interface
-(``planes/values/k_int/scales/length/prefill/append``):
+One storage strategy serves every sequence: rows live in fixed-size
+token blocks allocated from a :class:`PlaneBlockPool` under a token
+budget (the PagedAttention/vLLM memory shape), and a
+:class:`PagedBitPlaneKVCache` maps its token positions onto them through
+a block table.  Serving shares one pool across all requests; a
+standalone cache (``PadeEngine.new_cache``) gets a private pool whose
+budget is its sequence length rounded up to whole blocks, with no growth
+path.  Views are gathered through the block table, so consumers —
+``PadeEngine.attend`` and both kernel backends — never see blocks;
+allocation failure in either kind of pool raises :class:`PoolExhausted`,
+the signal the continuous scheduler turns into preemption.
 
-* :class:`BitPlaneKVCache` — one dense, privately owned buffer per
-  sequence, capacity doubling on growth.  Simple, but every request
-  reserves up to 2x its live footprint and nothing bounds the *sum* of
-  footprints across concurrent requests.
-* :class:`PagedBitPlaneKVCache` — rows live in fixed-size token blocks
-  allocated from a shared :class:`PlaneBlockPool` under a global token
-  budget (the PagedAttention/vLLM memory shape).  Views are gathered
-  through the cache's block table, so consumers — ``PadeEngine.attend``
-  and both kernel backends — are untouched; allocation failure raises
-  :class:`PoolExhausted`, the signal the continuous scheduler turns into
-  preemption.
-
-Two sharing mechanisms ride on the paged pool (both off by default):
+Two sharing mechanisms ride on the pool (both off by default):
 
 * **Hash-based prefix sharing** — with ``prefix_sharing=True``, full
   prompt blocks are content-addressed by a chained key
@@ -53,7 +50,7 @@ Chunked prefill is supported at cache level by the
 scales are calibrated on the *full* prompt up front, so chunk-by-chunk
 quantization stays byte-identical to one-shot :meth:`prefill`.
 
-Two serving-specific choices apply to both:
+Three storage choices apply throughout:
 
 * **Frozen scales.**  Per-head quantization scales are calibrated on the
   prefill keys and frozen; decode appends are quantized with the same
@@ -94,12 +91,13 @@ from repro.quant.integer import int_range
 __all__ = [
     "quantize_heads",
     "chain_block_keys",
-    "BitPlaneKVCache",
     "PlaneBlockPool",
     "PagedBitPlaneKVCache",
     "PoolExhausted",
     "TierConfig",
 ]
+
+DEFAULT_BLOCK_SIZE = 16  # tokens per pool block (DESIGN.md §9)
 
 
 def chain_block_keys(
@@ -200,40 +198,15 @@ def _key_rows(k_int: np.ndarray, bits: int) -> Tuple[np.ndarray, np.ndarray]:
     return k_int.astype(signed_dtype(bits)), popcounts
 
 
-def _check_prefill(cache, k: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Shared prefill validation for both cache implementations."""
-    if cache.length:
-        raise RuntimeError("prefill() may only be called on an empty cache")
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if k.shape[:1] + k.shape[2:] != (cache.num_heads, cache.head_dim):
-        raise ValueError(f"expected K shape ({cache.num_heads}, S, {cache.head_dim}), got {k.shape}")
-    if v.shape != (cache.num_heads, k.shape[1], cache.v_dim):
-        raise ValueError(f"expected V shape ({cache.num_heads}, {k.shape[1]}, {cache.v_dim}), got {v.shape}")
-    return k, v
-
-
-def _check_step(cache, k_step: np.ndarray, v_step: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Shared append validation for both cache implementations."""
-    if cache._scales is None:
-        raise RuntimeError("append() requires a prefilled cache")
-    k_step = np.asarray(k_step, dtype=np.float64)
-    v_step = np.asarray(v_step, dtype=np.float64)
-    if k_step.shape != (cache.num_heads, cache.head_dim):
-        raise ValueError(f"expected K step shape ({cache.num_heads}, {cache.head_dim}), got {k_step.shape}")
-    if v_step.shape != (cache.num_heads, cache.v_dim):
-        raise ValueError(f"expected V step shape ({cache.num_heads}, {cache.v_dim}), got {v_step.shape}")
-    return k_step, v_step
-
-
 class _RawKeys:
     """Raw (pre-quantization) keys of one sequence, held by reference.
 
     The prompt K ``(H, S, D)`` a cache was prefilled with plus one
     ``(H, D)`` row per token appended since — the caller's own tensors,
     never copied until :meth:`rows` is read, so a caller must not write
-    into a tensor once it has handed it to a cache.  Both caches keep one of
-    these instead of storing float keys: a prefix-shared block's raw K is
+    into a tensor once it has handed it to a cache.  Each
+    :class:`PagedBitPlaneKVCache` keeps one of these instead of storing
+    float keys in the pool: a prefix-shared block's raw K is
     the attaching request's own prompt K (chain keys hash raw K), and a
     fork copies the step list, so a speculative rollback anchor keeps
     exactly the steps it had.
@@ -253,157 +226,6 @@ class _RawKeys:
             steps = self.steps[max(start, prompt_len) - prompt_len : end - prompt_len]
             parts.append(np.stack(steps, axis=1))
         return np.concatenate(parts, axis=1)
-
-
-class BitPlaneKVCache:
-    """Appendable per-head integer Keys + float Values for one sequence.
-
-    Attributes
-    ----------
-    num_heads / head_dim / v_dim:
-        Shapes of the cached tensors.
-    bits:
-        Operand bit width of the stored keys.
-    rows_decomposed:
-        Total (head, token) rows ever quantized and stored — the work a
-        per-call pipeline would redo every step, counted once here.
-    appends:
-        Number of incremental ``append`` calls since prefill.
-    """
-
-    def __init__(self, num_heads: int, head_dim: int, v_dim: int, bits: int = 8) -> None:
-        if num_heads < 1 or head_dim < 1 or v_dim < 1:
-            raise ValueError("num_heads, head_dim and v_dim must be positive")
-        self.num_heads = num_heads
-        self.head_dim = head_dim
-        self.v_dim = v_dim
-        self.bits = bits
-        self._length = 0
-        self._capacity = 0
-        self._keys: Optional[np.ndarray] = None  # (H, cap, D) signed_dtype(bits)
-        self._popcounts: Optional[np.ndarray] = None  # (bits, H, cap) per-plane set bits
-        self._raw: Optional[_RawKeys] = None  # prompt K + appended K rows
-        self._values: Optional[np.ndarray] = None  # (H, cap, Dv) float64
-        self._scales: Optional[np.ndarray] = None  # (H,) frozen at prefill
-        self.rows_decomposed = 0
-        self.appends = 0
-        self.policy_state = None  # per-request AttentionPolicy state
-
-    # ------------------------------------------------------------------
-    @property
-    def length(self) -> int:
-        """Number of cached tokens."""
-        return self._length
-
-    @property
-    def scales(self) -> np.ndarray:
-        """Frozen per-head K quantization scales (set by :meth:`prefill`)."""
-        if self._scales is None:
-            raise RuntimeError("cache is empty; call prefill() first")
-        return self._scales
-
-    @property
-    def planes(self) -> BitPlanes:
-        """Integer-backed view of the cached keys, value shape ``(H, length, D)``."""
-        if self._keys is None:
-            raise RuntimeError("cache is empty; call prefill() first")
-        n = self._length
-        return BitPlanes(
-            ints=self._keys[:, :n, :], bits=self.bits, popcounts=self._popcounts[:, :, :n]
-        )
-
-    @property
-    def values(self) -> np.ndarray:
-        """View of the cached V rows, shape ``(H, length, Dv)``."""
-        if self._values is None:
-            raise RuntimeError("cache is empty; call prefill() first")
-        return self._values[:, : self._length, :]
-
-    def value_rows(self, heads: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Fresh copy of the V rows at (head, key position) pairs, shape ``(N, Dv)``."""
-        return self._values[heads, keys]
-
-    @property
-    def k_int(self) -> np.ndarray:
-        """The cached integer keys as int64, shape ``(H, length, D)``."""
-        if self._keys is None:
-            raise RuntimeError("cache is empty; call prefill() first")
-        return self._keys[:, : self._length, :].astype(np.int64)
-
-    @property
-    def k_float(self) -> np.ndarray:
-        """Raw (pre-quantization) keys, a fresh array of shape ``(H, length, D)``.
-
-        The software baseline policies score against the exact float keys
-        the caller handed over — quantization is a PADE implementation
-        detail, not part of their selection semantics.  Assembled on each
-        read from the prompt K and appended K rows (:class:`_RawKeys`);
-        the PADE path never reads it.
-        """
-        return self.k_float_rows(0, self._length)
-
-    def k_float_rows(self, start: int, end: int) -> np.ndarray:
-        """Raw keys of token positions ``start .. end-1``, shape ``(H, end - start, D)``."""
-        if self._raw is None:
-            raise RuntimeError("cache is empty; call prefill() first")
-        return self._raw.rows(start, end)
-
-    # ------------------------------------------------------------------
-    def prefill(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Quantize and store the prompt keys/values.
-
-        ``k`` has shape ``(H, S, D)`` and ``v`` shape ``(H, S, Dv)``.  May
-        only be called once per cache; per-head scales are calibrated here
-        and frozen for all later appends.
-        """
-        k, v = _check_prefill(self, k, v)
-        seq_len = k.shape[1]
-        k_int, scales = quantize_heads(k, bits=self.bits)  # (H, S, D)
-        self._scales = scales
-
-        self._reserve(max(seq_len, 1))
-        self._keys[:, :seq_len, :], self._popcounts[:, :, :seq_len] = _key_rows(k_int, self.bits)
-        self._raw = _RawKeys(k)
-        self._values[:, :seq_len, :] = v
-        self._length = seq_len
-        self.rows_decomposed += self.num_heads * seq_len
-
-    def append(self, k_step: np.ndarray, v_step: np.ndarray) -> None:
-        """Add one token per head, quantizing only the new rows.
-
-        ``k_step`` has shape ``(H, D)`` and ``v_step`` shape ``(H, Dv)``.
-        Uses the frozen prefill scales, so the stored rows of earlier
-        tokens stay valid untouched.
-        """
-        k_step, v_step = _check_step(self, k_step, v_step)
-        self._reserve(self._length + 1)
-        k_int, _ = quantize_heads(k_step, bits=self.bits, scales=self._scales)  # (H, D)
-        pos = self._length
-        self._keys[:, pos, :], self._popcounts[:, :, pos] = _key_rows(k_int, self.bits)
-        self._raw.steps.append(k_step)
-        self._values[:, pos, :] = v_step
-        self._length = pos + 1
-        self.rows_decomposed += self.num_heads
-        self.appends += 1
-
-    # ------------------------------------------------------------------
-    def _reserve(self, needed: int) -> None:
-        if needed <= self._capacity:
-            return
-        new_cap = max(needed, max(1, self._capacity) * 2)
-        keys = np.zeros((self.num_heads, new_cap, self.head_dim), dtype=signed_dtype(self.bits))
-        popcounts = np.zeros(
-            (self.bits, self.num_heads, new_cap), dtype=popcount_dtype(self.head_dim)
-        )
-        values = np.zeros((self.num_heads, new_cap, self.v_dim), dtype=np.float64)
-        if self._length:
-            keys[:, : self._length, :] = self._keys[:, : self._length, :]
-            popcounts[:, :, : self._length] = self._popcounts[:, :, : self._length]
-            values[:, : self._length, :] = self._values[:, : self._length, :]
-        self._keys = keys
-        self._popcounts = popcounts
-        self._values = values
-        self._capacity = new_cap
 
 
 @dataclass(frozen=True)
@@ -502,7 +324,7 @@ class PlaneBlockPool:
         head_dim: int,
         v_dim: int,
         bits: int = 8,
-        block_size: int = 16,
+        block_size: int = DEFAULT_BLOCK_SIZE,
         token_budget: int = 4096,
         tiering: Optional[TierConfig] = None,
         plane_budget_blocks: Optional[int] = None,
@@ -987,14 +809,16 @@ class PlaneBlockPool:
 
 
 class PagedBitPlaneKVCache:
-    """Block-table KV cache over a shared :class:`PlaneBlockPool`.
+    """Block-table KV cache over a :class:`PlaneBlockPool`.
 
-    Presents exactly the :class:`BitPlaneKVCache` interface —
-    ``planes/values/k_int/scales/length/prefill/append`` plus the
-    ``rows_decomposed``/``appends`` counters — so ``PadeEngine.attend`` and
-    both kernel backends consume it unchanged.  Any number of sequences
-    interleave allocation from one pool, and :meth:`release` returns a
-    sequence's blocks for immediate reuse (completion or preemption).
+    The one KV cache type: ``planes/values/value_rows/k_int/k_float/
+    scales/length/prefill/append`` plus the ``rows_decomposed``/``appends``
+    counters are what ``PadeEngine.attend``, the attention policies and
+    both kernel backends consume.  Any number of sequences interleave
+    allocation from one pool (serving), or a cache owns a private pool
+    sized to its sequence (``PadeEngine.new_cache``); :meth:`release`
+    returns a sequence's blocks for immediate reuse (completion or
+    preemption).
 
     Every view is a gather through the block table (DESIGN.md §9):
     ``planes`` gathers the sequence's integer key rows and their stored
@@ -1033,8 +857,8 @@ class PagedBitPlaneKVCache:
         self._blocks: List[int] = []
         self._length = 0
         self._scales: Optional[np.ndarray] = None
-        self.rows_decomposed = 0
-        self.appends = 0
+        self.rows_decomposed = 0  # (head, token) rows this cache quantized and wrote
+        self.appends = 0  # append() calls since prefill
         self.prefix_hit_blocks = 0  # full prompt blocks attached from the index
         self.prefix_miss_blocks = 0  # shareable full prompt blocks written fresh
         self._prefill_target = 0  # prompt length once begin_prefill ran
@@ -1169,8 +993,19 @@ class PagedBitPlaneKVCache:
         by reference.  Returns the number of tokens already resident;
         the rest are written by :meth:`extend_prefill`.
         """
-        k, v = _check_prefill(self, k, v)
+        if self._length:
+            raise RuntimeError("prefill() may only be called on an empty cache")
+        k = np.asarray(k, dtype=np.float64)
+        v = np.asarray(v, dtype=np.float64)
+        if k.shape[:1] + k.shape[2:] != (self.num_heads, self.head_dim):
+            raise ValueError(
+                f"expected K shape ({self.num_heads}, S, {self.head_dim}), got {k.shape}"
+            )
         seq_len = k.shape[1]
+        if v.shape != (self.num_heads, seq_len, self.v_dim):
+            raise ValueError(
+                f"expected V shape ({self.num_heads}, {seq_len}, {self.v_dim}), got {v.shape}"
+            )
         k_int, scales = quantize_heads(k, bits=self.bits)
         hits: List[int] = []
         keys: List[bytes] = []
@@ -1315,7 +1150,18 @@ class PagedBitPlaneKVCache:
         on :class:`PoolExhausted` the cache is exactly as it was, so the
         scheduler can preempt a victim and retry.
         """
-        k_step, v_step = _check_step(self, k_step, v_step)
+        if self._scales is None:
+            raise RuntimeError("append() requires a prefilled cache")
+        k_step = np.asarray(k_step, dtype=np.float64)
+        v_step = np.asarray(v_step, dtype=np.float64)
+        if k_step.shape != (self.num_heads, self.head_dim):
+            raise ValueError(
+                f"expected K step shape ({self.num_heads}, {self.head_dim}), got {k_step.shape}"
+            )
+        if v_step.shape != (self.num_heads, self.v_dim):
+            raise ValueError(
+                f"expected V step shape ({self.num_heads}, {self.v_dim}), got {v_step.shape}"
+            )
         if self._pending_keys is not None:
             raise RuntimeError("append() during an unfinished chunked prefill")
         bs = self.pool.block_size

@@ -4,14 +4,14 @@ Where :func:`repro.core.pade_attention.pade_attention` is a one-shot,
 single-head operator (quantize → decompose → filter → attend, everything
 rebuilt per call), the engine is the layer a serving stack talks to:
 
-* **multi-head, multi-layer**: attention runs with per-head quantization
-  scales and guards; :meth:`PadeEngine.new_model_caches` shapes one cache
-  per layer from a model preset
-  (:class:`repro.model.configs.ModelConfig`), so one engine serves a
-  whole stack;
-* **persistent bit-plane cache**: Key planes are decomposed once at
-  prefill (:class:`repro.engine.cache.BitPlaneKVCache`) and extended
-  incrementally each decode step, never rebuilt;
+* **multi-head**: attention runs with per-head quantization scales and
+  guards over one layer's cache; one engine serves every layer of a
+  stack, each layer with its own cache;
+* **persistent bit-plane cache**: keys are quantized once at prefill
+  into a :class:`repro.engine.cache.PagedBitPlaneKVCache` and extended
+  incrementally each decode step, never rebuilt — a block table over a
+  pool shared by every request in :meth:`PadeEngine.serve`, or over a
+  private pool from :meth:`PadeEngine.new_cache`;
 * **one fused filter call per round**: a single request's attend covers
   all heads via ``KernelBackend.filter_heads`` and a decode round covers
   every active request via ``KernelBackend.filter_heads_batch``; the
@@ -46,7 +46,7 @@ from repro.core.backend import KernelBackend, get_backend
 from repro.core.bui_gf import guard_in_int_units
 from repro.core.config import PadeConfig
 from repro.core.pade_attention import causal_allowed, protection_mask
-from repro.engine.cache import BitPlaneKVCache
+from repro.engine.cache import DEFAULT_BLOCK_SIZE, PagedBitPlaneKVCache, PlaneBlockPool
 from repro.quant.integer import int_range, quantize_symmetric
 
 __all__ = ["EngineStats", "EngineAttentionResult", "PadeEngine"]
@@ -181,31 +181,26 @@ class PadeEngine:
     # ------------------------------------------------------------------
     # Low-level per-layer operations
     # ------------------------------------------------------------------
-    def new_cache(self, num_heads: int, head_dim: int, v_dim: int) -> BitPlaneKVCache:
-        """Create an empty cache shaped for one layer of this engine."""
-        return BitPlaneKVCache(num_heads, head_dim, v_dim, bits=self.config.bits)
+    def new_cache(
+        self, num_heads: int, head_dim: int, v_dim: int, tokens: int
+    ) -> PagedBitPlaneKVCache:
+        """An empty cache for one sequence of up to ``tokens`` tokens.
 
-    def new_model_caches(self, model, v_dim: Optional[int] = None) -> List[BitPlaneKVCache]:
-        """One empty cache per layer of a model preset.
-
-        ``model`` is a :class:`repro.model.configs.ModelConfig` or preset
-        name; caches are shaped for the model's KV heads (GQA models cache
-        ``num_kv_heads``, not ``num_heads``).  Prefill/decode each layer's
-        cache with that layer's K/V to serve the whole stack from one
-        engine.
+        The cache owns a private :class:`~repro.engine.cache.PlaneBlockPool`
+        whose budget is ``tokens`` rounded up to whole blocks.  There is
+        no growth path: a prefill or append past that budget raises
+        :class:`~repro.engine.cache.PoolExhausted`, exactly as a full
+        serving pool does.
         """
-        from repro.model.configs import get_model
-
-        cfg = get_model(model) if isinstance(model, str) else model
-        dim = cfg.head_dim if v_dim is None else v_dim
-        return [
-            self.new_cache(cfg.num_kv_heads, cfg.head_dim, dim)
-            for _ in range(cfg.num_layers)
-        ]
+        budget = -(-tokens // DEFAULT_BLOCK_SIZE) * DEFAULT_BLOCK_SIZE
+        pool = PlaneBlockPool(
+            num_heads, head_dim, v_dim, bits=self.config.bits, token_budget=budget
+        )
+        return PagedBitPlaneKVCache(pool)
 
     def attend(
         self,
-        cache: BitPlaneKVCache,
+        cache: PagedBitPlaneKVCache,
         q: np.ndarray,
         query_offset: Optional[int] = None,
     ) -> EngineAttentionResult:
@@ -232,8 +227,8 @@ class PadeEngine:
         The batched analogue of :meth:`attend` for a decode round: per
         request the quantization, guards and causal/protection masks are
         prepared exactly as :meth:`attend` prepares them, the bit planes
-        are gathered from each request's cache (paged caches gather via
-        their block tables here), then **one**
+        are gathered from each request's cache through its block table,
+        then **one**
         ``KernelBackend.filter_heads_batch`` call covers the whole ragged
         active set and the outputs/retained sets/stats are scattered back
         per request.  Result-identical to calling :meth:`attend` per
@@ -388,7 +383,7 @@ class PadeEngine:
 
     def _attend_params(
         self,
-        cache: BitPlaneKVCache,
+        cache: PagedBitPlaneKVCache,
         q: np.ndarray,
         query_offset: Optional[int] = None,
     ):
@@ -423,7 +418,7 @@ class PadeEngine:
 
     def prefill(
         self,
-        cache: BitPlaneKVCache,
+        cache: PagedBitPlaneKVCache,
         k: np.ndarray,
         v: np.ndarray,
         q: Optional[np.ndarray] = None,
@@ -451,7 +446,7 @@ class PadeEngine:
     def prefill_begin(self, cache, k: np.ndarray, v: np.ndarray) -> int:
         """Start a chunked prefill: calibrate scales, attach prefix hits.
 
-        Paged caches only.  Returns the tokens already resident (shared
+        Returns the tokens already resident (shared
         prefix blocks attached by reference — zero decompose cost); the
         remainder is fed through :meth:`prefill_extend` and sealed by
         :meth:`prefill_finish`.  The chunk boundaries never change the
@@ -483,7 +478,7 @@ class PadeEngine:
 
     def decode_step(
         self,
-        cache: BitPlaneKVCache,
+        cache: PagedBitPlaneKVCache,
         q: np.ndarray,
         k_step: np.ndarray,
         v_step: np.ndarray,
@@ -501,13 +496,13 @@ class PadeEngine:
         return self.decode_attend(cache, q)
 
     def decode_append(
-        self, cache: BitPlaneKVCache, k_step: np.ndarray, v_step: np.ndarray
+        self, cache: PagedBitPlaneKVCache, k_step: np.ndarray, v_step: np.ndarray
     ) -> None:
         """Extend the cache by one token and bill the decompose stats.
 
         The append half of :meth:`decode_step`, split out so a batched
         round can append every active request before filtering any of
-        them.  Paged caches raise
+        them.  The cache raises
         :class:`~repro.engine.cache.PoolExhausted` *before* mutating
         anything, and this method touches the stats only after the append
         succeeds, so a failed append leaves both cache and counters
@@ -518,7 +513,7 @@ class PadeEngine:
         self.stats.rows_decomposed += cache.num_heads
         self.stats.rows_reused += cache.num_heads * (cache.length - 1)
 
-    def decode_attend(self, cache: BitPlaneKVCache, q: np.ndarray) -> EngineAttentionResult:
+    def decode_attend(self, cache: PagedBitPlaneKVCache, q: np.ndarray) -> EngineAttentionResult:
         """Attend one already-appended decode query through the policy."""
         return self.policy.decode_step(self, cache, np.asarray(q, dtype=np.float64))
 

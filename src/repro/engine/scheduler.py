@@ -625,7 +625,8 @@ class ContinuousScheduler:
     every arrival at 0, the ``fcfs`` policy and an uncontended pool, the
     run is lockstep batching: FIFO admission while slots are free, every
     active request advancing one step per round, and outputs identical
-    to driving each request through its own dense cache.
+    to driving each request alone through its own cache
+    (:meth:`PadeEngine.new_cache`).
 
     These parameters are the whole scheduler configuration: every
     serving layer forwards them as keyword arguments, and over a process

@@ -371,9 +371,15 @@ class AsyncPadeServer:
                     # unreachable barrier, routes every submit, then
                     # lowers each replica's barrier to its routed count
                     # so all replicas start their round 0 fully loaded.
-                    self.start_barrier = int(msg.get("count", 0))
-                    self._send(conn, {"type": "barrier_ack", "count": self.start_barrier})
-                    self._wake.set()
+                    try:
+                        self.start_barrier = int(msg.get("count", 0))
+                    except (TypeError, ValueError):
+                        self._send(
+                            conn, {"type": "error", "error": "barrier needs an integer count"}
+                        )
+                    else:
+                        self._send(conn, {"type": "barrier_ack", "count": self.start_barrier})
+                        self._wake.set()
                 else:
                     self._send(conn, {"type": "error", "error": f"unknown type {kind!r}"})
                 await self._flush_outboxes()

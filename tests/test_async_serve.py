@@ -378,9 +378,10 @@ class TestBackpressure:
 
     def test_malformed_messages_keep_the_connection_and_its_requests(self):
         """A submit with no ``request``, a tensor with no ``shape``, a
-        non-numeric ``deadline_ms`` and a cancel with no ``request_id``
-        are answered on the same connection; the sender's request in
-        flight still completes ``ok``."""
+        non-numeric ``deadline_ms``, a cancel with no ``request_id`` and a
+        ``barrier`` whose ``count`` is null or not a number are answered
+        on the same connection; the sender's request in flight still
+        completes ``ok``."""
 
         async def run():
             server = await _start(max_active=1)
@@ -402,6 +403,8 @@ class TestBackpressure:
                     {"type": "submit", "request": no_shape},
                     {"type": "submit", "request": bad_deadline},
                     {"type": "cancel"},
+                    {"type": "barrier", "count": None},
+                    {"type": "barrier", "count": "x"},
                 ):
                     await send(msg)
                 replies, done = [], None
@@ -419,7 +422,8 @@ class TestBackpressure:
                 {"type": "rejected", "request_id": rid, "error": "invalid"}
                 for rid in (None, "no-shape", "bad-deadline")
             ]
-            assert replies[4]["type"] == "error"
+            assert [reply["type"] for reply in replies[4:]] == ["error"] * 3
+            assert server.start_barrier == 0
             assert (done["request_id"], done["status"]) == ("req0", "ok")
             ack = await _graceful_stop(server)
             assert ack["served"] == 1

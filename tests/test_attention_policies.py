@@ -34,7 +34,7 @@ from repro.attention.policy import (
     resolve_policy,
 )
 from repro.core import PadeConfig
-from repro.engine import PadeEngine
+from repro.engine import PadeEngine, PagedBitPlaneKVCache, PlaneBlockPool
 
 
 def _problem(seed, prompt_len, steps, head_dim=12):
@@ -47,10 +47,18 @@ def _problem(seed, prompt_len, steps, head_dim=12):
     )
 
 
-def _decode_incremental(policy, k, v, q, prompt_len):
-    """Single-head incremental decode through the policy-routed engine."""
+def _decode_incremental(policy, k, v, q, prompt_len, block_size=16):
+    """Single-head incremental decode through the policy-routed engine.
+
+    The cache's pool has ``block_size``-token blocks: Quest pages snap to
+    them, so a Quest run passes its page size here.
+    """
     engine = PadeEngine(PadeConfig.standard(), policy=policy)
-    cache = engine.new_cache(1, k.shape[1], v.shape[1])
+    pool = PlaneBlockPool(
+        1, k.shape[1], v.shape[1], block_size=block_size,
+        token_budget=-(-k.shape[0] // block_size) * block_size,
+    )
+    cache = PagedBitPlaneKVCache(pool)
     engine.prefill(cache, k[None, :prompt_len], v[None, :prompt_len],
                    total_tokens=k.shape[0])
     masks, outputs, costs = [], [], []
@@ -111,7 +119,7 @@ class TestIncrementalOneShotParity:
         k, v, q = _problem(seed, prompt_len, steps)
         masks, outs, _ = _decode_incremental(
             get_policy("quest", keep_fraction=keep, page_size=page),
-            k, v, q, prompt_len,
+            k, v, q, prompt_len, block_size=page,
         )
         legacy = quest_attention(q, k, v, keep, page_size=page)
         _assert_step_parity(masks, outs, legacy, prompt_len)
@@ -148,7 +156,7 @@ class TestIncrementalOneShotParity:
         # Final alive set and lost-mass series line up with the wrapper
         # (re-run through a fresh engine so the state is inspectable).
         engine = PadeEngine(PadeConfig.standard(), policy=policy)
-        cache = engine.new_cache(1, k.shape[1], v.shape[1])
+        cache = engine.new_cache(1, k.shape[1], v.shape[1], k.shape[0])
         engine.prefill(cache, k[None, :prompt_len], v[None, :prompt_len],
                        total_tokens=k.shape[0])
         for t in range(steps):
@@ -177,7 +185,7 @@ class TestIncrementalOneShotParity:
         masks, _, _ = _decode_incremental(policy, k, v, q, prompt_len)
         # Decode rows extend the pattern chosen at the first decode step.
         engine = PadeEngine(PadeConfig.standard(), policy=policy)
-        cache = engine.new_cache(1, k.shape[1], v.shape[1])
+        cache = engine.new_cache(1, k.shape[1], v.shape[1], k.shape[0])
         engine.prefill(cache, k[None, :prompt_len], v[None, :prompt_len],
                        total_tokens=k.shape[0])
         engine.decode_step(cache, q[None, 0], k[None, prompt_len], v[None, prompt_len])
@@ -233,7 +241,7 @@ class TestFootprints:
     def test_engine_stats_cost_columns(self):
         k, v, q = _problem(3, 24, 4)
         engine = PadeEngine(PadeConfig.standard(), policy="streaming-llm")
-        cache = engine.new_cache(1, k.shape[1], v.shape[1])
+        cache = engine.new_cache(1, k.shape[1], v.shape[1], 28)
         engine.prefill(cache, k[None, :24], v[None, :24], total_tokens=28)
         for t in range(4):
             engine.decode_step(cache, q[None, t], k[None, 24 + t], v[None, 24 + t])

@@ -13,9 +13,14 @@ from repro.cluster.server import ClusterServer, serve_workload_over_cluster
 from repro.engine import PadeEngine, PriorityPolicy
 from repro.engine.cache import TierConfig
 from repro.eval.serving_metrics import summarize_cluster
-from repro.eval.workloads import build_cluster_workload
+from repro.eval.workloads import build_cluster_workload, build_engine_request
 from repro.serve.client import ServeConnection
-from repro.serve.protocol import result_digests
+from repro.serve.protocol import (
+    decode_message,
+    encode_message,
+    encode_request,
+    result_digests,
+)
 
 WORKER_KWARGS = dict(token_budget=1536, max_active=4, block_size=16, prefix_sharing=True)
 
@@ -194,6 +199,59 @@ def test_tiered_replicas_spill_under_pressure():
 def test_bad_settings_fail_in_the_parent(bad, error):
     with pytest.raises(error):
         ClusterServer(replicas=2, **{**WORKER_KWARGS, **bad})
+
+
+def test_malformed_messages_keep_the_connection_and_its_requests():
+    """Prefix routing decodes every submit in the front-end itself: a
+    submit with no ``request``, a tensor with no ``shape``, a
+    non-numeric ``deadline_ms`` and a cancel with no ``request_id`` are
+    answered on the same connection, and the sender's request in flight
+    still completes ``ok``."""
+
+    def request(rid, steps=4):
+        return encode_request(build_engine_request(rid, 2, 16, steps, head_dim=8, seed=0))
+
+    async def run():
+        cluster = ClusterServer(replicas=2, routing="prefix", seed=7, **WORKER_KWARGS)
+        await cluster.start()
+        try:
+            reader, writer = await asyncio.open_connection(cluster.host, cluster.port)
+            try:
+                no_shape = request("no-shape")
+                del no_shape["k"]["shape"]
+                bad_deadline = request("bad-deadline")
+                bad_deadline["deadline_ms"] = "abc"
+                for msg in (
+                    {"type": "submit", "request": request("req0", steps=200), "arrival": "now"},
+                    {"type": "submit"},
+                    {"type": "submit", "request": no_shape},
+                    {"type": "submit", "request": bad_deadline},
+                    {"type": "cancel"},
+                ):
+                    writer.write(encode_message(msg))
+                await writer.drain()
+                replies, done = [], None
+                while done is None:
+                    msg = decode_message(await reader.readline())
+                    if msg["type"] == "done":
+                        done = msg
+                    elif msg["type"] != "token":
+                        replies.append(msg)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+        finally:
+            await cluster.stop()
+        return replies, done
+
+    replies, done = asyncio.run(run())
+    assert {"type": "accepted", "request_id": "req0"} in replies
+    assert [r for r in replies if r["type"] == "rejected"] == [
+        {"type": "rejected", "request_id": rid, "error": "invalid"}
+        for rid in (None, "no-shape", "bad-deadline")
+    ]
+    assert [r["type"] for r in replies if r["type"] not in ("accepted", "rejected")] == ["error"]
+    assert (done["request_id"], done["status"]) == ("req0", "ok")
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ The invariants ISSUE 2 pins down:
   an uncontended (ample-budget) run;
 * with every arrival at 0, ``fcfs`` and an uncontended pool, the event
   trace is plain lockstep batching and every output matches a direct
-  dense-cache loop (``new_cache`` + ``prefill`` + ``decode_step``).
+  per-request loop (``new_cache`` + ``prefill`` + ``decode_step``).
 """
 
 from __future__ import annotations
@@ -150,14 +150,14 @@ class TestPolicies:
             + [("finish", ("r2",))]
         )
         assert cont.last_serve.trace == lockstep
-        dense = PadeEngine()
+        solo = PadeEngine()
         for req in reqs:
-            cache = dense.new_cache(2, 8, 8)
-            prefill = dense.prefill(
+            cache = solo.new_cache(2, 8, 8, req.total_tokens)
+            prefill = solo.prefill(
                 cache, req.k, req.v, q=req.q_prompt, total_tokens=req.total_tokens
             )
             steps = [
-                dense.decode_step(
+                solo.decode_step(
                     cache, req.decode_q[:, t], req.decode_k[:, t], req.decode_v[:, t]
                 )
                 for t in range(req.decode_steps)
@@ -170,7 +170,7 @@ class TestPolicies:
             assert len(res.retained_history) == len(steps)
             for got, r in zip(res.retained_history, steps):
                 np.testing.assert_array_equal(got, r.retained[:, 0])
-        assert dense.stats.sparsity == cont.stats.sparsity
+        assert solo.stats.sparsity == cont.stats.sparsity
 
     def test_shortest_prompt_reorders_admission(self):
         engine = PadeEngine()

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import PadeConfig
-from repro.engine import BitPlaneKVCache, EngineRequest, PadeEngine
+from repro.engine import EngineRequest, PadeEngine, PoolExhausted
 from repro.eval.workloads import build_engine_request
-from repro.quant.bitplane import decompose_bitplanes
+from repro.quant.bitplane import popcount_dtype, signed_dtype
 from repro.quant.integer import quantize_symmetric
+
+from kv_oracle import assert_cache_holds
 
 
 def _head_qkv(rng, num_heads, seq_len, head_dim):
@@ -24,43 +26,45 @@ class TestBitPlaneCache:
         of the same keys under the frozen prefill scales."""
         num_heads, prefix, extra, head_dim = 3, 20, 7, 8
         k, v = _head_qkv(rng, num_heads, prefix + extra, head_dim)
-        cache = BitPlaneKVCache(num_heads, head_dim, head_dim)
+        cache = PadeEngine().new_cache(num_heads, head_dim, head_dim, prefix + extra)
         cache.prefill(k[:, :prefix], v[:, :prefix])
         for t in range(extra):
             cache.append(k[:, prefix + t], v[:, prefix + t])
-
-        # Bulk reference: quantize all keys with the *frozen* scales.
-        k_int = np.stack(
-            [
-                quantize_symmetric(k[h], scale=cache.scales[h]).data
-                for h in range(num_heads)
-            ]
-        )
-        bulk = decompose_bitplanes(k_int)
-        assert np.array_equal(cache.planes.planes, bulk.planes)
-        assert np.array_equal(cache.k_int, k_int)
-        assert np.array_equal(cache.values, v)
-        assert cache.length == prefix + extra
+        assert_cache_holds(cache, k, v, prefix)
         assert cache.rows_decomposed == num_heads * (prefix + extra)
 
-    def test_capacity_doubles_not_per_step(self, rng):
-        k, v = _head_qkv(rng, 2, 40, 4)
-        cache = BitPlaneKVCache(2, 4, 4)
+    def test_new_cache_budget_is_whole_blocks(self, rng):
+        """A private pool holds ``tokens`` rounded up to whole blocks and
+        never grows: the append past it raises and changes nothing."""
+        num_heads, head_dim, v_dim = 2, 4, 6
+        cache = PadeEngine().new_cache(num_heads, head_dim, v_dim, tokens=20)
+        pool = cache.pool
+        assert pool.token_budget == 2 * pool.block_size == 32
+        rows = pool.token_budget
+        key_bytes = head_dim * np.dtype(signed_dtype(cache.bits)).itemsize
+        count_bytes = cache.bits * np.dtype(popcount_dtype(head_dim)).itemsize
+        backing = [a for a in vars(pool).values() if isinstance(a, np.ndarray) and rows in a.shape]
+        assert sum(a.nbytes for a in backing) == rows * num_heads * (
+            key_bytes + count_bytes + 8 * v_dim
+        )
+        k = rng.normal(size=(num_heads, rows + 1, head_dim))
+        v = rng.normal(size=(num_heads, rows + 1, v_dim))
         cache.prefill(k[:, :8], v[:, :8])
-        for t in range(8, 40):
+        for t in range(8, rows):
             cache.append(k[:, t], v[:, t])
-        assert cache._capacity >= 40
-        assert cache._capacity <= 64  # doubling, not unbounded over-reserve
+        with pytest.raises(PoolExhausted):
+            cache.append(k[:, rows], v[:, rows])
+        assert_cache_holds(cache, k[:, :rows], v[:, :rows], 8)
 
     def test_prefill_twice_rejected(self, rng):
         k, v = _head_qkv(rng, 2, 8, 4)
-        cache = BitPlaneKVCache(2, 4, 4)
+        cache = PadeEngine().new_cache(2, 4, 4, 8)
         cache.prefill(k, v)
         with pytest.raises(RuntimeError):
             cache.prefill(k, v)
 
     def test_empty_cache_guards(self):
-        cache = BitPlaneKVCache(1, 4, 4)
+        cache = PadeEngine().new_cache(1, 4, 4, 8)
         with pytest.raises(RuntimeError):
             _ = cache.planes
         with pytest.raises(RuntimeError):
@@ -73,7 +77,7 @@ class TestEngineAttention:
         k, v = _head_qkv(rng, num_heads, seq_len, head_dim)
         q = rng.normal(size=(num_heads, 4, head_dim))
         engine = PadeEngine(PadeConfig.standard())
-        cache = engine.new_cache(num_heads, head_dim, head_dim)
+        cache = engine.new_cache(num_heads, head_dim, head_dim, seq_len)
         res = engine.prefill(cache, k, v, q=q)
 
         for h in range(num_heads):
@@ -93,7 +97,7 @@ class TestEngineAttention:
         num_heads, seq_len, head_dim = 2, 32, 8
         k, v = _head_qkv(rng, num_heads, seq_len + 2, head_dim)
         engine = PadeEngine()
-        cache = engine.new_cache(num_heads, head_dim, head_dim)
+        cache = engine.new_cache(num_heads, head_dim, head_dim, seq_len + 2)
         engine.prefill(cache, k[:, :seq_len], v[:, :seq_len])
         for t in range(2):
             q = rng.normal(size=(num_heads, head_dim))
@@ -110,7 +114,7 @@ class TestEngineAttention:
         num_heads, seq_len, head_dim = 2, 48, 8
         k, v = _head_qkv(rng, num_heads, seq_len + 1, head_dim)
         engine = PadeEngine(cfg)
-        cache = engine.new_cache(num_heads, head_dim, head_dim)
+        cache = engine.new_cache(num_heads, head_dim, head_dim, seq_len + 1)
         engine.prefill(cache, k[:, :seq_len], v[:, :seq_len])
         res = engine.decode_step(
             cache, rng.normal(size=(num_heads, head_dim)), k[:, seq_len], v[:, seq_len]
@@ -125,20 +129,13 @@ class TestEngineAttention:
         k, v = _head_qkv(rng, num_heads, seq_len, head_dim)
         q = rng.normal(size=(num_heads, seq_len, head_dim))
         engine = PadeEngine(PadeConfig(causal=True, radius=float("inf")))
-        cache = engine.new_cache(num_heads, head_dim, head_dim)
+        cache = engine.new_cache(num_heads, head_dim, head_dim, seq_len)
         res = engine.prefill(cache, k, v, q=q)
         # Infinite guard retains every causal candidate: sparsity must be 0
         # even though ~half the (q, k) pairs are causally disallowed.
         assert res.candidate_keys == num_heads * seq_len * (seq_len + 1) // 2
         assert res.sparsity == 0.0
         assert engine.stats.sparsity == 0.0
-
-    def test_model_preset_caches(self):
-        engine = PadeEngine()
-        caches = engine.new_model_caches("llama3-8b")
-        assert len(caches) == 32
-        assert caches[0].num_heads == 8  # GQA: KV heads, not query heads
-        assert caches[0].head_dim == 128
 
     def test_backend_invariant_retention(self, rng):
         results = {}

@@ -1,10 +1,13 @@
-"""Paged bit-plane cache: pool accounting + dense/paged parity properties.
+"""Paged bit-plane cache: pool accounting + view/attend properties.
 
-The paged cache is only sound if it is *indistinguishable* from the dense
-cache through every consumer: byte-identical ``planes/k_int/values``
-views, identical frozen scales, and identical retained sets through
-``PadeEngine.attend`` under both kernel backends, for any interleaving of
-prefill/append against any block size.  Hypothesis drives the schedules.
+Every view of a paged cache — ``planes/k_int/values/scales/k_float`` —
+must equal an independent oracle (per-head ``quantize_symmetric`` under
+the frozen prompt scales plus ``decompose_bitplanes``, ``tests/kv_oracle``)
+for any interleaving of prefill/append against any block size, and
+``PadeEngine.attend`` must give the same retained sets, scores and
+outputs at every block size as over a cache whose whole sequence sits
+in one block, under both kernel backends.  Hypothesis drives the
+schedules.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core import PadeConfig
 from repro.engine import (
-    BitPlaneKVCache,
     PadeEngine,
     PagedBitPlaneKVCache,
     PlaneBlockPool,
@@ -26,6 +28,8 @@ from repro.engine.cache import _key_rows, quantize_heads
 from repro.quant.bitplane import decompose_bitplanes
 from repro.quant.integer import int_range, quantize_symmetric
 
+from kv_oracle import assert_cache_holds
+
 
 def _kv(rng, num_heads, seq_len, head_dim, v_dim):
     return (
@@ -34,25 +38,27 @@ def _kv(rng, num_heads, seq_len, head_dim, v_dim):
     )
 
 
-def _fill_pair(rng, num_heads, head_dim, v_dim, prefill_len, appends, block_size):
-    """Run the same prefill/append schedule through a dense and a paged cache."""
-    total = prefill_len + appends
-    k, v = _kv(rng, num_heads, total, head_dim, v_dim)
-    dense = BitPlaneKVCache(num_heads, head_dim, v_dim)
+def _fill(k, v, prefill_len, block_size):
+    """Prefill ``prefill_len`` tokens of ``k``/``v``, append the rest."""
+    num_heads, total, head_dim = k.shape
     pool = PlaneBlockPool(
-        num_heads, head_dim, v_dim, block_size=block_size,
+        num_heads, head_dim, v.shape[2], block_size=block_size,
         token_budget=max(block_size, total + block_size),
     )
-    paged = PagedBitPlaneKVCache(pool)
-    dense.prefill(k[:, :prefill_len], v[:, :prefill_len])
-    paged.prefill(k[:, :prefill_len], v[:, :prefill_len])
+    # Freed in ascending order, the LIFO free list hands blocks out
+    # highest first: the block table is never the identity map, so a view
+    # that ignored it would read the wrong rows.
+    pool.release(pool.allocate_many(pool.num_blocks))
+    cache = PagedBitPlaneKVCache(pool)
+    cache.prefill(k[:, :prefill_len], v[:, :prefill_len])
     for t in range(prefill_len, total):
-        dense.append(k[:, t], v[:, t])
-        paged.append(k[:, t], v[:, t])
-    return dense, paged, pool
+        cache.append(k[:, t], v[:, t])
+    return cache
 
 
 class TestDensePagedParity:
+    """Paged views against dense oracle arrays (``kv_oracle``)."""
+
     @given(
         num_heads=st.integers(1, 3),
         head_dim=st.integers(2, 6),
@@ -65,16 +71,11 @@ class TestDensePagedParity:
         self, num_heads, head_dim, prefill_len, appends, block_size, seed
     ):
         rng = np.random.default_rng(seed)
-        dense, paged, _ = _fill_pair(
-            rng, num_heads, head_dim, head_dim, prefill_len, appends, block_size
-        )
-        assert dense.length == paged.length
-        assert dense.planes.planes.tobytes() == paged.planes.planes.tobytes()
-        assert dense.k_int.tobytes() == paged.k_int.tobytes()
-        assert dense.values.tobytes() == paged.values.tobytes()
-        assert dense.scales.tobytes() == paged.scales.tobytes()
-        assert dense.rows_decomposed == paged.rows_decomposed
-        assert dense.appends == paged.appends
+        k, v = _kv(rng, num_heads, prefill_len + appends, head_dim, head_dim)
+        paged = _fill(k, v, prefill_len, block_size)
+        assert_cache_holds(paged, k, v, prefill_len)
+        assert paged.rows_decomposed == num_heads * (prefill_len + appends)
+        assert paged.appends == appends
 
     @pytest.mark.parametrize("backend", ["reference", "fast"])
     @given(
@@ -86,20 +87,22 @@ class TestDensePagedParity:
     def test_attend_identical_through_engine(
         self, backend, prefill_len, appends, block_size, seed
     ):
-        """Same retained sets, scores and outputs through PadeEngine.attend."""
+        """Same retained sets, scores and outputs through PadeEngine.attend
+        as over a one-block cache (the whole sequence in one block)."""
         num_heads, head_dim = 2, 8
         rng = np.random.default_rng(seed)
-        dense, paged, _ = _fill_pair(
-            rng, num_heads, head_dim, head_dim, prefill_len, appends, block_size
-        )
+        k, v = _kv(rng, num_heads, prefill_len + appends, head_dim, head_dim)
+        one_block = _fill(k, v, prefill_len, prefill_len + appends)
+        paged = _fill(k, v, prefill_len, block_size)
+        assert len(one_block.block_table) == 1
         engine = PadeEngine(PadeConfig.standard(), backend=backend)
         q = rng.normal(size=(num_heads, 2, head_dim))
-        res_dense = engine.attend(dense, q)
+        res_one = engine.attend(one_block, q)
         res_paged = engine.attend(paged, q)
-        assert np.array_equal(res_dense.retained, res_paged.retained)
-        assert np.array_equal(res_dense.scores, res_paged.scores)
-        assert res_dense.output.tobytes() == res_paged.output.tobytes()
-        assert res_dense.candidate_keys == res_paged.candidate_keys
+        assert np.array_equal(res_one.retained, res_paged.retained)
+        assert np.array_equal(res_one.scores, res_paged.scores)
+        assert res_one.output.tobytes() == res_paged.output.tobytes()
+        assert res_one.candidate_keys == res_paged.candidate_keys
 
     @given(
         schedule=st.lists(st.integers(0, 1), min_size=2, max_size=12),
@@ -116,21 +119,16 @@ class TestDensePagedParity:
             num_heads, head_dim, head_dim, block_size=block_size,
             token_budget=(sum(counts) + 2 * block_size),
         )
-        dense = [BitPlaneKVCache(num_heads, head_dim, head_dim) for _ in range(2)]
         paged = [PagedBitPlaneKVCache(pool) for _ in range(2)]
         for i in range(2):
-            dense[i].prefill(ks[i][:, :3], vs[i][:, :3])
             paged[i].prefill(ks[i][:, :3], vs[i][:, :3])
         cursor = [3, 3]
         for who in schedule:
             t = cursor[who]
-            dense[who].append(ks[who][:, t], vs[who][:, t])
             paged[who].append(ks[who][:, t], vs[who][:, t])
             cursor[who] = t + 1
         for i in range(2):
-            assert dense[i].planes.planes.tobytes() == paged[i].planes.planes.tobytes()
-            assert dense[i].k_int.tobytes() == paged[i].k_int.tobytes()
-            assert dense[i].values.tobytes() == paged[i].values.tobytes()
+            assert_cache_holds(paged[i], ks[i], vs[i], 3)
 
     def test_release_and_reuse_blocks(self, rng):
         """Freed blocks are recycled and the recycled contents are correct."""
@@ -147,10 +145,7 @@ class TestDensePagedParity:
         assert pool.used_block_count == 0
         assert first.length == 0
         second.prefill(k, v)
-        reference = BitPlaneKVCache(num_heads, head_dim, head_dim)
-        reference.prefill(k, v)
-        assert reference.k_int.tobytes() == second.k_int.tobytes()
-        assert reference.planes.planes.tobytes() == second.planes.planes.tobytes()
+        assert_cache_holds(second, k, v, 12)
 
     def test_append_exhaustion_leaves_cache_intact(self, rng):
         """A failed append mutates nothing, so the retry after a victim
@@ -167,11 +162,7 @@ class TestDensePagedParity:
         assert cache.length == 4
         victim.release()
         cache.append(k[:, 4], v[:, 4])  # same call now succeeds
-        dense = BitPlaneKVCache(num_heads, head_dim, head_dim)
-        dense.prefill(k[:, :4], v[:, :4])
-        dense.append(k[:, 4], v[:, 4])
-        assert dense.k_int.tobytes() == cache.k_int.tobytes()
-        assert dense.planes.planes.tobytes() == cache.planes.planes.tobytes()
+        assert_cache_holds(cache, k[:, :5], v[:, :5], 4)
 
     def test_pool_rejects_double_free_and_tracks_budget(self):
         pool = PlaneBlockPool(1, 4, 4, block_size=8, token_budget=35)
@@ -236,12 +227,13 @@ class TestVectorizedQuantizationRegression:
     def test_empty_sequence_quantizes_with_unit_scale(self):
         """S=0 calibrates to scale 1.0 (the scalar quantizer's empty-input
         fallback) instead of crashing on an empty reduction; an empty
-        prefill then supports decode appends on both cache kinds."""
+        prefill then supports decode appends, on a shared pool and on a
+        private one."""
         k_int, scales = quantize_heads(np.zeros((2, 0, 4)), bits=8)
         assert k_int.shape == (2, 0, 4)
         assert np.array_equal(scales, np.ones(2))
         for cache in (
-            BitPlaneKVCache(2, 4, 4),
+            PadeEngine().new_cache(2, 4, 4, tokens=1),
             PagedBitPlaneKVCache(PlaneBlockPool(2, 4, 4, block_size=4, token_budget=16)),
         ):
             cache.prefill(np.zeros((2, 0, 4)), np.zeros((2, 0, 4)))
@@ -253,7 +245,7 @@ class TestVectorizedQuantizationRegression:
         """End-to-end: cache state equals the pre-vectorization algorithm."""
         num_heads, head_dim = 3, 8
         k, v = _kv(rng, num_heads, 10, head_dim, head_dim)
-        cache = BitPlaneKVCache(num_heads, head_dim, head_dim)
+        cache = PadeEngine().new_cache(num_heads, head_dim, head_dim, tokens=10)
         cache.prefill(k[:, :7], v[:, :7])
         for t in range(7, 10):
             cache.append(k[:, t], v[:, t])

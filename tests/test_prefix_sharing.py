@@ -16,13 +16,14 @@ from hypothesis import strategies as st
 
 from repro.core import PadeConfig
 from repro.engine import (
-    BitPlaneKVCache,
     PadeEngine,
     PagedBitPlaneKVCache,
     PlaneBlockPool,
     PoolExhausted,
 )
 from repro.eval.workloads import build_prefix_workload
+
+from kv_oracle import assert_cache_holds
 
 
 def _kv(rng, num_heads, seq_len, head_dim, v_dim):
@@ -68,12 +69,8 @@ class TestPrefixHits:
         donor.prefill(k, v)
         sharer = PagedBitPlaneKVCache(pool, prefix_sharing=True)
         sharer.prefill(k, v)
-        dense = BitPlaneKVCache(2, 4, 4)
-        dense.prefill(k, v)
-        assert sharer.planes.planes.tobytes() == dense.planes.planes.tobytes()
-        assert sharer.k_int.tobytes() == dense.k_int.tobytes()
-        assert sharer.values.tobytes() == dense.values.tobytes()
-        assert sharer.scales.tobytes() == dense.scales.tobytes()
+        assert sharer.prefix_hit_blocks == 3
+        assert_cache_holds(sharer, k, v, 12)
 
     def test_divergent_scales_never_match(self, rng):
         """A suffix that moves the per-head max-abs changes the frozen
@@ -183,12 +180,12 @@ class TestCopyOnWrite:
         b.append(kb, vb)  # b now owns the original tail alone: no copy
         assert pool.forks == 1
         for cache, k_step, v_step in ((a, ka, va), (b, kb, vb)):
-            dense = BitPlaneKVCache(2, 4, 4)
-            dense.prefill(k, v)
-            dense.append(k_step, v_step)
-            assert dense.k_int.tobytes() == cache.k_int.tobytes()
-            assert dense.planes.planes.tobytes() == cache.planes.planes.tobytes()
-            assert dense.values.tobytes() == cache.values.tobytes()
+            assert_cache_holds(
+                cache,
+                np.concatenate([k, k_step[:, None]], axis=1),
+                np.concatenate([v, v_step[:, None]], axis=1),
+                6,
+            )
 
     def test_fork_of_aligned_cache_never_copies(self, rng):
         """With a full tail block, both sides append into fresh blocks —

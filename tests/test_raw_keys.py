@@ -5,7 +5,8 @@ reference and assembles ``k_float`` only when a baseline policy reads it
 (DESIGN.md §6).  Pinned here:
 
 * **assembly** — ``k_float``/``k_float_rows`` equal the keys handed
-  over, mid chunked prefill, after appends and across a fork;
+  over, mid chunked prefill, after appends and across a fork, and every
+  other view matches an independent oracle (``tests/kv_oracle``);
 * **parity across modes** — baseline policies over prefix-shared,
   chunk-prefilled paged caches, and speculative requests whose draft
   policy reads raw keys over shared prompt blocks, give the same outputs
@@ -24,9 +25,11 @@ import numpy as np
 import pytest
 
 from repro.core import PadeConfig
-from repro.engine import BitPlaneKVCache, PadeEngine, PagedBitPlaneKVCache, PlaneBlockPool
+from repro.engine import PadeEngine, PagedBitPlaneKVCache, PlaneBlockPool
 from repro.eval.workloads import build_prefix_workload, build_speculative_request
 from repro.quant.bitplane import popcount_dtype, signed_dtype
+
+from kv_oracle import assert_cache_holds
 
 
 def _kv(rng, heads, length, dim):
@@ -50,7 +53,7 @@ class TestAssembly:
         cache.append(steps[2], steps[2])
         clone.append(-steps[2], -steps[2])
         full = np.concatenate([k, steps.transpose(1, 0, 2)], axis=1)
-        assert cache.k_float.tobytes() == full.tobytes()
+        assert_cache_holds(cache, full, np.concatenate([v, steps.transpose(1, 0, 2)], axis=1), 10)
         assert clone.k_float[:, :-1].tobytes() == full[:, :-1].tobytes()
         assert clone.k_float[:, -1].tobytes() == (-steps[2]).tobytes()
         assert cache.k_float_rows(8, 12).tobytes() == full[:, 8:12].tobytes()
@@ -59,15 +62,15 @@ class TestAssembly:
             cache.k_float
         clone.release()
 
-    def test_dense_prefill_and_appends(self, rng):
-        cache = BitPlaneKVCache(2, 8, 8)
+    def test_private_pool_prefill_and_appends(self, rng):
+        cache = PadeEngine().new_cache(2, 8, 8, tokens=9)
         k, v = _kv(rng, 2, 5, 8)
         cache.prefill(k, v)
         steps = rng.normal(size=(4, 2, 8))
         for step in steps:
             cache.append(step, step)
         full = np.concatenate([k, steps.transpose(1, 0, 2)], axis=1)
-        assert cache.k_float.tobytes() == full.tobytes()
+        assert_cache_holds(cache, full, np.concatenate([v, steps.transpose(1, 0, 2)], axis=1), 5)
         assert cache.k_float_rows(6, 9).tobytes() == full[:, 6:9].tobytes()
 
 
@@ -137,18 +140,6 @@ class TestStorage:
         backing = [a for a in vars(pool).values() if isinstance(a, np.ndarray) and rows in a.shape]
         assert sum(a.nbytes for a in backing) == expected
         assert pool.bytes_per_block * pool.num_blocks == expected
-
-    def test_dense_cache_stores_no_float_keys(self, rng):
-        h, d, dv = 2, 32, 16
-        cache = BitPlaneKVCache(h, d, dv)
-        cache.prefill(rng.normal(size=(h, 8, d)), rng.normal(size=(h, 8, dv)))
-        cache.append(rng.normal(size=(h, d)), rng.normal(size=(h, dv)))
-        cap = cache._capacity
-        key_itemsize = np.dtype(signed_dtype(cache.bits)).itemsize
-        popcount_itemsize = np.dtype(popcount_dtype(d)).itemsize
-        expected = cap * h * (d * key_itemsize + cache.bits * popcount_itemsize + 8 * dv)
-        backing = [a for a in vars(cache).values() if isinstance(a, np.ndarray) and cap in a.shape]
-        assert sum(a.nbytes for a in backing) == expected
 
 
 def _count_raw_key_reads(monkeypatch):

@@ -7,7 +7,7 @@ through each cache's block table (DESIGN.md §13).  Pinned here:
 
 * **reference** — outputs match a float64 dense masked-softmax·V within
   1e-12 of the max-abs of the V rows each output row mixes, over ragged
-  batches of dense, paged, prefix-shared, COW-forked and spilled caches
+  batches of plain, prefix-shared, COW-forked and spilled paged caches
   with P >= 1 query rows;
 * **edges** — a row with no retained key outputs exact zeros, a row with
   one retained key outputs that key's V row exactly;
@@ -29,11 +29,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import PadeConfig
-from repro.engine import BitPlaneKVCache, PadeEngine, PagedBitPlaneKVCache, PlaneBlockPool
+from repro.engine import PadeEngine, PagedBitPlaneKVCache, PlaneBlockPool
 from repro.engine.cache import TierConfig
 from repro.eval.workloads import build_serving_workload
 
-CACHE_KINDS = ("dense", "paged", "shared", "forked", "spilled")
+CACHE_KINDS = ("paged", "shared", "forked", "spilled")
 
 
 class _ScriptedKernel:
@@ -58,10 +58,6 @@ def _build_cache(kind, rng, pool, seq_len, num_heads, head_dim, v_dim):
     """A cache of ``seq_len`` tokens whose V rows sit where ``kind`` puts them."""
     k = rng.normal(size=(num_heads, seq_len, head_dim))
     v = rng.normal(size=(num_heads, seq_len, v_dim))
-    if kind == "dense":
-        cache = BitPlaneKVCache(num_heads, head_dim, v_dim)
-        cache.prefill(k, v)
-        return cache
     if kind == "paged":
         cache = PagedBitPlaneKVCache(pool)
         cache.prefill(k, v)
