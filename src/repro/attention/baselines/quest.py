@@ -24,6 +24,10 @@ from repro.attention.policy import BaselineAttentionPolicy, register_policy
 __all__ = ["PageSummaries", "build_page_summaries", "quest_attention", "QuestPolicy"]
 
 
+#: Page size of a pool-less cache when the policy sets none.
+DEFAULT_PAGE_SIZE = 16
+
+
 @dataclass(frozen=True)
 class PageSummaries:
     """Per-page elementwise min/max of K."""
@@ -63,8 +67,11 @@ def page_score_upper_bound(q_row: np.ndarray, summaries: PageSummaries) -> np.nd
 class QuestPolicy(BaselineAttentionPolicy):
     """Incremental page-granular selection with per-block summaries.
 
-    Pages snap to the paged pool's block size when the cache is a
-    :class:`~repro.engine.cache.PagedBitPlaneKVCache`, and each full
+    Pages are the paged pool's blocks when the cache is a
+    :class:`~repro.engine.cache.PagedBitPlaneKVCache`: ``page_size=None``
+    takes the pool's block size, and any other size raises
+    :class:`ValueError`.  A pool-less cache (the one-shot wrapper) pages
+    by ``page_size``, :data:`DEFAULT_PAGE_SIZE` when unset.  Each full
     block's min/max summary is stored in ``pool.block_meta`` keyed by
     the *pool block* — a pure function of the block's frozen rows, so
     prefix-shared blocks reuse one summary, a copy-on-write fork
@@ -80,14 +87,23 @@ class QuestPolicy(BaselineAttentionPolicy):
 
     name = "quest"
 
-    def __init__(self, keep_fraction: float = 0.25, page_size: int = 16) -> None:
+    def __init__(self, keep_fraction: float = 0.25, page_size: Optional[int] = None) -> None:
         self.keep_fraction = float(keep_fraction)
-        self.page_size = int(page_size)
+        self.page_size = None if page_size is None else int(page_size)
 
     def new_state(self, cache, total_tokens=None):
         state = super().new_state(cache, total_tokens)
         pool = getattr(cache, "pool", None)
-        state.per_head["page_size"] = pool.block_size if pool is not None else self.page_size
+        if pool is None:
+            page_size = DEFAULT_PAGE_SIZE if self.page_size is None else self.page_size
+        elif self.page_size in (None, pool.block_size):
+            page_size = pool.block_size
+        else:
+            raise ValueError(
+                f"quest page_size {self.page_size} differs from the pool's block size "
+                f"{pool.block_size}: pages are pool blocks"
+            )
+        state.per_head["page_size"] = page_size
         state.per_head["cache"] = cache
         state.per_head["summaries"] = {}  # (head, page) -> (k_min, k_max), pool-less caches
         return state
@@ -141,7 +157,7 @@ def quest_attention(
     k: np.ndarray,
     v: np.ndarray,
     keep_fraction: float,
-    page_size: int = 16,
+    page_size: int = DEFAULT_PAGE_SIZE,
     query_offset: Optional[int] = None,
     scale: Optional[float] = None,
 ) -> SparseAttentionResult:

@@ -388,10 +388,18 @@ class ClusterServer:
             self._handler_tasks.add(task)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # past MAX_LINE_BYTES: the stream lost its framing
+                    conn.send({"type": "error", "error": "line too long"})
+                    break
                 if not line:
                     break
-                msg = decode_message(line)
+                try:
+                    msg = decode_message(line)
+                except ValueError:
+                    conn.send({"type": "error", "error": "malformed message"})
+                    continue
                 kind = msg["type"]
                 if kind == "submit":
                     await self._on_submit(conn, msg)
@@ -419,6 +427,7 @@ class ClusterServer:
             if task is not None:
                 self._handler_tasks.discard(task)
             self._drop_connection(conn)
+            writer.close()  # the client sees EOF, never a silent socket
 
     # ------------------------------------------------------------------
     async def _drain_all(self) -> dict:

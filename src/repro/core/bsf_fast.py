@@ -27,18 +27,25 @@ pass (:func:`plane_products`, exact in the float dtype
 ``(bits·S_i, D)`` float slab of masked integer keys, filled straight
 from the head's key rows; the slab stays cache-resident, so the masked
 copy never round-trips through memory.  The products *are* the running
-partials — no plane weight, no accumulation — and land in one
-``(bits, R, Hh, rows, S_max)`` int64 lattice per row block.
+partials — no plane weight, no accumulation — and stay in that float
+dtype (float32 for every served shape): one ``(R, Hh, rows, bits,
+S_max)`` lattice per row block, each gemv result copied in unchanged.
 
 The rounds then read round ``r``'s partial for every cell, alive or
 not.  Dead cells are never read: only alive cells feed the max and the
 outputs, and a cell alive at the end was alive in every round, so its
 last partial is its exact score.  No column is ever gathered or
 compacted — on decode rounds nearly every column stays alive for most
-rounds, so compaction saved little and cost gathers and scatters.  The
-op counters never sum planes: they read the popcounts the
-:class:`BitPlanes` carry, counting a (request, head, row, key) cell in
-round ``r`` exactly when its final ``planes_processed > r``.
+rounds, so compaction saved little and cost gathers and scatters.
+Every partial is an integer of
+magnitude at most the product bound ``B`` (:func:`_partial_bound`), so
+the float compare ``partial + i_max >= max_lb - guard`` is the lattice-
+dtype compare ``partial >= ceil(max_lb - guard) - i_max`` — the per-row
+cut is formed in float64 on the small ``(R, Hh, rows)`` state, and only
+the cell test runs over the lattice.  The op counters
+never sum planes: the cells alive at the start of round ``r`` are
+exactly those that read plane ``r``, so each round adds their cached
+:class:`BitPlanes` popcounts.
 """
 
 from __future__ import annotations
@@ -57,50 +64,62 @@ __all__ = ["bsf_filter_fast_batch", "exact_dot_dtype", "plane_products"]
 _FLOAT32_EXACT = 1 << 24
 _FLOAT64_EXACT = 1 << 53
 
-#: Cells in one row block's ``(bits, R, Hh, rows, S_max)`` product
-#: lattice (2 MiB of int64).  Query rows run in blocks of as many rows
+#: Cells in one row block's ``(R, Hh, rows, bits, S_max)`` product
+#: lattice (1 MiB of float32).  Query rows run in blocks of as many rows
 #: as fit, at least one, so a large offline ``(P, D)`` call holds one
 #: block's lattice instead of ``bits`` full ``(P, S)`` arrays; a decode
 #: round (one query row) is always a single block.
 BLOCK_CELLS = 1 << 18
 
 
-def exact_dot_dtype(q: np.ndarray, head_dim: int, bits: int) -> type:
-    """Float dtype in which every masked-key product ``q · (k & mask)`` is exact.
+def _partial_bound(q: np.ndarray, head_dim: int, bits: int) -> int:
+    """Largest magnitude of any masked-key partial ``q · (k & mask)``.
 
     A masked ``bits``-wide key entry has magnitude at most
     ``2^(bits-1)``, so every partial sum of a ``head_dim``-long product
-    has magnitude at most ``head_dim · max|q| · 2^(bits-1)``.  While that
-    bound stays below the mantissa limit every partial sum is an exactly
-    representable integer, so a BLAS matmul returns the int64 result
-    bit for bit whatever its summation order (DESIGN.md §13).
+    has magnitude at most ``head_dim · max|q| · 2^(bits-1)``.
     """
     qa = np.asarray(q)
     q_max = max(int(qa.max()), -int(qa.min())) if qa.size else 0
-    bound = head_dim * q_max << (bits - 1)
+    return head_dim * q_max << (bits - 1)
+
+
+def exact_dot_dtype(q: np.ndarray, head_dim: int, bits: int) -> type:
+    """Float dtype in which every masked-key product ``q · (k & mask)`` is exact.
+
+    While :func:`_partial_bound` stays below the mantissa limit every
+    partial sum is an exactly representable integer, so a BLAS matmul
+    returns the integer result bit for bit whatever its summation order
+    (DESIGN.md §13).  float64 also needs the BUI bounds ``partial ±
+    i`` (up to twice the bound) below 2^53, where the scalar kernel's
+    float64 compare of them is exact too.
+    """
+    bound = _partial_bound(q, head_dim, bits)
     if bound < _FLOAT32_EXACT:
         return np.float32
-    if bound < _FLOAT64_EXACT:
+    if 2 * bound < _FLOAT64_EXACT:
         return np.float64
+    q_max = (bound >> (bits - 1)) // head_dim
     raise ValueError(
-        f"query magnitude {q_max} x head_dim {head_dim} x 2^{bits - 1} reaches 2^53: "
-        "bit-round products would not be exact in float64"
+        f"query magnitude {q_max} x head_dim {head_dim} x 2^{bits - 1}, doubled for the "
+        "BUI bounds, reaches 2^53: bit rounds would not be exact in float64"
     )
 
 
 def plane_products(q_dot: np.ndarray, slab: np.ndarray) -> np.ndarray:
-    """Exact ``q · slab`` of every query row with every slab row, as int64.
+    """Exact ``q · slab`` of every query row with every slab row.
 
     ``q_dot`` has shape ``(..., P, D)`` in the dtype :func:`exact_dot_dtype`
     chose; ``slab`` has shape ``(..., S, D)`` with masked-key entries
-    (``k & prefix_masks(bits)[r]``).  Returns ``(..., P, S)``.  One
-    batched ``np.matmul`` runs a matrix-vector product per query row:
-    BLAS gemm on a few rows can wake sleeping worker threads and take
-    milliseconds (up to 100x a gemv on a busy 2-core host), while gemv
-    stays fast at every row count.
+    (``k & prefix_masks(bits)[r]``).  Returns ``(..., P, S)`` in
+    ``q_dot``'s dtype, every entry an exact integer.  One batched
+    ``np.matmul`` runs a matrix-vector product per query row: BLAS gemm
+    on a few rows can wake sleeping worker threads and take milliseconds
+    (up to 100x a gemv on a busy 2-core host), while gemv stays fast at
+    every row count.
     """
     products = np.matmul(slab.astype(q_dot.dtype, copy=False)[..., None, :, :], q_dot[..., None])
-    return products[..., 0].astype(np.int64)
+    return products[..., 0]
 
 
 def bsf_filter_fast_batch(
@@ -170,9 +189,10 @@ def bsf_filter_fast_batch(
     shape = (num_requests, num_heads, num_rows, s_max)
     alive = np.zeros(shape, dtype=bool)
     protected = np.zeros(shape, dtype=bool)
-    pc = np.zeros((bits, num_requests, num_heads, s_max), dtype=popcount_dtype(head_dim))
+    # Per-round op weights: plane popcounts and their bidirectional cost.
+    pcs = np.zeros((bits, 2, num_requests, num_heads, s_max), dtype=popcount_dtype(head_dim))
     for i, (kp, s) in enumerate(zip(key_planes, seq_lens)):
-        pc[:, i, :, :s] = kp.popcounts
+        pcs[:, 0, i, :, :s] = kp.popcounts
         sub = (num_heads, num_rows, s)
         if alloweds[i] is None:
             alive[i, :, :, :s] = True
@@ -184,6 +204,8 @@ def bsf_filter_fast_batch(
     lut = build_bui_lut(q.reshape(num_requests * num_heads * num_rows, head_dim), bits=bits)
     i_min = lut.i_min.reshape(num_requests, num_heads, num_rows, bits + 1)
     i_max = lut.i_max.reshape(num_requests, num_heads, num_rows, bits + 1)
+    bound = _partial_bound(q, head_dim, bits)
+    np.minimum(pcs[:, 0], head_dim - pcs[:, 0], out=pcs[:, 1])
 
     # Row blocks: each block fills its own product lattice (zero ragged
     # tails) from one slab buffer reused for every head and request — at
@@ -191,6 +213,7 @@ def bsf_filter_fast_batch(
     # request's would not — then its rounds update its slice of
     # ``alive`` / ``pp`` / ``scores`` in place (basic slices are views).
     pp = np.zeros(shape, dtype=np.uint8)  # bits < 256; widened after the loop
+    ops = np.zeros((2, num_requests), dtype=np.int64)  # naive, effective bit ops
     scores = np.zeros(shape, dtype=np.int64)
     masks = prefix_masks(bits)[:, None, None]
     slab_buf = np.empty(bits * s_max * head_dim, dtype=q_dot.dtype)
@@ -198,7 +221,7 @@ def bsf_filter_fast_batch(
     for start in range(0, num_rows, block):
         rows = slice(start, start + block)
         block_rows = min(block, num_rows - start)
-        prods = np.zeros((bits, num_requests, num_heads, block_rows, s_max), dtype=np.int64)
+        lattice = np.zeros((num_requests, num_heads, block_rows, bits, s_max), q_dot.dtype)
         for i, (kp, s) in enumerate(zip(key_planes, seq_lens)):
             keys = np.asarray(kp.ints)
             key_masks = masks.astype(keys.dtype)
@@ -206,25 +229,13 @@ def bsf_filter_fast_batch(
             for h in range(num_heads):
                 np.bitwise_and(keys[h], key_masks, out=slab, casting="unsafe")
                 products = plane_products(q_dot[i, h, rows], slab.reshape(bits * s, head_dim))
-                prods[:, i, h, :, :s] = products.reshape(block_rows, bits, s).transpose(1, 0, 2)
+                lattice[i, h, :, :, :s] = products.reshape(block_rows, bits, s)
         scores[:, :, rows] = _run_rounds(
-            prods, alive[:, :, rows], protected[:, :, rows], pp[:, :, rows],
-            i_min[:, :, rows], i_max[:, :, rows], guard_mat,
+            lattice, alive[:, :, rows], protected[:, :, rows], pp[:, :, rows],
+            i_min[:, :, rows], i_max[:, :, rows], guard_mat, bound, pcs, ops,
         )
     pp = pp.astype(np.int64)
-
-    # Counters from the planes' cached popcounts: processed rounds are
-    # consecutive from round 0, so a cell consumed plane r exactly when
-    # its final ``pp > r``.  Ragged tail columns have ``pp == 0`` and zero
-    # popcounts, so they count nothing.
-    eff_pc = np.minimum(pc, head_dim - pc)
     loads = pp.sum(axis=(1, 2, 3))  # bit_plane_loads == sum of rounds processed
-    naive_ops = np.zeros(num_requests, dtype=np.int64)
-    eff_ops = np.zeros(num_requests, dtype=np.int64)
-    for r in range(int(pp.max(initial=0))):
-        cells = (pp > r).sum(axis=2)  # (R, Hh, s_max): rows that read plane r
-        naive_ops += (cells * pc[r]).sum(axis=(1, 2))
-        eff_ops += (cells * eff_pc[r]).sum(axis=(1, 2))
 
     results = []
     for i, s in enumerate(seq_lens):
@@ -234,53 +245,71 @@ def bsf_filter_fast_batch(
                 planes_processed=pp[i, :, :, :s],
                 scores=scores[i, :, :, :s],
                 bit_plane_loads=int(loads[i]),
-                effective_bit_ops=int(eff_ops[i]),
-                naive_bit_ops=int(naive_ops[i]),
+                effective_bit_ops=int(ops[1, i]),
+                naive_bit_ops=int(ops[0, i]),
             )
         )
     return results
 
 
 def _run_rounds(
-    prods: np.ndarray,
+    lattice: np.ndarray,
     alive: np.ndarray,
     protected: np.ndarray,
     pp: np.ndarray,
     i_min: np.ndarray,
     i_max: np.ndarray,
     guard_mat: np.ndarray,
+    bound: int,
+    pcs: np.ndarray,
+    ops: np.ndarray,
 ) -> np.ndarray:
     """The bit rounds of one row block; returns the block's scores.
 
     Updates ``alive`` (the block's allowed mask on entry, its retained
-    mask on exit) and ``pp`` (rounds processed) in place.
+    mask on exit), ``pp`` (rounds processed) and ``ops`` (the
+    ``(naive, effective)`` bit-op counters per request, weighted by
+    ``pcs``) in place.  ``bound`` is :func:`_partial_bound`.
     """
+    # Masked-max penalty: an alive cell adds 0 (exact), a dead one lands
+    # below every partial.  Multiply-and-add is branch-free, where
+    # ``np.where`` or a ``where=`` reduction slows several-fold on a
+    # mixed alive mask.  A row with no alive key folds in a hugely
+    # negative (not -inf) bound; its cut then keeps everything, and the
+    # row is permanently dead anyway.
+    sink = lattice.dtype.type(-4 * (bound + 1))
+    lifted = np.empty(alive.shape, dtype=lattice.dtype)
+    # A non-finite guard keeps everything: an infinite guard puts the
+    # threshold at -inf.
+    guard = np.where(np.isfinite(guard_mat), guard_mat, np.inf)[:, :, None]
     max_lb = np.full(alive.shape[:3], -np.inf)
-    finite_guard = np.isfinite(guard_mat)[:, :, None]
-    # Masked-max sentinel: far below any reachable partial sum but finite,
-    # so the int-only fold below never needs a float lattice.  A (head,
-    # row) with no alive keys gets a hugely negative (not -inf) max_lb;
-    # its threshold then keeps everything, exactly like -inf would, and
-    # the row is permanently dead anyway.
-    int_floor = np.int64(-(2**62))
-
-    # Running-partial invariant: ``prods[r]`` holds round r's partial
-    # for every cell, but only alive cells are ever read, and alive cells
-    # have been alive since round 0 — so a retained cell's last partial
-    # is its exact score.
-    for r in range(len(prods)):
+    # Running-partial invariant: ``lattice[..., r, :]`` holds round r's
+    # partial for every cell, but only alive cells are ever read, and
+    # alive cells have been alive since round 0 — so a retained cell's
+    # last partial is its exact score.
+    for r in range(lattice.shape[3]):
         if not alive.any():
             break
-        partial = prods[r]
+        partial = lattice[:, :, :, r]
         pp += alive  # processed rounds are consecutive from round 0
-        # Row-private threshold fold, all-integer until the last step: the
-        # per-round BUI addend i_min[r+1] is constant per (request, head,
-        # row), so folding max over the alive partials first and adding it
-        # after is exact (int64 throughout, no float rounding).
-        part_max = np.where(alive, partial, int_floor).max(axis=-1)
-        max_lb = np.maximum(max_lb, part_max + i_min[..., r + 1])
-        threshold = np.where(finite_guard, max_lb - guard_mat[:, :, None], -np.inf)
-        ub = partial + i_max[..., r + 1][..., None]
-        alive &= (ub >= threshold[..., None]) | protected
-    # A cell alive here survived every round, so its partial is prods[-1].
-    return np.where(alive, prods[-1], 0)
+        # The cells alive now are exactly the cells that read plane r.
+        cells = alive[:, :, 0] if alive.shape[2] == 1 else alive.sum(axis=2)
+        ops += (cells * pcs[r]).sum(axis=(2, 3), dtype=np.int64)
+        # Row-private threshold fold: the per-round BUI addend i_min[r+1]
+        # is constant per (request, head, row), so folding max over the
+        # alive partials first and adding it after is exact.
+        np.multiply(alive, sink, out=lifted)
+        np.subtract(sink, lifted, out=lifted)
+        np.add(lifted, partial, out=lifted)
+        # The lattice float + int64 addend computes in float64: one
+        # rounding of the exact integer sum, as in the scalar kernel.
+        max_lb = np.maximum(max_lb, lifted.max(axis=-1) + i_min[..., r + 1])
+        # Integer partials: ``partial + i_max >= threshold`` exactly when
+        # ``partial >= ceil(threshold) - i_max``.  Rounding that cut to the
+        # lattice dtype flips no comparison: every integer in
+        # [-(bound + 1), bound + 1] is exact there, and rounding is
+        # monotone, so a cut outside that range stays outside it.
+        cut = np.ceil(max_lb - guard) - i_max[..., r + 1]
+        alive &= (partial >= cut.astype(lattice.dtype)[..., None]) | protected
+    # A cell alive here survived every round, so its partial is the last.
+    return lattice[:, :, :, -1] * alive

@@ -214,9 +214,16 @@ class AsyncPadeServer:
                     self._wall.setdefault(rid, {}).setdefault("admit", self._now_ms())
 
     def _dispatch_done(self) -> None:
-        for rid, res in self.results.items():
+        # The scheduler only appends to ``results``, in finishing order,
+        # and every dispatch sends all it finds: the unsent ids are the
+        # tail after the last sent one, so a round never rescans the past.
+        fresh = []
+        for rid in reversed(self.results):
             if rid in self._done_sent:
-                continue
+                break
+            fresh.append(rid)
+        for rid in reversed(fresh):
+            res = self.results[rid]
             self._done_sent.add(rid)
             self._wall.setdefault(rid, {})["finish"] = self._now_ms()
             conn = self._owners.get(rid)
@@ -329,10 +336,20 @@ class AsyncPadeServer:
         self._connections.append(conn)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # past MAX_LINE_BYTES: the stream lost its framing
+                    self._send(conn, {"type": "error", "error": "line too long"})
+                    await self._flush_outboxes()
+                    break
                 if not line:
                     break
-                msg = decode_message(line)
+                try:
+                    msg = decode_message(line)
+                except ValueError:
+                    self._send(conn, {"type": "error", "error": "malformed message"})
+                    await self._flush_outboxes()
+                    continue
                 kind = msg["type"]
                 if kind == "submit":
                     self._on_submit(conn, msg)
@@ -387,6 +404,7 @@ class AsyncPadeServer:
             pass
         finally:
             self._drop_connection(conn)
+            writer.close()  # the client sees EOF, never a silent socket
 
     # ------------------------------------------------------------------
     async def _engine_loop(self) -> None:

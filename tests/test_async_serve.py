@@ -39,6 +39,7 @@ from repro.serve.client import (
     serve_workload_over_loopback,
 )
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     array_digest,
     decode_message,
     decode_request,
@@ -431,6 +432,73 @@ class TestBackpressure:
 
         asyncio.run(run())
 
+    def test_lines_that_are_not_messages_get_an_error_reply(self):
+        """A line that is not JSON, JSON that is not an object and an
+        object with no ``type`` each get an ``error`` reply on the same
+        connection, and the sender's request in flight still completes."""
+
+        async def run():
+            server = await _start(max_active=1)
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                writer.write(encode_message({"type": "submit", "arrival": "now",
+                                             "request": encode_request(_req("req0", steps=50))}))
+                writer.write(b"not json\n[1, 2]\n{\"no_type\": 1}\n\xff\n")
+                await writer.drain()
+                replies, done = [], None
+                while done is None:
+                    msg = decode_message(await asyncio.wait_for(reader.readline(), 10.0))
+                    if msg["type"] == "done":
+                        done = msg
+                    elif msg["type"] != "token":
+                        replies.append(msg)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert replies[0] == {"type": "accepted", "request_id": "req0"}
+            assert [reply["type"] for reply in replies[1:]] == ["error"] * 4
+            assert (done["request_id"], done["status"]) == ("req0", "ok")
+            ack = await _graceful_stop(server)
+            assert ack["leaked_blocks"] == 0
+
+        asyncio.run(run())
+
+    def test_a_line_past_the_limit_gets_an_error_and_eof(self):
+        """A line longer than ``MAX_LINE_BYTES`` loses the stream's
+        framing: the server answers with an ``error`` (or, if the rest of
+        the line was still in flight, resets) and closes the connection,
+        so the client never waits on a silent socket.  Other clients are
+        served as before."""
+
+        async def run():
+            server = await _start()
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                writer.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+                lines = []
+                try:
+                    await writer.drain()
+                    while True:
+                        line = await asyncio.wait_for(reader.readline(), 10.0)
+                        if not line:
+                            break
+                        lines.append(decode_message(line))
+                except ConnectionError:
+                    pass  # a reset is an answer too: the client is not left waiting
+            finally:
+                writer.close()
+            assert all(msg["type"] == "error" for msg in lines)
+            conn = await ServeConnection.open(server.host, server.port)
+            try:
+                assert (await conn.submit(_req("after")))["type"] == "accepted"
+                assert (await conn.result("after"))["status"] == "ok"
+            finally:
+                await conn.close()
+            ack = await _graceful_stop(server)
+            assert ack["leaked_blocks"] == 0
+
+        asyncio.run(run())
+
     def test_non_finite_request_tensors_are_rejected(self):
         request = _req("nan")
         with pytest.raises(ValueError, match="finite"):
@@ -460,6 +528,70 @@ class TestBackpressure:
             await server.stop()
 
         asyncio.run(run())
+
+
+class TestDoneDispatch:
+    def test_each_done_is_sent_exactly_once(self):
+        """Every request's ``done`` reaches its client once, up to the
+        connection's EOF at shutdown."""
+
+        async def run():
+            server = await _start(max_active=2)
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            rids = [f"r{i}" for i in range(6)]
+            for i, rid in enumerate(rids):
+                writer.write(encode_message({"type": "submit", "arrival": "now",
+                                             "request": encode_request(_req(rid, seed=i))}))
+            await writer.drain()
+            dones = []
+            while len(dones) < len(rids):
+                msg = decode_message(await asyncio.wait_for(reader.readline(), 10.0))
+                if msg["type"] == "done":
+                    dones.append(msg["request_id"])
+            ack = await _graceful_stop(server)
+            while line := await asyncio.wait_for(reader.readline(), 10.0):  # until EOF
+                msg = decode_message(line)
+                if msg["type"] == "done":
+                    dones.append(msg["request_id"])
+            writer.close()
+            return dones, ack
+
+        dones, ack = asyncio.run(run())
+        assert sorted(dones) == [f"r{i}" for i in range(6)]
+        assert ack["leaked_blocks"] == 0
+
+    def test_a_round_visits_only_newly_finished_results(self):
+        """``_dispatch_done`` reads the results that finished since the
+        last round, however many finished before."""
+
+        class CountingResults(dict):
+            visited = 0
+
+            def __iter__(self):
+                for key in super().__iter__():
+                    CountingResults.visited += 1
+                    yield key
+
+            def __reversed__(self):
+                for key in super().__reversed__():
+                    CountingResults.visited += 1
+                    yield key
+
+            def items(self):
+                return ((key, self[key]) for key in self)
+
+            def values(self):
+                return (self[key] for key in self)
+
+        server = AsyncPadeServer(PadeEngine())
+        server.results = CountingResults((f"old{i}", None) for i in range(500))
+        server._dispatch_done()
+        assert server._done_sent == set(server.results)
+        server.results["new"] = None
+        CountingResults.visited = 0
+        server._dispatch_done()
+        assert "new" in server._done_sent
+        assert CountingResults.visited <= 2
 
 
 class TestGracefulShutdown:

@@ -35,6 +35,7 @@ from repro.attention.policy import (
 )
 from repro.core import PadeConfig
 from repro.engine import PadeEngine, PagedBitPlaneKVCache, PlaneBlockPool
+from repro.eval.workloads import build_serving_workload
 
 
 def _problem(seed, prompt_len, steps, head_dim=12):
@@ -195,6 +196,47 @@ class TestIncrementalOneShotParity:
             np.testing.assert_array_equal(
                 mask, _pattern_mask(name, params, 1, visible, visible - 1)[0]
             )
+
+
+class TestQuestPages:
+    """Quest pages are pool blocks: an unset ``page_size`` takes the
+    pool's block size, a different one is an error, not a silent swap."""
+
+    def _serve(self, policy, block_size):
+        requests = build_serving_workload(2, 2, 40, 3, 8, arrival_times=[0.0, 0.0], seed=4)
+        engine = PadeEngine(PadeConfig.standard(), policy=policy)
+        return engine.serve(requests, block_size=block_size, token_budget=256)
+
+    def test_unset_page_size_pages_by_pool_block(self, monkeypatch):
+        from repro.attention.baselines.quest import QuestPolicy
+
+        pages = []
+        new_state = QuestPolicy.new_state
+
+        def capture(self, cache, total_tokens=None):
+            state = new_state(self, cache, total_tokens)
+            pages.append(state.per_head["page_size"])
+            return state
+
+        monkeypatch.setattr(QuestPolicy, "new_state", capture)
+        results = self._serve(get_policy("quest"), block_size=8)
+        assert all(res.status == "ok" for res in results.values())
+        assert pages and set(pages) == {8}
+
+    def test_page_size_other_than_the_block_size_is_rejected(self):
+        with pytest.raises(ValueError, match=r"page_size 8 .* block size 16"):
+            self._serve(get_policy("quest", page_size=8), block_size=16)
+
+    @pytest.mark.parametrize("page", [8, 32])
+    def test_one_shot_keeps_its_page_size(self, page):
+        """The pool-less wrapper pages by its own ``page_size``: 128
+        visible keys at a quarter budget keep whole aligned pages."""
+        k, v, q = _problem(2, 127, 1)
+        kept = np.flatnonzero(quest_attention(q, k, v, 0.25, page_size=page).retained[0])
+        assert kept.size == 32
+        pages = kept.reshape(-1, page)
+        assert (pages[:, 0] % page == 0).all()
+        assert (np.diff(pages, axis=1) == 1).all()
 
 
 class TestRegistry:

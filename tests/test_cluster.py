@@ -16,6 +16,7 @@ from repro.eval.serving_metrics import summarize_cluster
 from repro.eval.workloads import build_cluster_workload, build_engine_request
 from repro.serve.client import ServeConnection
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     decode_message,
     encode_message,
     encode_request,
@@ -252,6 +253,63 @@ def test_malformed_messages_keep_the_connection_and_its_requests():
     ]
     assert [r["type"] for r in replies if r["type"] not in ("accepted", "rejected")] == ["error"]
     assert (done["request_id"], done["status"]) == ("req0", "ok")
+
+
+def test_lines_that_are_not_messages_never_leave_the_client_waiting():
+    """A line that is not a protocol message gets an ``error`` reply on
+    the same connection, which stays usable; a line past
+    ``MAX_LINE_BYTES`` gets an ``error`` (or a reset) and EOF; other
+    clients are served as before."""
+
+    async def read_until_eof(reader):
+        msgs = []
+        try:
+            while line := await asyncio.wait_for(reader.readline(), 10.0):
+                msgs.append(decode_message(line))
+        except ConnectionError:
+            pass  # a reset is an answer too: the client is not left waiting
+        return msgs
+
+    async def run():
+        cluster = ClusterServer(replicas=1, seed=7, **WORKER_KWARGS)
+        await cluster.start()
+        try:
+            reader, writer = await asyncio.open_connection(cluster.host, cluster.port)
+            writer.write(b"not json\n[1, 2]\n{\"no_type\": 1}\n")
+            writer.write(encode_message({"type": "stats"}))
+            await writer.drain()
+            malformed = [
+                decode_message(await asyncio.wait_for(reader.readline(), 10.0))
+                for _ in range(4)
+            ]
+            writer.close()
+            await writer.wait_closed()
+
+            reader, writer = await asyncio.open_connection(cluster.host, cluster.port)
+            try:
+                writer.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+                await writer.drain()
+                too_long = await read_until_eof(reader)
+            except ConnectionError:
+                too_long = []
+            finally:
+                writer.close()
+
+            conn = await ServeConnection.open(cluster.host, cluster.port)
+            try:
+                request = build_engine_request("after", 2, 16, 4, head_dim=8, seed=0)
+                assert (await conn.submit(request))["type"] == "accepted"
+                done = await conn.result("after")
+            finally:
+                await conn.close()
+        finally:
+            await cluster.stop()
+        return malformed, too_long, done
+
+    malformed, too_long, done = asyncio.run(run())
+    assert [msg["type"] for msg in malformed] == ["error", "error", "error", "stats"]
+    assert all(msg["type"] == "error" for msg in too_long)
+    assert done["status"] == "ok"
 
 
 # ----------------------------------------------------------------------

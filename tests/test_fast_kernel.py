@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 
 import repro.core.bsf_fast as bsf_fast
 from repro.core.backend import get_backend
-from repro.quant.bitplane import decompose_bitplanes
+from repro.core.bui import build_bui_lut
+from repro.quant.bitplane import decompose_bitplanes, prefix_masks
 
 GUARDS = (0.0, 0.5, 1.0, 5.0, 50.0, np.inf)
 
@@ -171,3 +172,120 @@ def test_2d_filter_peak_memory_is_bounded(monkeypatch):
         tracemalloc.stop()
     assert len(rows) > 1  # several row blocks
     assert peak <= 14.1 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _tie_guards(q, ints, bits):
+    """Guards that put keys of one query row exactly on, and 0.5 above
+    and below, a bit round's threshold.
+
+    Round 0: key ``j`` meets the threshold when ``guard == max_lb - ub_j``
+    (the BUI bounds after the MSB plane).  Last round: bounds collapse to
+    the exact score, so ``guard == max(exact) - exact_j`` puts ``j`` on
+    the final threshold.
+    """
+    lut = build_bui_lut(q[None], bits=bits)
+    first = (ints & prefix_masks(bits)[0]) @ q
+    lb, ub = first + lut.i_min[0, 1], first + lut.i_max[0, 1]
+    exact = ints @ q
+    gaps = np.concatenate([lb.max() - ub, exact.max() - exact])
+    gaps = np.unique(gaps[gaps >= 0]).astype(np.float64)
+    return np.unique(np.concatenate([gaps, gaps + 0.5, np.maximum(gaps - 0.5, 0.0)]))
+
+
+@pytest.mark.parametrize("bits, q_bits", [(8, 8), (12, 12)])  # float32 / float64 lattice
+def test_threshold_ties_match_the_reference(bits, q_bits):
+    """Keys exactly on a round's threshold are kept, keys 0.5 below are
+    pruned, in both lattice dtypes: the integer-ceiled cut agrees with the
+    reference's float compare at every tie."""
+    rng = np.random.default_rng(bits)
+    head_dim, num_keys = 16, 48
+    q = rng.integers(-(1 << (q_bits - 1)), 1 << (q_bits - 1), size=head_dim)
+    ints = rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), size=(num_keys, head_dim))
+    ints[::7] = ints[0]  # duplicate keys: several cells share one tie
+    planes = decompose_bitplanes(ints, bits=bits)
+    dtype = bsf_fast.exact_dot_dtype(q[None], head_dim, bits)
+    assert dtype is (np.float32 if bits == 8 else np.float64)
+    fast, ref = get_backend("fast"), get_backend("reference")
+    guards = _tie_guards(q, ints, bits)
+    on_threshold = 0
+    for guard in guards:
+        want = ref.filter(q[None], planes, guard)
+        _assert_identical(fast.filter(q[None], planes, guard), want, f"guard {guard}")
+        on_threshold += guard.is_integer()
+    assert on_threshold > 10
+
+
+def test_rows_and_requests_with_no_allowed_key():
+    """A request with nothing allowed, and rows with nothing allowed next
+    to live rows, exit their rounds early with zero counters, exactly as
+    the reference does."""
+    rng = np.random.default_rng(21)
+    num_heads, num_rows, head_dim, bits = 2, 3, 8, 8
+    qs, planes, alloweds = [], [], []
+    for seq_len in (12, 30, 5):
+        qs.append(rng.integers(-128, 128, size=(num_heads, num_rows, head_dim)))
+        planes.append(decompose_bitplanes(
+            rng.integers(-128, 128, size=(num_heads, seq_len, head_dim)), bits=bits))
+        alloweds.append(rng.random((num_heads, num_rows, seq_len)) < 0.7)
+    alloweds[0][:] = False  # a whole request with no candidate
+    alloweds[1][0, 1] = False  # one (head, row) with none
+    alloweds[1][1] = False  # one head with none
+    guards = [np.array([3.0, 40.0])] * 3
+    fast = get_backend("fast").filter_heads_batch(qs, planes, guards, alloweds=alloweds)
+    ref = get_backend("reference").filter_heads_batch(qs, planes, guards, alloweds=alloweds)
+    for i in range(3):
+        _assert_identical(fast[i], ref[i], f"request {i}")
+    assert fast[0].bit_plane_loads == fast[0].naive_bit_ops == 0
+    assert not fast[0].planes_processed.any()
+    assert not fast[1].planes_processed[0, 1].any() and not fast[1].planes_processed[1].any()
+    assert fast[1].bit_plane_loads > 0
+    # Nothing allowed anywhere: the round loop exits before round 0.
+    (alone,) = get_backend("fast").filter_heads_batch(qs[:1], planes[:1], guards[:1],
+                                                     alloweds=alloweds[:1])
+    _assert_identical(alone, ref[0], "all-masked call")
+
+
+def test_decode_round_peak_memory_is_bounded():
+    """The decode_long-shaped round of ``test_decode_round_runs_as_one_block``
+    peaks at or below 4.5 MiB under tracemalloc (4.1 MiB with the
+    float32 lattice on a 2-core Xeon, numpy 2.4.6; an int64 lattice and
+    a separate counter pass took 6.5 MiB)."""
+    rng = np.random.default_rng(5)
+    num_requests, num_heads, head_dim, bits = 16, 4, 32, 8
+    seq_lens = rng.integers(480, 800, size=num_requests)
+    qs = [rng.integers(-128, 128, size=(num_heads, 1, head_dim)) for _ in seq_lens]
+    planes = [
+        decompose_bitplanes(rng.integers(-128, 128, size=(num_heads, s, head_dim)), bits=bits)
+        for s in seq_lens
+    ]
+    guards = [np.full(num_heads, 300.0)] * num_requests
+    fast = get_backend("fast")
+    fast.filter_heads_batch(qs, planes, guards)  # derive the lazy ints / popcounts first
+    tracemalloc.start()
+    try:
+        fast.filter_heads_batch(qs, planes, guards)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_float64_rounds_reach_up_to_bounds_of_2_52():
+    """float64 rounds serve while twice the partial bound stays below
+    2^53 (so do the BUI bounds the reference compares in float64), and
+    agree with the reference at ties just below that limit."""
+    bits, head_dim = 25, 16
+    q_max = (1 << 24) - 1  # bound 16 · (2^24 − 1) · 2^24 < 2^52
+    rng = np.random.default_rng(52)
+    q = rng.choice([q_max, -q_max, 1, 0], size=head_dim)
+    q[0] = -q_max
+    ints = rng.integers(-(1 << 24), 1 << 24, size=(24, head_dim))
+    ints[::5] = -(1 << 24)
+    assert bsf_fast.exact_dot_dtype(q[None], head_dim, bits) is np.float64
+    planes = decompose_bitplanes(ints, bits=bits)
+    fast, ref = get_backend("fast"), get_backend("reference")
+    for guard in _tie_guards(q, ints, bits)[::4]:
+        want = ref.filter(q[None], planes, guard)
+        _assert_identical(fast.filter(q[None], planes, guard), want, f"guard {guard}")
+    with pytest.raises(ValueError, match="2\\^53"):
+        bsf_fast.exact_dot_dtype(np.array([[-(1 << 24)]]), head_dim, bits)
