@@ -4,12 +4,13 @@ Roofline-style sweep for ISSUE 6: the same decode workload — ``R`` active
 requests with ragged context lengths, each advancing one token per round
 — is served two ways on each kernel backend:
 
-* **loop** — the per-request path: one ``engine.decode_step`` per active
-  request per round (what ``--no-batched-decode`` serves);
-* **fused** — ``engine.decode_step_batch``: every request's K/V token is
-  appended, then **one** cross-request ``filter_heads_batch`` call covers
-  the whole ragged active set (padding + validity mask + batch-wide
-  column compaction).
+* **loop** — one ``engine.decode_step`` per active request per round,
+  so every filter call is a one-request ``filter_heads`` (what a serve
+  with ``max_active=1`` runs each round);
+* **fused** — ``engine.decode_step_batch``, the round every served
+  decode step runs: every request's K/V token is appended, then
+  **one** cross-request ``filter_heads_batch`` call covers the whole
+  ragged active set.
 
 Time-per-round is measured at active-set sizes 1→32 (best of
 ``REPEATS`` runs per mode, fresh engines each run).  The default

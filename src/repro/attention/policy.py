@@ -180,14 +180,6 @@ class AttentionPolicy:
     #: dense-footprint policies and switches to charged-footprint
     #: accounting for bounded ones.
     dense_footprint: bool = True
-    #: True when the policy implements :meth:`decode_step_batch` and the
-    #: scheduler may fuse one decode round across the whole active set.
-    #: A batched step must be *result-identical* to calling
-    #: :meth:`decode_step` per request in active-set order — outputs,
-    #: retained sets, and per-request stats byte for byte (DESIGN.md
-    #: §13).  Policies that keep it ``False`` always serve through the
-    #: per-request loop, even when the scheduler runs in batched mode.
-    supports_batched_decode: bool = False
     #: True when the policy is sound as the cheap *draft* of a
     #: draft-verify speculative pair (DESIGN.md §17): its per-request
     #: state must not accumulate information from speculated queries,
@@ -211,13 +203,14 @@ class AttentionPolicy:
         raise NotImplementedError
 
     def decode_step_batch(self, engine, caches, qs):
-        """One fused decode step over several requests (optional hook).
-
-        Only consulted when :attr:`supports_batched_decode` is ``True``;
-        must return one result per request, in order, identical to a
-        :meth:`decode_step` loop.
-        """
-        raise NotImplementedError
+        """One decode round over several requests: one result per request,
+        in order.  The default is a :meth:`decode_step` loop; an override
+        must be result-identical to it — outputs, retained sets and
+        per-request stats byte for byte (DESIGN.md §13)."""
+        return [
+            self.decode_step(engine, cache, np.asarray(q, dtype=np.float64))
+            for cache, q in zip(caches, qs)
+        ]
 
     # ------------------------------------------------------------------
     def _record(self, engine, result) -> None:
@@ -242,7 +235,6 @@ class PadePolicy(AttentionPolicy):
     """
 
     name = "pade"
-    supports_batched_decode = True
 
     def prefill(self, engine, cache, q: np.ndarray):
         res = engine.attend(cache, q)
@@ -255,7 +247,7 @@ class PadePolicy(AttentionPolicy):
         return res
 
     def decode_step_batch(self, engine, caches, qs):
-        """Fused decode round: one cross-request filter call via
+        """Fused decode round: one filter call over every request via
         :meth:`PadeEngine.attend_batch`, recorded per request exactly as
         the per-request loop would."""
         results = engine.attend_batch(

@@ -27,10 +27,7 @@ come from :data:`repro.attention.policy.POLICY_REGISTRY`),
 a shared-system-prompt workload), ``--round-tokens`` (tokens one decode
 round can process — activates the prefill cost model), ``--chunk``
 (chunked prefill: per-request, per-round prompt chunk size; requires
-``--round-tokens``), ``--batched-decode`` /
-``--no-batched-decode`` (fuse each decode round's filter across the
-whole active set — on by default; results are byte-identical either
-way, only speed differs), ``--async`` / ``--port`` (serve the same
+``--round-tokens``), ``--async`` / ``--port`` (serve the same
 workload through the asyncio loopback front-end in
 :mod:`repro.serve`: the round-clock report is identical, and measured
 wall-clock TTFT/TPOT/queueing columns are added), and ``--replicas`` /
@@ -184,12 +181,6 @@ def main(argv=None) -> int:
         "cost model; 0 = legacy instant prefill (serve only)",
     )
     serve_group.add_argument(
-        "--batched-decode", action=argparse.BooleanOptionalAction, default=True,
-        help="fuse each decode round's filter across the whole active set "
-        "(byte-identical results; --no-batched-decode forces the "
-        "per-request loop) (serve only)",
-    )
-    serve_group.add_argument(
         "--async", dest="async_serve", action="store_true",
         help="serve the workload through the asyncio loopback front-end "
         "(repro.serve): identical round-clock report plus measured "
@@ -283,7 +274,6 @@ def main(argv=None) -> int:
                 "round_tokens": args.round_tokens,
                 "scenario": args.scenario,
                 "tenants": args.tenants,
-                "batched": args.batched_decode,
                 "async_serve": args.async_serve,
                 "port": args.port,
                 "replicas": args.replicas,

@@ -43,11 +43,10 @@ import numpy as np
 
 from repro.attention.policy import AttentionPolicy, resolve_policy
 from repro.core.backend import KernelBackend, get_backend
-from repro.core.bui_gf import guard_in_int_units
 from repro.core.config import PadeConfig
 from repro.core.pade_attention import causal_allowed, protection_mask
 from repro.engine.cache import DEFAULT_BLOCK_SIZE, PagedBitPlaneKVCache, PlaneBlockPool
-from repro.quant.integer import int_range, quantize_symmetric
+from repro.quant.integer import int_range
 
 __all__ = ["EngineStats", "EngineAttentionResult", "PadeEngine"]
 
@@ -198,93 +197,78 @@ class PadeEngine:
         )
         return PagedBitPlaneKVCache(pool)
 
-    def attend(
-        self,
-        cache: PagedBitPlaneKVCache,
-        q: np.ndarray,
-        query_offset: Optional[int] = None,
-    ) -> EngineAttentionResult:
-        """Attend a query block against the cached keys for every head.
+    def attend(self, cache: PagedBitPlaneKVCache, q: np.ndarray) -> EngineAttentionResult:
+        """Attend the trailing query block ``q`` of shape ``(H, P, D)``
+        against the cached keys for every head: a round of one request."""
+        return self.attend_batch([cache], [q])[0]
 
-        ``q`` has shape ``(H, P, D)``.  ``query_offset`` positions the
-        block inside the sequence for causal/recency masks; it defaults to
-        ``length - P`` (the trailing block, i.e. the prefill/decode case).
-        """
-        params = self._attend_params(cache, q, query_offset)
-        q_int, _, guards, allowed, protect = params
-        res = self.kernel.filter_heads(
-            q_int, cache.planes, guards, allowed=allowed, protect=protect
-        )
-        return self._finish_attend_batch([cache], [res], [params])[0]
+    def attend_batch(self, caches, qs) -> List[EngineAttentionResult]:
+        """Attend one trailing query block per request in one filter call.
 
-    def attend_batch(
-        self,
-        caches,
-        qs,
-    ) -> List[EngineAttentionResult]:
-        """Attend one query block per request in a single fused filter call.
-
-        The batched analogue of :meth:`attend` for a decode round: per
-        request the quantization, guards and causal/protection masks are
-        prepared exactly as :meth:`attend` prepares them, the bit planes
-        are gathered from each request's cache through its block table,
-        then **one**
-        ``KernelBackend.filter_heads_batch`` call covers the whole ragged
-        active set and the outputs/retained sets/stats are scattered back
-        per request.  Result-identical to calling :meth:`attend` per
-        request in order — including every per-request ``EngineStats``
-        counter — by DESIGN.md §13; the only extra accounting is the
-        ``batched_rounds`` / ``fused_rows`` occupancy counters.
+        Per request the quantization, guards and causal/protection masks
+        are prepared by :meth:`_attend_params_batch`, the bit planes are
+        gathered from each request's cache through its block table, and
+        one kernel call covers the whole set: ``KernelBackend.filter_heads``
+        for a single request, ``KernelBackend.filter_heads_batch`` for a
+        ragged round of several.  Outputs, retained sets and every
+        per-request ``EngineStats`` counter are the same whichever call
+        ran (DESIGN.md §13); only a fused call of several requests adds
+        to the ``batched_rounds`` / ``fused_rows`` occupancy counters.
         """
         if len(caches) != len(qs):
             raise ValueError("attend_batch needs one query block per cache")
         if not caches:
             return []
         params = self._attend_params_batch(caches, qs)
-        q_ints = [p[0] for p in params]
-        guards_list = [p[2] for p in params]
-        alloweds = [p[3] for p in params]
-        protects = [p[4] for p in params]
+        q_ints, _, guards, alloweds, protects = map(list, zip(*params))
         key_planes = [cache.planes for cache in caches]
-
-        results = self.kernel.filter_heads_batch(
-            q_ints, key_planes, guards_list, alloweds=alloweds, protects=protects
-        )
-        seq_lens = [cache.length for cache in caches]
-        cells_per_key = q_ints[0].shape[0] * q_ints[0].shape[1]
-        self.stats.batched_rounds += 1
-        self.stats.fused_rows += cells_per_key * sum(seq_lens)
-        self.stats.fused_padded_rows += cells_per_key * len(caches) * max(seq_lens)
+        if len(caches) == 1:
+            results = [
+                self.kernel.filter_heads(
+                    q_ints[0], key_planes[0], guards[0],
+                    allowed=alloweds[0], protect=protects[0],
+                )
+            ]
+        else:
+            results = self.kernel.filter_heads_batch(
+                q_ints, key_planes, guards, alloweds=alloweds, protects=protects
+            )
+            seq_lens = [cache.length for cache in caches]
+            cells_per_key = q_ints[0].shape[0] * q_ints[0].shape[1]
+            self.stats.batched_rounds += 1
+            self.stats.fused_rows += cells_per_key * sum(seq_lens)
+            self.stats.fused_padded_rows += cells_per_key * len(caches) * max(seq_lens)
         return self._finish_attend_batch(caches, results, params)
 
     def _attend_params_batch(self, caches, qs):
-        """Filter inputs for a whole decode round, one tuple per request.
+        """Filter inputs ``(q_int, logit_scales, guards, allowed, protect)``
+        for a round, one tuple per request.
 
-        Bit-identical to calling :meth:`_attend_params` per request: the
-        quantization and guard arithmetic below is the same sequence of
-        IEEE-754 double operations, merely broadcast over the (request,
-        head) axes — ``max |q|`` folds, the ``max_abs / qmax`` divisions,
+        The quantization and guard arithmetic is the per-head
+        ``quantize_symmetric`` / ``guard_in_int_units`` sequence of
+        IEEE-754 double operations, broadcast over the (request, head)
+        axes — ``max |q|`` folds, the ``max_abs / qmax`` divisions,
         ``rint``/``clip`` and the ``alpha * radius / scale`` guards are
-        all elementwise, so batching cannot change a single bit.
-        Heterogeneous query shapes (not a decode round) fall back to the
-        per-request helper.
+        all elementwise, so a request's tuple does not depend on the
+        rest of the round.  Every query block must have the same shape.
         """
         cfg = self.config
         qs_np = [np.asarray(q, dtype=np.float64) for q in qs]
         if len({q.shape for q in qs_np}) != 1:
-            return [self._attend_params(cache, q) for cache, q in zip(caches, qs_np)]
+            raise ValueError(
+                f"a round needs one query shape, got {sorted({q.shape for q in qs_np})}"
+            )
         q_all = np.stack(qs_np)  # (R, Hh, P, D)
-        _, num_heads, num_queries, head_dim = q_all.shape
         for cache in caches:
-            if num_heads != cache.num_heads or head_dim != cache.head_dim:
+            if q_all.ndim != 4 or q_all.shape[1::2] != (cache.num_heads, cache.head_dim):
                 raise ValueError(
                     f"expected queries ({cache.num_heads}, P, {cache.head_dim}), "
                     f"got {q_all.shape[1:]}"
                 )
+        _, num_heads, num_queries, head_dim = q_all.shape
         qmin, qmax = int_range(cfg.bits)
         max_abs = np.abs(q_all).max(axis=(2, 3))  # (R, Hh)
-        # Same subnormal-underflow floor as quantize_symmetric — the two
-        # paths must stay bit-identical.
+        # The same subnormal-underflow floor as quantize_symmetric.
         q_scales = np.where(
             max_abs > 0, np.maximum(max_abs / qmax, np.finfo(np.float64).tiny), 1.0
         )
@@ -380,41 +364,6 @@ class PadeEngine:
                 )
             )
         return out
-
-    def _attend_params(
-        self,
-        cache: PagedBitPlaneKVCache,
-        q: np.ndarray,
-        query_offset: Optional[int] = None,
-    ):
-        """Per-request filter inputs: ``(q_int, logit_scales, guards,
-        allowed, protect)`` — shared verbatim by :meth:`attend` and
-        :meth:`attend_batch` so the two paths cannot drift."""
-        cfg = self.config
-        q = np.asarray(q, dtype=np.float64)
-        if q.ndim != 3 or q.shape[0] != cache.num_heads or q.shape[2] != cache.head_dim:
-            raise ValueError(
-                f"expected queries ({cache.num_heads}, P, {cache.head_dim}), got {q.shape}"
-            )
-        num_heads, num_queries, head_dim = q.shape
-        seq_len = cache.length
-        offset = seq_len - num_queries if query_offset is None else query_offset
-
-        q_quant = [quantize_symmetric(q[h], bits=cfg.bits) for h in range(num_heads)]
-        q_int = np.stack([qh.data for qh in q_quant])
-        q_scales = np.array([float(qh.scale) for qh in q_quant])
-        logit_scales = q_scales * cache.scales
-        if cfg.scale_logits:
-            logit_scales = logit_scales / np.sqrt(head_dim)
-        guards = np.array(
-            [guard_in_int_units(cfg.alpha, cfg.radius, float(s)) for s in logit_scales]
-        )
-
-        allowed = causal_allowed(num_queries, seq_len, offset) if cfg.causal else None
-        protect = protection_mask(
-            num_queries, seq_len, cfg.sink_tokens, cfg.recent_tokens, offset
-        )
-        return q_int, logit_scales, guards, allowed, protect
 
     def prefill(
         self,
@@ -518,16 +467,10 @@ class PadeEngine:
         return self.policy.decode_step(self, cache, np.asarray(q, dtype=np.float64))
 
     def decode_attend_batch(self, caches, qs) -> List[EngineAttentionResult]:
-        """Attend one decode query per request in a single fused round.
-
-        Routes through the policy's ``decode_step_batch`` when it
-        declares :attr:`supports_batched_decode` (PADE does), otherwise
-        falls back to a per-request :meth:`decode_attend` loop — either
-        way the results are identical to the loop, per request, in order.
-        """
-        if self.supports_batched_decode and len(caches) > 1:
-            return self.policy.decode_step_batch(self, caches, qs)
-        return [self.decode_attend(cache, q) for cache, q in zip(caches, qs)]
+        """Attend one already-appended decode query per request in one
+        round through the policy's ``decode_step_batch``: one result per
+        request, in order, identical to a :meth:`decode_attend` loop."""
+        return self.policy.decode_step_batch(self, caches, qs)
 
     def decode_step_batch(self, steps) -> List[EngineAttentionResult]:
         """One fused autoregressive step over several requests.
@@ -546,11 +489,6 @@ class PadeEngine:
         return self.decode_attend_batch(
             [s[0] for s in steps], [s[1] for s in steps]
         )
-
-    @property
-    def supports_batched_decode(self) -> bool:
-        """True when the active policy can serve fused decode rounds."""
-        return bool(getattr(self.policy, "supports_batched_decode", False))
 
     # ------------------------------------------------------------------
     # Request-level serving

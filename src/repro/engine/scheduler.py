@@ -671,14 +671,6 @@ class ContinuousScheduler:
     chunk_tokens:
         Per-request, per-round prefill chunk size (requires
         ``round_token_budget``); 0 keeps prefills unchunked.
-    batched_decode:
-        Fuse each decode round's filter across the whole active set
-        (default on).  Only engaged when the engine's attention policy
-        declares ``supports_batched_decode`` (PADE does; the software
-        baselines fall back to the per-request loop).  Results — outputs,
-        retained sets, timings, traces, preemption decisions — are
-        byte-identical to the per-request loop either way (DESIGN.md
-        §13), so this is purely a throughput knob.
     tiering:
         Two-tier plane memory (DESIGN.md §16): ``True`` / a
         :class:`~repro.engine.cache.TierConfig` (or a dict of its
@@ -718,7 +710,6 @@ class ContinuousScheduler:
         chunk_tokens: int = 0,
         round_token_budget: int = 0,
         tenant_weights: Optional[Dict[str, float]] = None,
-        batched_decode: bool = True,
         tiering=None,
         draft_policy="streaming-llm",
         spec_accept_tol: float = 0.05,
@@ -756,7 +747,6 @@ class ContinuousScheduler:
         self.prefix_sharing = bool(prefix_sharing)
         self.chunk_tokens = int(chunk_tokens)
         self.round_token_budget = int(round_token_budget)
-        self.batched_decode = bool(batched_decode)
         self.tenant_weights: Dict[str, float] = dict(tenant_weights or {})
         self.pool: Optional[PlaneBlockPool] = None
         # Bounded-footprint attention policies (H2O's eviction budget,
@@ -1041,11 +1031,10 @@ class ContinuousScheduler:
     def _check_footprints(self) -> None:
         num_blocks = self.token_budget // self.block_size
         for _, req in self.pending:
-            charge = self._charge_tokens(req)
-            needed = max(1, -(-charge // self.block_size))
+            needed = self._charge_blocks(req)
             if needed > num_blocks:
                 raise ValueError(
-                    f"request {req.request_id!r} needs {charge} tokens "
+                    f"request {req.request_id!r} needs {self._charge_tokens(req)} tokens "
                     f"({needed} blocks); the budget holds only {num_blocks} blocks "
                     f"of {self.block_size} — it could never be served"
                 )
@@ -1351,31 +1340,28 @@ class ContinuousScheduler:
     def _decode_round(self) -> int:
         """One decode round over the active set; returns steps advanced.
 
-        With ``batched_decode`` on (and a batch-capable attention policy)
-        the round runs append-all-then-filter-once: each request's new
+        The round runs append-all-then-filter-once: each request's new
         K/V token is appended in active-set order, the appended-but-
-        unfiltered requests accumulate in ``pending``, and one fused
+        unfiltered requests accumulate in ``pending``, and one
         :meth:`~repro.engine.engine.PadeEngine.decode_attend_batch`
-        flushes them together.  The reordering is result-identical to the
-        interleaved per-request loop because filters never allocate pool
-        blocks and caches are request-private (DESIGN.md §13) — so every
-        append sees the exact pool state the loop would give it, and
-        :class:`PoolExhausted` fires at the same token either way.
+        flushes them together.  This is result-identical to an
+        interleaved per-request append-and-filter loop because filters
+        never allocate pool blocks and caches are request-private
+        (DESIGN.md §13) — so every append sees the exact pool state the
+        loop would give it, and :class:`PoolExhausted` fires at the same
+        token either way.
 
         When an append does exhaust the pool, the pending work is flushed
-        *before* the preemption: the victim selection must see the same
+        *before* the relief: the victim selection must see the same
         done-flags the per-request loop would (a request that just
         finished its last step is never evicted), and the already-decoded
         requests' first-token marks and service charges must land exactly
-        as if they had been filtered one at a time.  With batching off,
-        ``pending`` is flushed after every append — byte for byte the
-        legacy interleaved loop.
+        as if they had been filtered one at a time.  (Flushing before a
+        *spill* keeps the same equivalence: already-appended requests
+        filter against pre-spill planes either way.)
         """
         round_ids: List[str] = []
         pending: List[Tuple[_RequestState, object]] = []
-        batching = self.batched_decode and getattr(
-            self.engine, "supports_batched_decode", False
-        )
 
         def flush() -> None:
             self._flush_decode(pending, round_ids)
@@ -1389,7 +1375,7 @@ class ContinuousScheduler:
             req = state.request
             if req.speculative:
                 # A speculative round runs the verifier once over the
-                # whole draft block; flush the fused batch first so the
+                # whole draft block; flush the round so far first so the
                 # trace order matches the per-request loop.
                 flush()
                 self._spec_round(state, round_ids)
@@ -1406,12 +1392,8 @@ class ContinuousScheduler:
                     j += 1
                     continue
                 t = unit.next_step
-                # Flush before relief (see docstring): victim selection,
-                # trace order and timing marks must match the per-request
-                # loop exactly.  (Flushing before a *spill* keeps the same
-                # equivalence: already-appended requests filter against
-                # pre-spill planes in both modes.)  If the raiser itself
-                # was evicted, every lineage died with it.
+                # If the raiser itself was evicted, every lineage died
+                # with it.
                 if not self._append_with_relief(
                     state, unit.cache, unit.decode_k[:, t, :], unit.decode_v[:, t, :],
                     before_relief=flush,
@@ -1419,8 +1401,6 @@ class ContinuousScheduler:
                     evicted = True
                     break
                 pending.append((state, unit))
-                if not batching:
-                    flush()
                 j += 1
             if evicted:
                 # The element now at slot i is the next one due.
@@ -1436,18 +1416,11 @@ class ContinuousScheduler:
         pending: List[Tuple[_RequestState, object]],
         round_ids: List[str],
     ) -> None:
-        """Filter the appended-but-unfiltered steps and record results.
-
-        One unit in ``pending`` routes through the plain policy
-        ``decode_step`` (no fusion overhead); more than one becomes a
-        single fused cross-request filter call when the policy supports
-        it.  Either way the per-unit bookkeeping below is identical.
+        """Filter the appended-but-unfiltered steps and emit their tokens.
 
         Each entry is a ``(state, unit)`` pair where ``unit`` is either
         the state itself (the primary lineage) or one of its forked
-        :class:`_Lineage` siblings.  Streaming and first-token timing
-        belong to the primary only — sibling samples are delivered in
-        the final result, not on the token stream.
+        :class:`_Lineage` siblings.
         """
         if not pending:
             return
@@ -1455,35 +1428,55 @@ class ContinuousScheduler:
             [unit.cache for _, unit in pending],
             [unit.decode_q[:, unit.next_step, :] for _, unit in pending],
         )
-        tiered = self.pool is not None and self.pool.tiering is not None
         for (state, unit), res in zip(pending, results):
-            t = unit.next_step
-            unit.outputs.append(res.output[:, 0, :])
-            unit.retained_history.append(res.retained[:, 0, :])
-            unit.next_step = t + 1
-            self.decoded_tokens += 1
-            if tiered and any(
-                self.pool.resident_planes(b) < self.pool.bits
-                for b in unit.cache.block_table
-            ):
-                # This token was scored against partial-plane keys: the
-                # accuracy-vs-pressure quantity the serving report tracks.
-                self.degraded_tokens += 1
-            primary = unit is state
-            if primary and self.token_sink is not None:
-                rid = state.request.request_id
-                # A post-preemption replay recomputes byte-identical
-                # tokens; only steps past the high-water mark stream.
-                if t >= self._streamed.get(rid, 0):
-                    self._streamed[rid] = t + 1
-                    self.token_sink(rid, t, res.output[:, 0, :])
-            self._charge_service(state, 1.0)
-            if primary and t == 0:
-                timing = self._timings[state.request.request_id]
-                if timing.first_token_time is None:
-                    timing.first_token_time = self.time + 1.0
-            round_ids.append(state.request.request_id)
+            self._emit(
+                state, unit, res.output[:, 0, :], res.retained[:, 0, :],
+                self._degraded(unit.cache), round_ids,
+            )
         pending.clear()
+
+    def _degraded(self, cache) -> bool:
+        """True when some block of ``cache`` holds only partial planes."""
+        pool = self.pool
+        return (
+            pool is not None
+            and pool.tiering is not None
+            and any(pool.resident_planes(b) < pool.bits for b in cache.block_table)
+        )
+
+    def _emit(
+        self, state: _RequestState, unit, output: np.ndarray, retained: np.ndarray,
+        degraded: bool, round_ids: List[str],
+    ) -> None:
+        """Record ``unit``'s next decode token (``unit`` is ``state`` or
+        one of its lineages) and bill it.
+
+        ``degraded`` marks a token scored against partial-plane keys —
+        the accuracy-vs-pressure quantity the serving report tracks.
+        Streaming and first-token timing belong to the primary only:
+        sibling samples are delivered in the final result, not on the
+        token stream.
+        """
+        t = unit.next_step
+        unit.outputs.append(output)
+        unit.retained_history.append(retained)
+        unit.next_step = t + 1
+        self.decoded_tokens += 1
+        if degraded:
+            self.degraded_tokens += 1
+        rid = state.request.request_id
+        primary = unit is state
+        # A post-preemption replay recomputes byte-identical tokens; only
+        # steps past the high-water mark stream.
+        if primary and self.token_sink is not None and t >= self._streamed.get(rid, 0):
+            self._streamed[rid] = t + 1
+            self.token_sink(rid, t, output)
+        self._charge_service(state, 1.0)
+        if primary and t == 0:
+            timing = self._timings[rid]
+            if timing.first_token_time is None:
+                timing.first_token_time = self.time + 1.0
+        round_ids.append(rid)
 
     # -- the relief ladder ---------------------------------------------
     def _relieve_or_preempt(
@@ -1603,32 +1596,14 @@ class ContinuousScheduler:
         self.spec_drafted_tokens += gamma
         self.spec_accepted_tokens += accepted
         self.spec_emitted_tokens += emitted
-        tiered = self.pool is not None and self.pool.tiering is not None
-        degraded = tiered and any(
-            self.pool.resident_planes(b) < self.pool.bits
-            for b in state.cache.block_table
-        )
-        timing = self._timings[rid]
+        degraded = self._degraded(state.cache)
         for j in range(emitted):
-            t = t0 + j
-            out = vres.output[:, j, :]
-            state.outputs.append(out)
             # Query j only sees keys up to its own position; clip the
             # padded retained row back to the causal prefix.
-            state.retained_history.append(
-                vres.retained[:, j, : base_len + j + 1].copy()
+            self._emit(
+                state, state, vres.output[:, j, :],
+                vres.retained[:, j, : base_len + j + 1].copy(), degraded, round_ids,
             )
-            self.decoded_tokens += 1
-            if degraded:
-                self.degraded_tokens += 1
-            if self.token_sink is not None and t >= self._streamed.get(rid, 0):
-                self._streamed[rid] = t + 1
-                self.token_sink(rid, t, out)
-            self._charge_service(state, 1.0)
-            if t == 0 and timing.first_token_time is None:
-                timing.first_token_time = self.time + 1.0
-            round_ids.append(rid)
-        state.next_step = t0 + emitted
         if emitted == gamma:
             # Full acceptance: the working cache is already correct; the
             # anchor just drops its shared references.
@@ -1673,7 +1648,7 @@ class ContinuousScheduler:
                 chunk_blocks = max(
                     1, -(-end // self.block_size) - len(cache.block_table)
                 )
-                units = chunk_blocks * (self.pool.bits if self.pool else 8)
+                units = chunk_blocks * self.pool.bits
                 if not self._relieve_or_preempt(state, cache, units, chunk_blocks):
                     return 0
         self._charge_service(state, written)

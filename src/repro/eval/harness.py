@@ -987,7 +987,6 @@ def serving_profile(
     attention: str = "pade",
     scenario: Optional[str] = None,
     tenants: int = 3,
-    batched: bool = True,
     async_serve: bool = False,
     port: int = 0,
     replicas: int = 1,
@@ -1021,9 +1020,9 @@ def serving_profile(
     ``attention`` selects the attention policy from
     :data:`repro.attention.policy.POLICY_REGISTRY` (PADE or any
     converted baseline), so the same profile sweeps every method.
-    ``batched`` toggles the fused cross-request decode round (results
-    are byte-identical either way; the report's ``batched_rounds`` /
-    ``batch_efficiency`` columns show the fusion occupancy).
+    Every decode round attends the whole active set at once (one fused
+    filter call under PADE); the report's ``batched_rounds`` /
+    ``batch_efficiency`` columns show the fusion occupancy.
     ``async_serve`` routes the same workload through the asyncio
     loopback front-end (:mod:`repro.serve`) in deterministic-replay
     mode: the round-clock report is identical to the in-process path and
@@ -1132,7 +1131,6 @@ def serving_profile(
         chunk_tokens=chunk,
         round_token_budget=round_tokens,
         tenant_weights=tenant_weights,
-        batched_decode=batched,
         draft_policy=draft_policy,
         spec_accept_tol=spec_accept_tol,
     )
@@ -1196,7 +1194,6 @@ def serving_profile(
         "prefix_sharing": float(prefix_sharing),
         "chunk_tokens": float(chunk),
         "round_token_budget": float(round_tokens),
-        "batched_decode": float(batched),
         "async_serve": float(async_serve),
         "replicas_configured": float(replicas),
         "routing": routing,

@@ -23,7 +23,8 @@ Flow control, cancellation, shutdown:
 * **Cancellation** — a ``cancel`` message or a client disconnect marks
   the request via :meth:`ContinuousScheduler.cancel`; the next round
   boundary aborts it (blocks, staging and prefix refs freed) and the
-  result surfaces ``abort_reason="cancelled"``.
+  result surfaces ``abort_reason="cancelled"``.  A cancel for an id
+  that was never accepted or has already finished is ignored.
 * **Shutdown** — a ``shutdown`` message stops new admissions, drains
   everything in flight, then answers with ``shutdown_ack`` carrying the
   serving report and the pool-leak counter (0 on a clean run).
@@ -357,8 +358,12 @@ class AsyncPadeServer:
                     if msg.get("request_id") is None:
                         self._send(conn, {"type": "error", "error": "cancel needs a request_id"})
                     else:
-                        self.scheduler.cancel(str(msg["request_id"]))
-                        self._wake.set()
+                        rid = str(msg["request_id"])
+                        # An id never accepted, or whose done went out,
+                        # would sit in the scheduler's cancel set for good.
+                        if rid in self._owners and rid not in self._done_sent:
+                            self.scheduler.cancel(rid)
+                            self._wake.set()
                 elif kind == "shutdown":
                     self._draining = True
                     self._shutdown_conns.append(conn)

@@ -228,6 +228,34 @@ class TestCancellation:
 
         asyncio.run(run())
 
+    def test_late_and_unknown_cancels_are_not_kept(self):
+        """A cancel after ``done``, or for an id never submitted, must not
+        sit in the scheduler's cancel set until shutdown."""
+        async def run():
+            server = await _start()
+            conn = await ServeConnection.open(server.host, server.port)
+            try:
+                assert (await conn.submit(_req("finished", steps=2), arrival="now"))[
+                    "type"
+                ] == "accepted"
+                assert (await conn.result("finished"))["status"] == "ok"
+                await conn.cancel("finished")
+                await conn.cancel("never-submitted")
+                # One connection's messages are handled in order: once this
+                # submit is accepted, both cancels have been handled.
+                assert (await conn.submit(_req("probe", steps=2), arrival="now"))[
+                    "type"
+                ] == "accepted"
+                assert server.scheduler._cancelled == set()
+                assert (await conn.result("probe"))["status"] == "ok"
+            finally:
+                await conn.close()
+            ack = await _graceful_stop(server)
+            assert ack["leaked_blocks"] == 0
+            assert server.results["finished"].status == "ok"
+
+        asyncio.run(run())
+
     def test_cancel_during_chunked_prefill(self):
         async def run():
             server = await _start(

@@ -1,4 +1,4 @@
-"""Cross-request batched decode: fused round == per-request loop (ISSUE 6).
+"""Cross-request batched decode: a fused round == a per-request loop.
 
 Three parity layers, strictest first:
 
@@ -9,13 +9,14 @@ Three parity layers, strictest first:
   finite/infinite guards — property-tested via hypothesis;
 * **engine** — ``decode_step_batch`` must match interleaved
   ``decode_step`` calls exactly (outputs, retained sets, shared filter
-  counters), and fall back to the loop when the attention policy does
-  not declare ``supports_batched_decode``;
-* **serving** — ``engine.serve(..., batched_decode=True)`` must be
-  byte-identical to ``batched_decode=False`` end to end (results,
-  retained history, trace, timings) on both backends, including under
-  preemption pressure and deadline aborts, and the batched run must
-  populate the ``batched_rounds`` / ``batch_efficiency`` accounting.
+  counters); a round of one request runs ``filter_heads`` and the
+  software baselines run the default ``decode_step`` loop;
+* **serving** — a fast-backend serve (one fused kernel call per round)
+  must be byte-identical to a reference-backend serve (whose fused call
+  is the per-request loop) end to end (results, retained history,
+  trace, timings, filter counters), including under preemption pressure
+  and deadline aborts; and every served request of every attention
+  policy must equal a solo run of that request.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from hypothesis import strategies as st
 
 from repro.core import PadeConfig
 from repro.core.backend import get_backend
+import repro.attention.baselines  # noqa: F401  (registers the baselines)
+from repro.attention.policy import POLICY_REGISTRY
 from repro.core.bsf_fast import bsf_filter_fast_batch, exact_dot_dtype
 from repro.engine import PadeEngine
 from repro.eval.serving_metrics import summarize_serving
@@ -281,7 +284,7 @@ def test_decode_step_batch_matches_loop(backend):
 
 
 def test_decode_step_batch_single_request_uses_loop_path():
-    """A batch of one never pays the fused-lattice setup."""
+    """A round of one request runs ``filter_heads``, never a fused call."""
     requests = _engine_requests(1)
     engine = PadeEngine(PadeConfig.standard(), backend="fast")
     caches = _prefilled(engine, requests)
@@ -293,20 +296,29 @@ def test_decode_step_batch_single_request_uses_loop_path():
     assert engine.stats.batched_rounds == 0
 
 
+def test_attend_rejects_mixed_query_shapes():
+    requests = _engine_requests(2)
+    engine = PadeEngine(PadeConfig.standard(), backend="fast")
+    caches = _prefilled(engine, requests)
+    qs = [requests[0].decode_q[:, :1, :], requests[1].decode_q[:, :2, :]]
+    with pytest.raises(ValueError, match="one query shape"):
+        engine.attend_batch(caches, qs)
+    with pytest.raises(ValueError, match="expected queries"):
+        engine.attend(caches[0], requests[0].decode_q[0])
+
+
 def test_unsupported_policy_falls_back_to_loop():
-    """Policies without supports_batched_decode serve via the loop."""
+    """Baseline policies serve through the default ``decode_step`` loop,
+    so their rounds never reach the fused kernel call."""
     requests = _engine_requests(3)
     engine = PadeEngine(PadeConfig.standard(), backend="fast", policy="h2o")
-    assert not engine.supports_batched_decode
-    results = engine.serve(
-        requests, token_budget=512, block_size=16, batched_decode=True
-    )
+    results = engine.serve(requests, token_budget=512, block_size=16)
     assert all(r.status == "ok" for r in results.values())
     assert engine.stats.batched_rounds == 0
 
 
 # ----------------------------------------------------------------------
-# Serving parity: batched_decode=True == False, byte for byte
+# Serving parity: fast == reference, and served == solo
 # ----------------------------------------------------------------------
 def _result_digest(results):
     """Order-stable byte digest of everything a caller can observe."""
@@ -325,29 +337,32 @@ def _result_digest(results):
     return out
 
 
-def _serve(backend, batched, requests=None, **serve_kw):
+def _serve(backend, requests=None, **serve_kw):
     engine = PadeEngine(PadeConfig.standard(), backend=backend)
     if requests is None:
         requests = _engine_requests(5, deadline_ms=None)
-    results = engine.serve(requests, batched_decode=batched, **serve_kw)
+    results = engine.serve(requests, **serve_kw)
     return results, engine.last_serve, engine.stats
 
 
-@pytest.mark.parametrize("backend", ["fast", "reference"])
-def test_serve_batched_matches_loop(backend):
-    kw = dict(token_budget=512, block_size=16)
-    loop_results, loop_sched, loop_stats = _serve(backend, False, **kw)
-    fused_results, fused_sched, fused_stats = _serve(backend, True, **kw)
-    assert _result_digest(loop_results) == _result_digest(fused_results)
-    assert loop_sched.trace == fused_sched.trace
-    for field in _SHARED_COUNTERS:
-        assert getattr(loop_stats, field) == getattr(fused_stats, field)
-    assert fused_stats.batched_rounds > 0
-    assert loop_stats.batched_rounds == 0
+def _assert_backends_match(requests, **kw):
+    fast_results, fast_sched, fast_stats = _serve("fast", requests=requests(), **kw)
+    ref_results, ref_sched, ref_stats = _serve("reference", requests=requests(), **kw)
+    assert _result_digest(fast_results) == _result_digest(ref_results)
+    assert fast_sched.trace == ref_sched.trace
+    for field in _SHARED_COUNTERS + ("batched_rounds", "fused_rows", "fused_padded_rows"):
+        assert getattr(fast_stats, field) == getattr(ref_stats, field), field
+    assert fast_stats.batched_rounds > 0
+    return fast_sched
 
 
-@pytest.mark.parametrize("backend", ["fast", "reference"])
-def test_serve_batched_matches_loop_under_preemption(backend):
+def test_serve_fast_matches_reference():
+    _assert_backends_match(
+        lambda: _engine_requests(5, deadline_ms=None), token_budget=512, block_size=16
+    )
+
+
+def test_serve_fast_matches_reference_under_preemption():
     """Parity must survive PoolExhausted preempt-and-retry and SLO aborts."""
     def mk():
         reqs = _engine_requests(6, context=10, steps=5)
@@ -358,33 +373,62 @@ def test_serve_batched_matches_loop_under_preemption(backend):
         )
         return reqs
 
-    kw = dict(token_budget=32, block_size=4, max_active=4)
-    loop_results, loop_sched, _ = _serve(backend, False, requests=mk(), **kw)
-    fused_results, fused_sched, fused_stats = _serve(backend, True, requests=mk(), **kw)
-    assert any(e[0] == "preempt" for e in loop_sched.trace), "scenario lost its pressure"
-    assert _result_digest(loop_results) == _result_digest(fused_results)
-    assert loop_sched.trace == fused_sched.trace
-    assert fused_stats.batched_rounds > 0
+    sched = _assert_backends_match(mk, token_budget=32, block_size=4, max_active=4)
+    assert any(e[0] == "preempt" for e in sched.trace), "scenario lost its pressure"
+
+
+@pytest.mark.parametrize("policy", sorted(POLICY_REGISTRY))
+def test_served_matches_solo(policy):
+    """Every served request equals a solo run of it, byte for byte: the
+    fused round of the active set changes nothing a request observes."""
+    requests = _engine_requests(4, deadline_ms=None)
+    engine = PadeEngine(PadeConfig.standard(), backend="fast", policy=policy)
+    served = engine.serve(requests, max_active=4, token_budget=512, block_size=16)
+    assert engine.last_serve.trace.count(("decode_round", ("r0", "r1", "r2", "r3"))) > 0
+    solo = PadeEngine(PadeConfig.standard(), backend="fast", policy=policy)
+    for req in requests:
+        num_heads, _, head_dim = np.asarray(req.k).shape
+        cache = solo.new_cache(num_heads, head_dim, np.asarray(req.v).shape[2],
+                               req.total_tokens)
+        prefill = solo.prefill(
+            cache, req.k, req.v, q=req.q_prompt, total_tokens=req.total_tokens
+        )
+        steps = [
+            solo.decode_step(
+                cache, req.decode_q[:, t], req.decode_k[:, t], req.decode_v[:, t]
+            )
+            for t in range(req.decode_steps)
+        ]
+        got = served[req.request_id]
+        assert got.status == "ok"
+        assert got.prefill_output.tobytes() == prefill.output.tobytes()
+        assert got.decode_outputs.tobytes() == np.stack(
+            [r.output[:, 0] for r in steps], axis=1
+        ).tobytes()
+        assert len(got.retained_history) == len(steps)
+        for kept, r in zip(got.retained_history, steps):
+            assert np.array_equal(kept, r.retained[:, 0])
 
 
 def test_serve_batched_deterministic():
     """Two identical batched runs are byte-identical (golden determinism)."""
-    a_results, a_sched, _ = _serve("fast", True, token_budget=48, block_size=4)
-    b_results, b_sched, _ = _serve("fast", True, token_budget=48, block_size=4)
+    a_results, a_sched, _ = _serve("fast", token_budget=48, block_size=4)
+    b_results, b_sched, _ = _serve("fast", token_budget=48, block_size=4)
     assert _result_digest(a_results) == _result_digest(b_results)
     assert a_sched.trace == b_sched.trace
 
 
 def test_summarize_serving_reports_batch_columns():
-    results, sched, _ = _serve("fast", True, token_budget=512, block_size=16)
+    results, sched, _ = _serve("fast", token_budget=512, block_size=16)
     report = summarize_serving(
         results.values(), sched.occupancy, token_budget=512, scheduler=sched
     )
     assert report["batched_rounds"] > 0
     assert 0.0 < report["batch_efficiency"] <= 1.0
-    loop_results, loop_sched, _ = _serve("fast", False, token_budget=512, block_size=16)
-    loop_report = summarize_serving(
-        loop_results.values(), loop_sched.occupancy, token_budget=512,
-        scheduler=loop_sched,
+    # One request per round: every round runs filter_heads, none fuses.
+    solo_results, solo_sched, _ = _serve("fast", token_budget=512, block_size=16, max_active=1)
+    solo_report = summarize_serving(
+        solo_results.values(), solo_sched.occupancy, token_budget=512,
+        scheduler=solo_sched,
     )
-    assert loop_report["batched_rounds"] == 0
+    assert solo_report["batched_rounds"] == 0
