@@ -11,9 +11,11 @@ Three parity layers, strictest first:
   ``decode_step`` calls exactly (outputs, retained sets, shared filter
   counters); a round of one request runs ``filter_heads`` and the
   software baselines run the default ``decode_step`` loop;
-* **serving** — a fast-backend serve (one fused kernel call per round)
-  must be byte-identical to a reference-backend serve (whose fused call
-  is the per-request loop) end to end (results, retained history,
+* **serving** — a fused-round serve must be byte-identical to a serve
+  through the policy's default per-request ``decode_step`` loop on both
+  backends, and a fast-backend serve (one fused kernel call per round)
+  to a reference-backend serve (whose fused call is the per-request
+  loop), end to end (results, retained history,
   trace, timings, filter counters), including under preemption pressure
   and deadline aborts; and every served request of every attention
   policy must equal a solo run of that request.
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 from repro.core import PadeConfig
 from repro.core.backend import get_backend
 import repro.attention.baselines  # noqa: F401  (registers the baselines)
-from repro.attention.policy import POLICY_REGISTRY
+from repro.attention.policy import POLICY_REGISTRY, AttentionPolicy, PadePolicy
 from repro.core.bsf_fast import bsf_filter_fast_batch, exact_dot_dtype
 from repro.engine import PadeEngine
 from repro.eval.serving_metrics import summarize_serving
@@ -318,7 +320,7 @@ def test_unsupported_policy_falls_back_to_loop():
 
 
 # ----------------------------------------------------------------------
-# Serving parity: fast == reference, and served == solo
+# Serving parity: fused == loop, fast == reference, and served == solo
 # ----------------------------------------------------------------------
 def _result_digest(results):
     """Order-stable byte digest of everything a caller can observe."""
@@ -337,12 +339,59 @@ def _result_digest(results):
     return out
 
 
-def _serve(backend, requests=None, **serve_kw):
-    engine = PadeEngine(PadeConfig.standard(), backend=backend)
+class _LoopPadePolicy(PadePolicy):
+    """PADE served through the default per-request ``decode_step`` loop."""
+
+    decode_step_batch = AttentionPolicy.decode_step_batch
+
+
+def _serve(backend, requests=None, loop=False, **serve_kw):
+    policy = _LoopPadePolicy() if loop else None
+    engine = PadeEngine(PadeConfig.standard(), backend=backend, policy=policy)
     if requests is None:
         requests = _engine_requests(5, deadline_ms=None)
     results = engine.serve(requests, **serve_kw)
     return results, engine.last_serve, engine.stats
+
+
+def _preemption_requests():
+    reqs = _engine_requests(6, context=10, steps=5)
+    # One request with a deadline tight enough to abort mid-flight.
+    reqs.append(
+        build_engine_request("tight", 2, 14, 6, head_dim=16, seed=99,
+                             deadline_ms=6.0)
+    )
+    return reqs
+
+
+@pytest.mark.parametrize("backend", ["fast", "reference"])
+def test_serve_batched_matches_loop(backend):
+    """A fused round serves the same bytes as the policy's per-request loop."""
+    kw = dict(token_budget=512, block_size=16)
+    loop_results, loop_sched, loop_stats = _serve(backend, loop=True, **kw)
+    fused_results, fused_sched, fused_stats = _serve(backend, **kw)
+    assert _result_digest(loop_results) == _result_digest(fused_results)
+    assert loop_sched.trace == fused_sched.trace
+    for field in _SHARED_COUNTERS:
+        assert getattr(loop_stats, field) == getattr(fused_stats, field)
+    assert fused_stats.batched_rounds > 0
+    assert loop_stats.batched_rounds == 0
+
+
+@pytest.mark.parametrize("backend", ["fast", "reference"])
+def test_serve_batched_matches_loop_under_preemption(backend):
+    """Loop parity must survive PoolExhausted preempt-and-retry and SLO aborts."""
+    kw = dict(token_budget=32, block_size=4, max_active=4)
+    loop_results, loop_sched, _ = _serve(
+        backend, requests=_preemption_requests(), loop=True, **kw
+    )
+    fused_results, fused_sched, fused_stats = _serve(
+        backend, requests=_preemption_requests(), **kw
+    )
+    assert any(e[0] == "preempt" for e in loop_sched.trace), "scenario lost its pressure"
+    assert _result_digest(loop_results) == _result_digest(fused_results)
+    assert loop_sched.trace == fused_sched.trace
+    assert fused_stats.batched_rounds > 0
 
 
 def _assert_backends_match(requests, **kw):
@@ -364,16 +413,9 @@ def test_serve_fast_matches_reference():
 
 def test_serve_fast_matches_reference_under_preemption():
     """Parity must survive PoolExhausted preempt-and-retry and SLO aborts."""
-    def mk():
-        reqs = _engine_requests(6, context=10, steps=5)
-        # One request with a deadline tight enough to abort mid-flight.
-        reqs.append(
-            build_engine_request("tight", 2, 14, 6, head_dim=16, seed=99,
-                                 deadline_ms=6.0)
-        )
-        return reqs
-
-    sched = _assert_backends_match(mk, token_budget=32, block_size=4, max_active=4)
+    sched = _assert_backends_match(
+        _preemption_requests, token_budget=32, block_size=4, max_active=4
+    )
     assert any(e[0] == "preempt" for e in sched.trace), "scenario lost its pressure"
 
 
