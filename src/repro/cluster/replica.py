@@ -28,7 +28,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Union
 
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -54,7 +54,7 @@ class ReplicaHandle:
         self.expect_close = False
         self.on_message = None
         self.on_lost = None
-        self.assigned: Dict[str, dict] = {}  # rid -> submit msg (for re-route)
+        self.assigned: Dict[str, bytes] = {}  # rid -> submit frame (for re-route)
         self.streamed: Dict[str, int] = {}  # rid -> tokens relayed so far
         self.done: Set[str] = set()
         self.accepted_count = 0
@@ -138,8 +138,9 @@ class ReplicaHandle:
                 self.on_lost(self)
 
     # ------------------------------------------------------------------
-    def send_nowait(self, msg: dict) -> None:
-        """Queue one message on the socket (transport-buffered).
+    def send_nowait(self, msg: Union[dict, bytes]) -> None:
+        """Queue one message, or one already-encoded frame, on the socket
+        (transport-buffered).
 
         Safe from synchronous callbacks; a dead transport is ignored —
         the pump's EOF is the authoritative failure signal.
@@ -147,11 +148,11 @@ class ReplicaHandle:
         if self._writer is None or self._writer.is_closing():
             return
         try:
-            self._writer.write(encode_message(msg))
+            self._writer.write(msg if isinstance(msg, bytes) else encode_message(msg))
         except (ConnectionError, RuntimeError):
             pass
 
-    async def send(self, msg: dict) -> None:
+    async def send(self, msg: Union[dict, bytes]) -> None:
         self.send_nowait(msg)
         if self._writer is not None and not self._writer.is_closing():
             try:

@@ -58,6 +58,7 @@ from repro.cluster.router import (
 from repro.eval.serving_metrics import summarize_cluster
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
+    FrameError,
     decode_message,
     decode_request,
     encode_message,
@@ -263,26 +264,26 @@ class ClusterServer:
         handle.ack_event.set()  # nothing further will arrive
         self.router.drain(handle.replica_id)
         self.lost_replicas.append(handle.replica_id)
-        for rid, submit_msg in list(handle.assigned.items()):
+        for rid, frame in list(handle.assigned.items()):
             if rid in handle.done:
                 continue
             if handle.streamed.get(rid, 0) == 0:
                 try:
-                    self._reroute(rid, submit_msg)
+                    self._reroute(rid, frame)
                     continue
                 except NoReplicaAvailable:
                     pass  # nowhere left: fall through to the abort
             self._abort_lost(rid, handle.streamed.get(rid, 0))
 
-    def _reroute(self, rid: str, submit_msg: dict) -> None:
+    def _reroute(self, rid: str, frame: bytes) -> None:
         keys = self._rid_keys.get(rid, [])
         target = self.router.route(keys)
         self.router.register(target, keys)
         self.router.add_load(target)
         new_handle = self.replicas[target]
-        new_handle.assigned[rid] = submit_msg
+        new_handle.assigned[rid] = frame
         self._rid_replica[rid] = target
-        new_handle.send_nowait(submit_msg)
+        new_handle.send_nowait(frame)
         self.rerouted_requests += 1
 
     def _abort_lost(self, rid: str, streamed: int) -> None:
@@ -303,7 +304,9 @@ class ClusterServer:
         )
 
     # ------------------------------------------------------------------
-    async def _on_submit(self, conn: _ClientConn, msg: dict) -> None:
+    async def _on_submit(
+        self, conn: _ClientConn, msg: dict, line: bytes, payload: bytes
+    ) -> None:
         body = msg.get("request")
         if not isinstance(body, dict) or body.get("request_id") is None:
             conn.send({"type": "rejected", "request_id": None, "error": "invalid"})
@@ -325,7 +328,7 @@ class ClusterServer:
             # to its sender, as a replica rejects one it cannot decode.
             try:
                 keys = request_chain_keys(
-                    decode_request(body), bits=self.bits, block_size=self.block_size
+                    decode_request(body, payload), bits=self.bits, block_size=self.block_size
                 )
             except (KeyError, TypeError, ValueError, IndexError):
                 conn.send({"type": "rejected", "request_id": rid, "error": "invalid"})
@@ -341,9 +344,11 @@ class ClusterServer:
         conn.owned.add(rid)
         self._rid_replica[rid] = target
         self._rid_keys[rid] = keys
+        # The submit travels on verbatim: its header line and payload.
+        frame = line + payload
         handle = self.replicas[target]
-        handle.assigned[rid] = msg
-        await handle.send(msg)
+        handle.assigned[rid] = frame
+        await handle.send(frame)
 
     def _cluster_stats(self) -> dict:
         return {
@@ -397,12 +402,17 @@ class ClusterServer:
                     break
                 try:
                     msg = decode_message(line)
+                except FrameError:  # the payload's length is unknown
+                    conn.send({"type": "error", "error": "bad binary_bytes"})
+                    break
                 except ValueError:
                     conn.send({"type": "error", "error": "malformed message"})
                     continue
+                size = msg.get("binary_bytes", 0)
+                payload = await reader.readexactly(size) if size else b""
                 kind = msg["type"]
                 if kind == "submit":
-                    await self._on_submit(conn, msg)
+                    await self._on_submit(conn, msg, line, payload)
                 elif kind == "cancel":
                     if msg.get("request_id") is None:
                         conn.send({"type": "error", "error": "cancel needs a request_id"})
@@ -421,7 +431,7 @@ class ClusterServer:
                     await writer.drain()
                 except (ConnectionError, RuntimeError):
                     break
-        except (ConnectionError, ValueError):
+        except (ConnectionError, ValueError, asyncio.IncompleteReadError):
             pass
         finally:
             if task is not None:

@@ -3,8 +3,10 @@ shared-prefix workload through the closed-loop client, assert a clean
 drain.
 
 Exit code 0 requires: every request completed ``ok`` with a non-empty
-token stream, the cluster shutdown ack reporting zero leaked pool blocks
-across all replicas, and — under ``prefix`` routing — a nonzero cluster
+token stream, its output/retained digests and every token digest equal
+to an in-process :meth:`PadeEngine.serve` of the same workload, the
+cluster shutdown ack reporting zero leaked pool blocks across all
+replicas, and — under ``prefix`` routing — a nonzero cluster
 prefix-hit count (the affinity index actually landed requests on warm
 replicas).  Run by CI as::
 
@@ -17,7 +19,10 @@ import argparse
 import json
 
 from repro.cluster.server import serve_workload_over_cluster
+from repro.core.config import PadeConfig
+from repro.engine import PadeEngine
 from repro.eval.workloads import build_cluster_workload
+from repro.serve.smoke import digest_failures
 
 __all__ = ["main"]
 
@@ -38,6 +43,7 @@ def main(argv=None) -> int:
         args.groups, args.per_group, 4, 32, 16, args.steps, 32,
         rate=0.5, seed=args.seed,
     )
+    settings = dict(token_budget=1536, max_active=4, block_size=16, prefix_sharing=True)
     dones, ack, cluster = serve_workload_over_cluster(
         workload,
         replicas=args.replicas,
@@ -45,10 +51,7 @@ def main(argv=None) -> int:
         barrier=False,
         concurrency=args.concurrency,
         seed=args.seed,
-        token_budget=1536,
-        max_active=4,
-        block_size=16,
-        prefix_sharing=True,
+        **settings,
     )
 
     failures = []
@@ -59,6 +62,9 @@ def main(argv=None) -> int:
             failures.append(f"{rid}: not served ok ({done.get('type')}/{done.get('status')})")
         elif not done.get("tokens"):
             failures.append(f"{rid}: no streamed tokens")
+    failures += digest_failures(
+        dones, PadeEngine(PadeConfig.standard(), policy="pade").serve(workload, **settings)
+    )
     if ack.get("leaked_blocks", -1) != 0:
         failures.append(f"leaked_blocks = {ack.get('leaked_blocks')}")
     report = ack.get("report", {})

@@ -310,7 +310,7 @@ def _stack_decode_outputs(req: EngineRequest, outputs: List[np.ndarray]) -> np.n
     return np.zeros((num_heads, 0, v_dim))
 
 
-@dataclass
+@dataclass(eq=False)
 class _Lineage:
     """One extra decode lineage of a parallel-sampling request.
 
@@ -328,7 +328,9 @@ class _Lineage:
     next_step: int = 0
 
 
-@dataclass
+# eq=False: a state is its identity, so ``in``/``index``/``remove`` on the
+# active list are ``is`` tests rather than field-by-field comparisons.
+@dataclass(eq=False)
 class _RequestState:
     request: EngineRequest
     cache: object

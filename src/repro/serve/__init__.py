@@ -5,8 +5,9 @@ a real wall clock (and real sockets) in front of it without forking the
 scheduling logic:
 
 * :mod:`repro.serve.protocol` — newline-delimited JSON over a stream
-  socket: tensor-carrying submits, per-token streaming replies, done /
-  cancel / shutdown control messages, canonical sha256 digests.
+  socket: submits whose tensors follow the header line as raw float64
+  bytes, per-token streaming replies, done / cancel / shutdown control
+  messages, canonical sha256 digests.
 * :mod:`repro.serve.server` — :class:`AsyncPadeServer`: an
   ``asyncio.start_server`` service whose engine loop drives
   :meth:`ContinuousScheduler.step` one round at a time, with a bounded

@@ -86,9 +86,12 @@ class ServeConnection:
         except (ConnectionError, asyncio.IncompleteReadError, ValueError):
             pass
         finally:
-            for fut in list(self._accept.values()) + list(self._done.values()):
+            for fut in [*self._accept.values(), *self._done.values(), self._shutdown_ack]:
                 if not fut.done():
                     fut.set_exception(ConnectionError("server connection closed"))
+                    # Mark it retrieved: a caller that awaits it still
+                    # gets the error, one that never does is not logged.
+                    fut.exception()
 
     async def submit(self, request, arrival=None) -> dict:
         """Send one request; returns the ``accepted``/``rejected`` reply.

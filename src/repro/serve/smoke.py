@@ -2,8 +2,11 @@
 the closed-loop client over loopback, assert a clean shutdown.
 
 Exit code 0 requires: every request accepted and completed ``ok`` with
-a non-empty token stream, the shutdown ack reporting zero leaked pool
-blocks, and wall-clock TTFT populated for every request.  With
+a non-empty token stream, its output/retained digests and every token
+digest equal to an in-process :meth:`PadeEngine.serve` of the same
+workload (so every run checks that the binary submit frames are
+lossless), the shutdown ack reporting zero leaked pool blocks, and
+wall-clock TTFT populated for every request.  With
 ``--open-loop`` the workload instead replays each request's Poisson
 arrival schedule against real wall-clock time (``--pace`` seconds per
 round unit), and the makespan must additionally cover the paced
@@ -17,14 +20,31 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
+from typing import Dict, List
 
 from repro.core.config import PadeConfig
 from repro.engine import PadeEngine
 from repro.eval.workloads import build_serving_workload
 from repro.serve.client import serve_workload_over_loopback
+from repro.serve.protocol import array_digest, result_digests
 
-__all__ = ["main"]
+__all__ = ["digest_failures", "main"]
+
+
+def digest_failures(dones: Dict[str, dict], results: Dict[str, object]) -> List[str]:
+    """Where served ``dones`` differ from in-process ``results``: each
+    request's output and retained digests, and its token stream, one
+    digest per decode step in order."""
+    failures = []
+    for rid, res in sorted(results.items()):
+        done = dones.get(rid, {})
+        if any(done.get(key) != value for key, value in result_digests(res).items()):
+            failures.append(f"{rid}: output/retained digest differs from in-process serve")
+        streamed = [(tok["step"], tok["digest"]) for tok in done.get("tokens", [])]
+        outputs = res.decode_outputs
+        if streamed != [(t, array_digest(outputs[:, t, :])) for t in range(outputs.shape[1])]:
+            failures.append(f"{rid}: token digests differ from in-process serve")
+    return failures
 
 
 def main(argv=None) -> int:
@@ -46,20 +66,18 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    engine = PadeEngine(PadeConfig.standard(), policy="pade")
     workload = build_serving_workload(
         args.requests, 4, args.context, args.steps, 32, rate=0.5, seed=args.seed
     )
+    settings = dict(max_active=4, token_budget=args.budget, block_size=16)
     pace = args.pace if args.open_loop else 0.0
     dones, ack, _server = serve_workload_over_loopback(
-        engine,
+        PadeEngine(PadeConfig.standard(), policy="pade"),
         workload,
         barrier=False,
         concurrency=args.concurrency,
         pace_s_per_round=pace,
-        max_active=4,
-        token_budget=args.budget,
-        block_size=16,
+        **settings,
     )
 
     failures = []
@@ -70,6 +88,9 @@ def main(argv=None) -> int:
             failures.append(f"{rid}: not served ok ({done.get('type')}/{done.get('status')})")
         elif not done.get("tokens"):
             failures.append(f"{rid}: no streamed tokens")
+    failures += digest_failures(
+        dones, PadeEngine(PadeConfig.standard(), policy="pade").serve(workload, **settings)
+    )
     if ack.get("leaked_blocks", -1) != 0:
         failures.append(f"leaked_blocks = {ack.get('leaked_blocks')}")
     report = ack.get("report", {})

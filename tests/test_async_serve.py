@@ -3,7 +3,9 @@
 What ISSUE 7 pins down:
 
 * the NDJSON wire protocol round-trips requests and tensors losslessly
-  (base64 float64, sha256 digests);
+  (binary float64 frames for submits, base64 token outputs, sha256
+  digests), and a frame that breaks the layout gets the promised
+  connection outcome;
 * the loopback socket path in deterministic-replay (barrier) mode is
   byte-identical to the in-process :meth:`PadeEngine.serve` call on the
   same workload — same outputs, same retained sets, same round-clock
@@ -26,23 +28,26 @@ yields at every round boundary).
 from __future__ import annotations
 
 import asyncio
+import gc
+import json
+import platform
+import resource
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.engine import EngineRequest, PadeEngine
 from repro.eval.workloads import build_engine_request, build_serving_workload
-from repro.serve.client import (
-    ServeConnection,
-    run_closed_loop,
-    serve_workload_over_loopback,
-)
+from repro.serve.client import ServeConnection, serve_workload_over_loopback
 from repro.serve.protocol import (
+    _TENSOR_FIELDS,
     MAX_LINE_BYTES,
     array_digest,
     decode_message,
     decode_request,
+    encode_array,
     encode_message,
     encode_request,
     result_digests,
@@ -74,6 +79,23 @@ async def _start(engine=None, **kwargs):
     return server
 
 
+def _submit_frame(request, **extra) -> bytes:
+    return encode_message({"type": "submit", "request": encode_request(request), **extra})
+
+
+def _split_frame(frame: bytes):
+    """``(header, payload)`` of one encoded frame."""
+    line, payload = frame.split(b"\n", 1)
+    return decode_message(line), payload
+
+
+def _edit_frame(frame: bytes, edit) -> bytes:
+    """Re-encode ``frame`` after ``edit(header, payload) -> payload``."""
+    header, payload = _split_frame(frame)
+    payload = edit(header, payload)
+    return json.dumps(header).encode() + b"\n" + payload
+
+
 async def _graceful_stop(server):
     conn = await ServeConnection.open(server.host, server.port)
     try:
@@ -96,7 +118,9 @@ class TestProtocol:
             "rt", 2, 12, 3, head_dim=8, seed=7, arrival_time=2.5,
             tenant="t1", priority=2, deadline_ms=80.0, max_queue_ms=10.0,
         )
-        back = decode_request(encode_request(req))
+        header, payload = _split_frame(_submit_frame(req))
+        assert header["binary_bytes"] == len(payload)
+        back = decode_request(header["request"], payload)
         assert back.request_id == req.request_id
         assert back.arrival_time == req.arrival_time
         assert back.tenant == req.tenant
@@ -110,7 +134,54 @@ class TestProtocol:
 
     def test_arrival_override(self):
         req = _req("ov", arrival=1.0)
-        assert decode_request(encode_request(req), arrival_time=9.0).arrival_time == 9.0
+        header, payload = _split_frame(_submit_frame(req))
+        assert decode_request(header["request"], payload, arrival_time=9.0).arrival_time == 9.0
+
+    def test_tensor_free_messages_keep_their_bytes(self):
+        """Control messages and every reply are the same NDJSON lines as
+        before binary frames existed."""
+        golden = [
+            ({"type": "cancel", "request_id": "r3"}, b'{"type":"cancel","request_id":"r3"}\n'),
+            ({"type": "shutdown"}, b'{"type":"shutdown"}\n'),
+            ({"type": "stats"}, b'{"type":"stats"}\n'),
+            ({"type": "barrier", "count": 4}, b'{"type":"barrier","count":4}\n'),
+            ({"type": "accepted", "request_id": "r0"}, b'{"type":"accepted","request_id":"r0"}\n'),
+            (
+                {"type": "rejected", "request_id": "r1", "error": "overloaded"},
+                b'{"type":"rejected","request_id":"r1","error":"overloaded"}\n',
+            ),
+            (
+                {"type": "token", "request_id": "r0", "step": 2, "digest": "ab",
+                 "output": encode_array(np.array([[0.5, -1.25]]))},
+                b'{"type":"token","request_id":"r0","step":2,"digest":"ab",'
+                b'"output":{"shape":[1,2],"data":"AAAAAAAA4D8AAAAAAAD0vw=="}}\n',
+            ),
+            (
+                {"type": "done", "request_id": "r0", "status": "ok", "abort_reason": None,
+                 "timing": {"arrival_time": 0.0}, "wall": {"arrival": 1.5}},
+                b'{"type":"done","request_id":"r0","status":"ok","abort_reason":null,'
+                b'"timing":{"arrival_time":0.0},"wall":{"arrival":1.5}}\n',
+            ),
+            (
+                {"type": "shutdown_ack", "served": 2, "leaked_blocks": 0, "report": {}},
+                b'{"type":"shutdown_ack","served":2,"leaked_blocks":0,"report":{}}\n',
+            ),
+        ]
+        for msg, line in golden:
+            assert encode_message(msg) == line
+
+    def test_a_submit_frame_is_a_header_and_its_tensor_bytes(self):
+        req = _req("frame")
+        header, payload = _split_frame(_submit_frame(req))
+        spans = sorted(
+            (header["request"][name]["offset"], name)
+            for name in _TENSOR_FIELDS
+            if header["request"][name] is not None
+        )
+        assert b"".join(
+            np.ascontiguousarray(getattr(req, name), dtype="<f8").tobytes() for _, name in spans
+        ) == payload
+        assert header["request"]["sample_decode_q"] is None
 
     def test_array_digest_tracks_bytes(self):
         a = np.arange(6, dtype=np.float64).reshape(2, 3)
@@ -121,12 +192,27 @@ class TestProtocol:
 
 
 class TestParity:
-    def test_loopback_replay_matches_in_process(self):
+    def test_loopback_replay_matches_in_process(self, monkeypatch):
+        import repro.serve.client as client_mod
+
+        lines = []
+
+        def recording_decode(line):
+            lines.append(line)
+            return decode_message(line)
+
+        monkeypatch.setattr(client_mod, "decode_message", recording_decode)
         workload = build_serving_workload(5, 2, 24, 4, 8, rate=0.5, seed=3)
         kwargs = dict(max_active=2, token_budget=512, block_size=8)
         dones, ack, _server = serve_workload_over_loopback(
             PadeEngine(), workload, barrier=True, **kwargs
         )
+        # Replies stay text: every server -> client line is one JSON object.
+        assert lines
+        for line in lines:
+            assert line.endswith(b"\n") and line.count(b"\n") == 1
+            msg = json.loads(line)
+            assert isinstance(msg, dict) and "binary_bytes" not in msg
         engine = PadeEngine()
         results = engine.serve(workload, **kwargs)
         assert set(dones) == set(results)
@@ -375,7 +461,6 @@ class TestBackpressure:
         engine — is rejected as ``invalid`` to its sender only, before it
         is accepted; the sender's connection and every other client's
         requests carry on."""
-        from dataclasses import replace
 
         async def run():
             server = await _start(engine=PadeEngine(policy=policy))
@@ -406,7 +491,7 @@ class TestBackpressure:
         asyncio.run(run())
 
     def test_malformed_messages_keep_the_connection_and_its_requests(self):
-        """A submit with no ``request``, a tensor with no ``shape``, a
+        """A submit with no ``request``, a tensor span with no ``shape``, a
         non-numeric ``deadline_ms``, a cancel with no ``request_id`` and a
         ``barrier`` whose ``count`` is null or not a number are answered
         on the same connection; the sender's request in flight still
@@ -417,19 +502,22 @@ class TestBackpressure:
             reader, writer = await asyncio.open_connection(server.host, server.port)
 
             async def send(msg):
-                writer.write(encode_message(msg))
+                writer.write(msg if isinstance(msg, bytes) else encode_message(msg))
                 await writer.drain()
+
+            def drop_shape(header, payload):
+                del header["request"]["k"]["shape"]
+                return payload
 
             try:
                 await send({"type": "submit", "request": encode_request(_req("req0", steps=200)),
                             "arrival": "now"})
-                no_shape = encode_request(_req("no-shape"))
-                del no_shape["k"]["shape"]
+                no_shape = _edit_frame(_submit_frame(_req("no-shape")), drop_shape)
                 bad_deadline = encode_request(_req("bad-deadline"))
                 bad_deadline["deadline_ms"] = "abc"
                 for msg in (
                     {"type": "submit"},
-                    {"type": "submit", "request": no_shape},
+                    no_shape,
                     {"type": "submit", "request": bad_deadline},
                     {"type": "cancel"},
                     {"type": "barrier", "count": None},
@@ -456,6 +544,113 @@ class TestBackpressure:
             assert (done["request_id"], done["status"]) == ("req0", "ok")
             ack = await _graceful_stop(server)
             assert ack["served"] == 1
+            assert ack["leaked_blocks"] == 0
+
+        asyncio.run(run())
+
+    def test_spans_that_do_not_tile_the_payload_are_invalid(self):
+        """A span whose ``nbytes`` is not ``8 * prod(shape)``, that
+        overlaps its neighbour, leaves a gap or runs past the end is
+        rejected ``invalid``; its payload was read in full, so the same
+        connection's request in flight still completes ``ok``."""
+
+        def wrong_nbytes(header, payload):
+            header["request"]["k"]["nbytes"] += 8
+            return payload
+
+        def overlap(header, payload):
+            header["request"]["v"]["offset"] -= 8
+            return payload
+
+        def gap(header, payload):
+            # 8 spare bytes after k: every later span moves up by 8.
+            body = header["request"]
+            end = body["k"]["offset"] + body["k"]["nbytes"]
+            for name in _TENSOR_FIELDS:
+                if body[name] is not None and body[name]["offset"] >= end:
+                    body[name]["offset"] += 8
+            header["binary_bytes"] += 8
+            return payload[:end] + bytes(8) + payload[end:]
+
+        def past_the_end(header, payload):
+            header["binary_bytes"] -= 8
+            return payload[:-8]
+
+        edits = {"nbytes": wrong_nbytes, "overlap": overlap, "gap": gap, "past-end": past_the_end}
+
+        async def run():
+            server = await _start(max_active=1)
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                writer.write(_submit_frame(_req("req0", steps=100), arrival="now"))
+                for rid, edit in edits.items():
+                    writer.write(_edit_frame(_submit_frame(_req(rid)), edit))
+                await writer.drain()
+                replies, done = [], None
+                while done is None:
+                    msg = decode_message(await asyncio.wait_for(reader.readline(), 10.0))
+                    if msg["type"] == "done":
+                        done = msg
+                    elif msg["type"] != "token":
+                        replies.append(msg)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert replies == [{"type": "accepted", "request_id": "req0"}] + [
+                {"type": "rejected", "request_id": rid, "error": "invalid"} for rid in edits
+            ]
+            assert (done["request_id"], done["status"]) == ("req0", "ok")
+            ack = await _graceful_stop(server)
+            assert ack["served"] == 1
+            assert ack["leaked_blocks"] == 0
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize("size", ["64", -8, MAX_LINE_BYTES + 8, 1.5, None])
+    def test_an_unreadable_binary_bytes_gets_an_error_and_eof(self, size):
+        """Without a readable ``binary_bytes`` the stream has lost its
+        framing: the server answers ``error`` and closes, and the
+        sender's request in flight is cancelled like on a disconnect."""
+
+        async def run():
+            server = await _start(max_active=1)
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                writer.write(_submit_frame(_req("req0", steps=400), arrival="now"))
+                header, payload = _split_frame(_submit_frame(_req("bad")))
+                header["binary_bytes"] = size
+                writer.write(json.dumps(header).encode() + b"\n" + payload)
+                await writer.drain()
+                msgs = []
+                while line := await asyncio.wait_for(reader.readline(), 10.0):
+                    msgs.append(decode_message(line))
+            finally:
+                writer.close()
+            replies = [msg for msg in msgs if msg["type"] != "token"]
+            assert replies == [
+                {"type": "accepted", "request_id": "req0"},
+                {"type": "error", "error": "bad binary_bytes"},
+            ]
+            ack = await _graceful_stop(server)
+            assert server.results["req0"].abort_reason == "cancelled"
+            assert ack["leaked_blocks"] == 0
+
+        asyncio.run(run())
+
+    def test_eof_inside_a_payload_is_a_disconnect(self):
+        async def run():
+            server = await _start(max_active=1)
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(_submit_frame(_req("req0", steps=400), arrival="now"))
+            writer.write(_submit_frame(_req("cut"))[:-100])
+            writer.write_eof()
+            await writer.drain()
+            while await asyncio.wait_for(reader.readline(), 10.0):  # until EOF
+                pass
+            writer.close()
+            ack = await _graceful_stop(server)
+            assert "cut" not in server.results
+            assert server.results["req0"].abort_reason == "cancelled"
             assert ack["leaked_blocks"] == 0
 
         asyncio.run(run())
@@ -642,3 +837,129 @@ class TestGracefulShutdown:
     def test_queue_limit_validation(self):
         with pytest.raises(ValueError, match="queue_limit"):
             AsyncPadeServer(PadeEngine(), queue_limit=0)
+
+
+class TestBinaryFrames:
+    def test_every_tensor_field_crosses_the_socket_bit_exactly(self, monkeypatch):
+        """Each ``EngineRequest`` tensor (prompt, decode streams, parallel
+        samples; absent ones as ``None``) and the speculative fields reach
+        the server bit for bit, as owned, writable float64 arrays."""
+        import repro.serve.server as server_mod
+
+        rng = np.random.default_rng(0)
+        base = _req("samples", steps=3)
+        heads, steps, dim = base.decode_q.shape
+        k = base.k.copy()
+        k[0, 0, :3] = (-0.0, 5e-324, np.finfo(np.float64).max)
+        samples = replace(
+            base,
+            k=k,
+            sample_decode_q=rng.standard_normal((2, heads, steps, dim)),
+            sample_decode_k=rng.standard_normal((2, heads, steps, dim)),
+            sample_decode_v=rng.standard_normal((2, heads, steps, base.decode_v.shape[2])),
+        )
+        spec = replace(_req("spec", seed=1), speculative=True, draft_tokens=3)
+        bare = replace(_req("bare"), q_prompt=None, decode_q=None, decode_k=None, decode_v=None)
+        sent_requests = (samples, spec, bare)
+        received = {}
+
+        def capturing_decode(obj, *args, **kwargs):
+            request = decode_request(obj, *args, **kwargs)
+            received[request.request_id] = request
+            return request
+
+        monkeypatch.setattr(server_mod, "decode_request", capturing_decode)
+
+        async def run():
+            server = await _start()
+            conn = await ServeConnection.open(server.host, server.port)
+            try:
+                for request in sent_requests:
+                    await conn.submit(request)
+            finally:
+                await conn.close()
+            await _graceful_stop(server)
+
+        asyncio.run(run())
+        for sent in sent_requests:
+            got = received[sent.request_id]
+            assert (got.speculative, got.draft_tokens) == (sent.speculative, sent.draft_tokens)
+            for name in _TENSOR_FIELDS:
+                want, have = getattr(sent, name), getattr(got, name)
+                if want is None:
+                    assert have is None, name
+                    continue
+                assert have.dtype == np.float64 and have.shape == want.shape, name
+                assert have.tobytes() == want.tobytes(), name
+                assert have.flags.writeable and have.flags.c_contiguous, name
+                assert have.flags.owndata, name
+
+
+class TestClientRouter:
+    def test_a_closed_server_fails_every_pending_future(self):
+        """When the server closes the socket, ``shutdown()`` fails with
+        ``ConnectionError`` instead of waiting forever, and a pending
+        future no caller awaits is not logged as never retrieved."""
+
+        async def run():
+            unretrieved = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, ctx: unretrieved.append(ctx["message"])
+            )
+
+            async def read_one_line_and_close(reader, writer):
+                await reader.readline()
+                writer.close()
+
+            server = await asyncio.start_server(read_one_line_and_close, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                conn = await ServeConnection.open("127.0.0.1", port)
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(conn.shutdown(), 2.0)
+                await conn.close()
+                # The submit's done future is failed with nobody awaiting it.
+                conn = await ServeConnection.open("127.0.0.1", port)
+                with pytest.raises(ConnectionError):
+                    await asyncio.wait_for(conn.submit(_req("r0")), 2.0)
+                await conn.close()
+            finally:
+                server.close()
+                await server.wait_closed()
+            del conn
+            gc.collect()
+            await asyncio.sleep(0)
+            return unretrieved
+
+        assert [m for m in asyncio.run(run()) if "never retrieved" in m] == []
+
+
+class TestMallocThresholds:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc tuning")
+    def test_a_started_server_keeps_round_sized_arrays_on_a_warm_heap(self):
+        """Once a server has started, a 1.5 MiB array freed and allocated
+        again is served from the heap: glibc's adaptive mmap threshold,
+        raised only by the last 1 MiB free, would otherwise map and
+        page-fault it afresh."""
+
+        def cycle():
+            block = np.ones(3 << 16)  # 1.5 MiB, every page touched
+            del block
+
+        def minor_faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        async def run():
+            server = await _start()
+            try:
+                block = np.ones(1 << 17)  # 1 MiB
+                del block
+                cycle()  # warm-up
+                before = minor_faults()
+                for _ in range(20):
+                    cycle()
+                return minor_faults() - before
+            finally:
+                await server.stop()
+
+        assert asyncio.run(run()) < 50

@@ -6,6 +6,7 @@ protocol — the same path CI's cluster-smoke job exercises.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -204,7 +205,7 @@ def test_bad_settings_fail_in_the_parent(bad, error):
 
 def test_malformed_messages_keep_the_connection_and_its_requests():
     """Prefix routing decodes every submit in the front-end itself: a
-    submit with no ``request``, a tensor with no ``shape``, a
+    submit with no ``request``, a tensor span with no ``shape``, a
     non-numeric ``deadline_ms`` and a cancel with no ``request_id`` are
     answered on the same connection, and the sender's request in flight
     still completes ``ok``."""
@@ -212,24 +213,29 @@ def test_malformed_messages_keep_the_connection_and_its_requests():
     def request(rid, steps=4):
         return encode_request(build_engine_request(rid, 2, 16, steps, head_dim=8, seed=0))
 
+    def without_k_shape(body):
+        line, payload = encode_message({"type": "submit", "request": body}).split(b"\n", 1)
+        header = json.loads(line)
+        del header["request"]["k"]["shape"]
+        return json.dumps(header).encode() + b"\n" + payload
+
     async def run():
         cluster = ClusterServer(replicas=2, routing="prefix", seed=7, **WORKER_KWARGS)
         await cluster.start()
         try:
             reader, writer = await asyncio.open_connection(cluster.host, cluster.port)
             try:
-                no_shape = request("no-shape")
-                del no_shape["k"]["shape"]
+                no_shape = without_k_shape(request("no-shape"))
                 bad_deadline = request("bad-deadline")
                 bad_deadline["deadline_ms"] = "abc"
                 for msg in (
                     {"type": "submit", "request": request("req0", steps=200), "arrival": "now"},
                     {"type": "submit"},
-                    {"type": "submit", "request": no_shape},
+                    no_shape,
                     {"type": "submit", "request": bad_deadline},
                     {"type": "cancel"},
                 ):
-                    writer.write(encode_message(msg))
+                    writer.write(msg if isinstance(msg, bytes) else encode_message(msg))
                 await writer.drain()
                 replies, done = [], None
                 while done is None:
@@ -372,6 +378,47 @@ def test_replica_failure_settles_everything_without_leaks():
     report = ack["report"]
     assert report["lost_replicas"] == 1.0
     assert report["rerouted_requests"] == float(ack["rerouted_requests"])
+
+
+def test_submits_routed_off_a_lost_replica_arrive_intact():
+    """A replica that dies before streaming anything has every submit it
+    held re-sent, header line and binary payload, to a survivor: all of
+    them finish with the outputs of an in-process serve."""
+    workload = _workload(groups=2, per_group=3, steps=4, seed=5)
+
+    async def run():
+        # One reply past the routed count: the barrier stays up until the
+        # re-routed submits are accepted, so nothing streams before the kill.
+        cluster = ClusterServer(
+            replicas=2, routing="prefix", queue_limit=len(workload),
+            start_barrier=len(workload) + 1, seed=5, **WORKER_KWARGS,
+        )
+        await cluster.start()
+        try:
+            conn = await ServeConnection.open(cluster.host, cluster.port)
+            try:
+                for request in workload:
+                    assert (await conn.submit(request))["type"] == "accepted"
+                victim = max(cluster.replicas.values(), key=lambda h: len(h.assigned))
+                moved = len(victim.assigned)
+                await cluster.kill_replica(victim.replica_id)
+                dones = {r.request_id: await conn.result(r.request_id) for r in workload}
+                frames = [f for h in cluster.replicas.values() for f in h.assigned.values()]
+                assert all(f.startswith(b'{"binary_bytes":') for f in frames)
+                ack = await conn.shutdown()
+            finally:
+                await conn.close()
+        finally:
+            await cluster.stop()
+        return dones, ack, moved
+
+    dones, ack, moved = asyncio.run(run())
+    assert moved >= 1 and ack["rerouted_requests"] == moved
+    assert ack["leaked_blocks"] == 0
+    expected = PadeEngine().serve(workload, **WORKER_KWARGS)
+    for rid, res in expected.items():
+        assert dones[rid]["status"] == "ok", rid
+        assert {k: dones[rid][k] for k in result_digests(res)} == result_digests(res), rid
 
 
 def test_serving_profile_shards_every_scheduler_mode():
