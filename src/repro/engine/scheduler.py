@@ -51,6 +51,7 @@ from repro.engine.cache import (
     PoolExhausted,
     TierConfig,
 )
+from repro.engine.heap import pin_malloc_thresholds
 
 __all__ = [
     "EngineRequest",
@@ -135,17 +136,6 @@ class EngineRequest:
         if self.sample_decode_q is None:
             return 1
         return 1 + int(self.sample_decode_q.shape[0])
-
-    @property
-    def footprint_tokens(self) -> int:
-        """Worst-case token rows across all lineages, before COW sharing.
-
-        The shared prompt is counted once; every lineage (primary
-        included) adds its own decode growth.  Block-level COW slack
-        (the forked partial tail each divergent lineage privatizes) is
-        charged by the scheduler, which knows the block size.
-        """
-        return self.prompt_tokens + self.n_samples * self.decode_steps
 
     def __post_init__(self) -> None:
         streams = (self.decode_q, self.decode_k, self.decode_v)
@@ -829,6 +819,12 @@ class ContinuousScheduler:
         if request.request_id in in_flight:
             raise ValueError(f"request id {request.request_id!r} already queued")
         self.check_request(request)
+        if not self.fits_budget(request):
+            raise ValueError(
+                f"request {request.request_id!r} needs {self._charge_blocks(request)} "
+                f"blocks; the budget holds only {self.token_budget // self.block_size} "
+                f"blocks of {self.block_size} — it could never be served"
+            )
         self.pending.append((self._submit_seq, request))
         self._submit_seq += 1
         if self._charged or self.tiering is not None:
@@ -883,9 +879,9 @@ class ContinuousScheduler:
     def fits_budget(self, request: EngineRequest) -> bool:
         """Whether ``request`` could ever be served under the token budget.
 
-        The same predicate :meth:`_check_footprints` enforces at run
-        start; the async front-end uses it to reject an oversized
-        submission with an error reply instead of a crashed engine loop.
+        The same predicate :meth:`submit` enforces; the async front-end
+        uses it to reject an oversized submission with an error reply
+        instead of a crashed engine loop.
         """
         return self._charge_blocks(request) <= self.token_budget // self.block_size
 
@@ -984,62 +980,38 @@ class ContinuousScheduler:
         return self.pool
 
     def _dense_blocks(self, req: EngineRequest) -> int:
-        """Worst-case pool blocks across all lineages (COW divergence paid).
+        """Exact worst-case pool blocks ``req`` holds, all lineages included.
 
         The full prompt blocks are shared by every lineage and counted
-        once; each lineage then privatizes at most one forked partial
-        tail and grows it by its own decode steps.  A speculative
-        request additionally holds the rollback anchor's tail alongside
-        the working tail for the length of one draft round.
+        once.  Each lineage privatizes the forked partial prompt tail and
+        grows it by its own decode steps, in whole blocks of its own —
+        tails of different lineages never share a block.  A speculative
+        request additionally holds the rollback anchor's tail block
+        alongside the working tail for the length of one draft round.
         """
         bs = self.block_size
         shared = req.prompt_tokens // bs
         tail = req.prompt_tokens - shared * bs
-        per_lineage = -(-(tail + req.decode_steps) // bs) if (tail or req.decode_steps) else 0
+        per_lineage = -(-(tail + req.decode_steps) // bs)
         blocks = shared + req.n_samples * per_lineage
         if req.speculative:
             blocks += 1
         return max(1, blocks)
 
-    def _charge_tokens(self, req: EngineRequest) -> int:
-        """Tokens this request is charged against the budget (policy view).
-
-        Charged-footprint (bounded) policies admit on the *deduplicated*
-        charged set of a parallel-sampling request: the shared prompt
-        footprint is charged once, and each extra lineage adds only its
-        private decode growth plus one block of copy-on-write slack —
-        charging every forked child its full footprint would spuriously
-        exhaust the budget for blocks that are physically shared.
-        """
-        policy = getattr(self.engine, "policy", None)
-        if req.n_samples == 1 and not req.speculative:
-            # Plain request: the exact legacy accounting, unchanged.
-            if policy is None:
-                return req.total_tokens
-            return min(
-                req.total_tokens,
-                policy.cache_footprint(req.prompt_tokens, req.decode_steps),
-            )
-        dense = self._dense_blocks(req) * self.block_size
-        if policy is None:
-            return dense
-        charge = policy.cache_footprint(req.prompt_tokens, req.decode_steps)
-        charge += (req.n_samples - 1) * (req.decode_steps + self.block_size)
-        return min(dense, charge)
-
     def _charge_blocks(self, req: EngineRequest) -> int:
-        return max(1, -(-self._charge_tokens(req) // self.block_size))
+        """Blocks ``req`` is charged against the token budget.
 
-    def _check_footprints(self) -> None:
-        num_blocks = self.token_budget // self.block_size
-        for _, req in self.pending:
-            needed = self._charge_blocks(req)
-            if needed > num_blocks:
-                raise ValueError(
-                    f"request {req.request_id!r} needs {self._charge_tokens(req)} tokens "
-                    f"({needed} blocks); the budget holds only {num_blocks} blocks "
-                    f"of {self.block_size} — it could never be served"
-                )
+        A dense policy keeps every key resident, so the charge is
+        :meth:`_dense_blocks`.  A bounded (charged) policy is billed its
+        peak resident tokens in whole blocks, capped by the dense count;
+        n-best and speculative requests are PADE-only
+        (:meth:`check_request`), so no lineage or anchor term applies.
+        """
+        dense = self._dense_blocks(req)
+        if not self._charged:
+            return dense
+        footprint = self.engine.policy.cache_footprint(req.prompt_tokens, req.decode_steps)
+        return min(dense, max(1, -(-footprint // self.block_size)))
 
     # ------------------------------------------------------------------
     def _admit(self) -> None:
@@ -1499,9 +1471,10 @@ class ContinuousScheduler:
             self._record("spill", (state.request.request_id,))
             return True
         if len(self.active) == 1:
-            # Defensive: _check_footprints guarantees a lone request's
-            # blocks always fit, so this only fires if something else
-            # squats on the pool.
+            # Defensive: submit admits only requests whose _charge_blocks
+            # fit the budget, and that charge covers every block a lone
+            # request holds, so this only fires if something else squats
+            # on the pool.
             raise RuntimeError(
                 f"token budget {self.token_budget} cannot hold request "
                 f"{state.request.request_id!r} alone; raise --budget or "
@@ -1836,19 +1809,19 @@ class ContinuousScheduler:
         return self.pool.used_tokens if self.pool is not None else 0
 
     def start(self) -> Dict[str, RequestResult]:
-        """Begin a run: reset per-run state and validate footprints.
+        """Begin a run: reset per-run state and pin the malloc thresholds.
 
         Returns the *live* results dict that :meth:`step` fills in —
         callers driving the scheduler round by round (the async
         front-end) read completed entries out of it between steps.
         """
+        pin_malloc_thresholds()
         self.time = 0.0
         self.trace = []
         self.events = []
         self.occupancy = []
         self.tenant_service = {}
         self._streamed = {}
-        self._check_footprints()
         self._results = {}
         return self._results
 

@@ -39,7 +39,11 @@ import numpy as np
 import pytest
 
 from repro.engine import EngineRequest, PadeEngine
-from repro.eval.workloads import build_engine_request, build_serving_workload
+from repro.eval.workloads import (
+    build_engine_request,
+    build_parallel_workload,
+    build_serving_workload,
+)
 from repro.serve.client import ServeConnection, serve_workload_over_loopback
 from repro.serve.protocol import (
     _TENSOR_FIELDS,
@@ -423,18 +427,40 @@ class TestBackpressure:
 
         asyncio.run(run())
 
-    def test_too_large_rejection(self):
+    @pytest.mark.parametrize("mode", ["plain", "n-best"])
+    def test_too_large_rejection(self, mode):
+        """A request that could never fit the budget is refused at submit
+        (the n-best one needs one tail block per lineage, one more than
+        the budget holds); the server keeps serving and answering."""
         async def run():
-            server = await _start(token_budget=64, block_size=8)
+            if mode == "plain":
+                server = await _start(token_budget=64, block_size=8)
+                huge = _req("huge", context=256, steps=8)
+            else:
+                server = await _start(token_budget=96, block_size=16)
+                [huge] = build_parallel_workload(1, 2, 29, 4, 8, n_samples=3, seed=0)
             conn = await ServeConnection.open(server.host, server.port)
             try:
-                reply = await conn.submit(_req("huge", context=256, steps=8))
+                reply = await conn.submit(huge)
                 assert reply["type"] == "rejected"
                 assert reply["error"] == "too-large"
                 assert not server.scheduler.pending
+                assert (await conn.submit(_req("ok")))["type"] == "accepted"
+                assert (await conn.result("ok"))["status"] == "ok"
             finally:
                 await conn.close()
-            await server.stop()
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                writer.write(encode_message({"type": "stats"}))
+                await writer.drain()
+                stats = decode_message(await reader.readline())
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            assert (stats["type"], stats["served"]) == ("stats", 1)
+            ack = await _graceful_stop(server)
+            assert ack["served"] == 1
+            assert ack["leaked_blocks"] == 0
 
         asyncio.run(run())
 

@@ -21,7 +21,11 @@ import pytest
 
 from repro.engine import ContinuousScheduler, PadeEngine
 from repro.eval.serving_metrics import summarize_serving, timing_from_result
-from repro.eval.workloads import build_engine_request, build_serving_workload
+from repro.eval.workloads import (
+    build_engine_request,
+    build_parallel_workload,
+    build_serving_workload,
+)
 
 
 def _timed_request(i, arrival, context=20, steps=8, num_heads=2, head_dim=8):
@@ -84,11 +88,25 @@ class TestBudgetInvariants:
             assert active <= 3
             assert used <= budget
 
-    def test_unserveable_request_rejected_up_front(self):
-        big = _timed_request(0, arrival=0.0, context=200, steps=50)
-        engine = PadeEngine()
+    @pytest.mark.parametrize("mode", ["plain", "n-best", "speculative"])
+    def test_unserveable_request_rejected_up_front(self, mode):
+        # Fork requests are charged whole tail blocks per lineage plus the
+        # speculative rollback anchor: the n-best case would fit only with
+        # lineage tails pooled in tokens, the speculative one only without
+        # its anchor block, and either would then crash mid-run.
+        if mode == "plain":
+            req = _timed_request(0, arrival=0.0, context=200, steps=50)
+            kwargs = dict(token_budget=64, block_size=8)
+        elif mode == "n-best":
+            [req] = build_parallel_workload(1, 2, 29, 4, 8, n_samples=3, seed=0)
+            kwargs = dict(token_budget=96, block_size=16)
+        else:
+            req = dataclasses.replace(
+                _timed_request(0, arrival=0.0, context=5, steps=1), speculative=True
+            )
+            kwargs = dict(token_budget=8, block_size=4)
         with pytest.raises(ValueError, match="never be served"):
-            engine.serve([big], token_budget=64, block_size=8)
+            PadeEngine().serve([req], **kwargs)
 
     def test_lone_request_completes_at_exact_budget(self):
         # The footprint guard admits a request whose peak usage equals the

@@ -11,6 +11,8 @@ Hypothesis drives the fork → spill → preempt → restore lifecycles.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import PadeConfig
 from repro.engine import (
+    ContinuousScheduler,
     PadeEngine,
     PagedBitPlaneKVCache,
     PlaneBlockPool,
@@ -132,7 +135,8 @@ class TestForkUnderTiering:
 
 
 class TestChargedFootprintAdmission:
-    """Satellite: n-best requests admit on the deduplicated charged set."""
+    """n-best requests are charged the shared prompt blocks once plus
+    whole tail blocks per lineage, not n full footprints."""
 
     def test_parallel_request_charges_shared_prompt_once(self):
         engine = PadeEngine(PadeConfig.standard())
@@ -149,17 +153,58 @@ class TestChargedFootprintAdmission:
         assert pool.used_block_count == 0
 
     def test_replicated_footprint_would_be_rejected(self):
-        """The same request under the replicated (pre-dedup) charge is
-        provably unservable: pin the budget the dedup accounting saves."""
+        """The same request under the replicated (per-lineage full
+        footprint) charge is provably unservable: pin the budget the
+        block-exact charge saves."""
         engine = PadeEngine(PadeConfig.standard())
         [req] = build_parallel_workload(1, 4, 64, 4, 32, n_samples=4, seed=0)
-        scheduler_charge = None
         results = engine.serve([req], max_active=2, token_budget=192,
                                block_size=16)
         scheduler = engine.last_serve
-        scheduler_charge = scheduler._charge_tokens(req)
-        assert scheduler_charge <= 192 < req.n_samples * req.total_tokens
+        charge = scheduler._charge_blocks(req) * scheduler.block_size
+        assert charge <= 192 < req.n_samples * req.total_tokens
         assert results[req.request_id].status == "ok"
+
+    @given(
+        prompt=st.integers(1, 40),
+        steps=st.integers(1, 12),
+        mode=st.sampled_from(["plain", "n-best", "speculative"]),
+        n_samples=st.integers(2, 4),
+        draft_tokens=st.integers(1, 8),
+        block_size=st.sampled_from([4, 8, 16]),
+        tiering=st.booleans(),
+        prefix_chunked=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_lone_request_serves_at_exactly_its_charge(
+        self, prompt, steps, mode, n_samples, draft_tokens, block_size,
+        tiering, prefix_chunked, seed,
+    ):
+        """A lone request that admission accepts must serve to completion
+        at a budget of exactly its charge, never holding more, and one
+        block less must be refused at submit rather than crash mid-run."""
+        if mode == "n-best":
+            [req] = build_parallel_workload(
+                1, 2, prompt, steps, 8, n_samples=n_samples, seed=seed
+            )
+        else:
+            req = build_engine_request("r0", 2, prompt, steps, 8, seed=seed)
+            if mode == "speculative":
+                req = replace(req, speculative=True, draft_tokens=draft_tokens)
+        kw = dict(max_active=1, block_size=block_size)
+        if tiering:
+            kw["tiering"] = TierConfig(min_resident_planes=2)
+        if prefix_chunked:
+            kw.update(prefix_sharing=True, round_token_budget=8, chunk_tokens=4)
+        engine = PadeEngine(PadeConfig.standard())
+        charge = ContinuousScheduler(engine, **kw)._charge_blocks(req)
+        results = engine.serve([req], token_budget=charge * block_size, **kw)
+        sched = engine.last_serve
+        assert results[req.request_id].status == "ok"
+        assert sched.pool.used_block_count == 0
+        assert all(used <= charge * block_size for _, used, _ in sched.occupancy)
+        with pytest.raises(ValueError, match="never be served"):
+            engine.serve([req], token_budget=(charge - 1) * block_size, **kw)
 
 
 class TestSpeculativeServing:
@@ -187,8 +232,6 @@ class TestSpeculativeServing:
         every round must still emit the verifier's bonus token, rewind to
         the anchor, and leak nothing."""
         req = build_engine_request("h0", 4, 32, 10, 32, seed=2)
-        from dataclasses import replace
-
         req = replace(req, speculative=True, draft_tokens=4)
         results, sched = self._serve([req], token_budget=1024)
         assert results["h0"].status == "ok"
