@@ -366,21 +366,18 @@ class PlaneBlockPool:
         # last drain.  Bounded — an undrained backlog only means a router
         # entry goes stale until its next miss, never unbounded memory.
         self._evicted_keys: Deque[bytes] = deque(maxlen=4096)
-        # --- two-tier plane memory (None = flat pool, byte-identical to
-        # the pre-tiering behavior; see TierConfig / DESIGN.md §16) -----
+        # --- plane-unit ledger (DESIGN.md §16): a flat pool (no TierConfig)
+        # keeps it too, with its block count as capacity and an empty
+        # spill ladder, so every live block stays at full precision.
         self.tiering = tiering
+        self.plane_budget_blocks = self.num_blocks
+        self.spill_ladder: List[int] = []  # target residencies, shallow to deep
         if tiering is not None:
-            if tiering.min_resident_planes >= bits:
-                raise ValueError(
-                    f"min_resident_planes {tiering.min_resident_planes} leaves "
-                    f"no spillable planes at {bits}-bit operands"
-                )
-            budget_blocks = self.num_blocks if plane_budget_blocks is None else int(plane_budget_blocks)
-            if budget_blocks < 1:
-                raise ValueError("plane_budget_blocks must be >= 1")
-            self.plane_budget_blocks = min(budget_blocks, self.num_blocks)
-        else:
-            self.plane_budget_blocks = self.num_blocks
+            self.spill_ladder = tiering.ladder(bits)
+            if plane_budget_blocks is not None:
+                if plane_budget_blocks < 1:
+                    raise ValueError("plane_budget_blocks must be >= 1")
+                self.plane_budget_blocks = min(int(plane_budget_blocks), self.num_blocks)
         self._resident: Dict[int, int] = {}  # block -> planes in primary tier
         self._spill_store: Dict[int, _Spilled] = {}  # block -> planes [r, bits)
         self._plane_units_used = 0  # sum of residencies of live blocks
@@ -430,12 +427,12 @@ class PlaneBlockPool:
         return self.block_size * (per_row + h * dv * self._values.itemsize)
 
     # ------------------------------------------------------------------
-    # Two-tier accounting.  The primary tier's capacity is denominated in
-    # *plane units*: one unit = one bit plane of one block.  A fully
-    # resident block consumes ``bits`` units; spilling planes frees units
-    # the allocator can hand to new blocks — that is the whole point of
-    # tiering: the same plane budget admits more sequences at degraded
-    # precision instead of preempting one.
+    # Plane-unit accounting.  The primary tier's capacity is denominated
+    # in *plane units*: one unit = one bit plane of one block.  A fully
+    # resident block consumes ``bits`` units; under tiering, spilling
+    # planes frees units the allocator can hand to new blocks — that is
+    # the whole point of tiering: the same plane budget admits more
+    # sequences at degraded precision instead of preempting one.
     @property
     def plane_capacity_units(self) -> int:
         """Primary-tier capacity in plane units (budget blocks × bits)."""
@@ -464,17 +461,17 @@ class PlaneBlockPool:
     def allocate(self) -> int:
         """Take one free block (refcount 1); :class:`PoolExhausted` when full.
 
-        Under tiering the primary tier must also have ``bits`` plane
-        units free — a fresh block is always written at full precision.
-        The scheduler turns this failure into the spill ladder before
-        falling back to preemption.
+        The primary tier must also have ``bits`` plane units free (only a
+        tiered pool can lack them with blocks free) — a fresh block is
+        always written at full precision.  The scheduler turns this
+        failure into the spill ladder before falling back to preemption.
         """
         if not self._free:
             raise PoolExhausted(
                 f"pool exhausted: all {self.num_blocks} blocks "
                 f"({self.token_budget} tokens) in use"
             )
-        if self.tiering is not None and self._plane_units_used + self.bits > self.plane_capacity_units:
+        if self._plane_units_used + self.bits > self.plane_capacity_units:
             raise PoolExhausted(
                 f"plane budget exhausted: {self._plane_units_used}/"
                 f"{self.plane_capacity_units} units in the primary tier"
@@ -484,10 +481,9 @@ class PlaneBlockPool:
         self._refcounts[block] = 1
         self.allocations += 1
         self.peak_used_blocks = max(self.peak_used_blocks, len(self._allocated))
-        if self.tiering is not None:
-            self._resident[block] = self.bits
-            self._plane_units_used += self.bits
-            self._touch(block)
+        self._resident[block] = self.bits
+        self._plane_units_used += self.bits
+        self._touch(block)
         return block
 
     def allocate_many(self, count: int) -> List[int]:
@@ -502,7 +498,7 @@ class PlaneBlockPool:
                 f"allocation of {count} blocks exceeds the {len(self._free)} free "
                 f"({self.num_blocks} total, {self.token_budget} tokens)"
             )
-        if self.tiering is not None and self._plane_units_used + count * self.bits > self.plane_capacity_units:
+        if self._plane_units_used + count * self.bits > self.plane_capacity_units:
             raise PoolExhausted(
                 f"allocation of {count} blocks exceeds the primary tier's "
                 f"{self.plane_units_free} free plane units"
@@ -515,8 +511,7 @@ class PlaneBlockPool:
             raise ValueError(f"block {block} is not allocated")
         self._refcounts[block] += 1
         self.prefix_shares += 1
-        if self.tiering is not None:
-            self._touch(block)
+        self._touch(block)
         return block
 
     def ref_count(self, block: int) -> int:
@@ -543,11 +538,10 @@ class PlaneBlockPool:
             del self._refcounts[block]
             self._allocated.remove(block)
             self._free.append(block)
-            if self.tiering is not None:
-                self._plane_units_used -= self._resident.pop(block)
-                self._spill_store.pop(block, None)
-                self._last_touch.pop(block, None)
-                self._protected.discard(block)
+            self._plane_units_used -= self._resident.pop(block)
+            self._spill_store.pop(block, None)
+            self._last_touch.pop(block, None)
+            self._protected.discard(block)
 
     # ------------------------------------------------------------------
     def register_prefix(self, key: bytes, block: int) -> bool:
@@ -656,13 +650,6 @@ class PlaneBlockPool:
         self._touch_clock += 1
         self._last_touch[block] = self._touch_clock
 
-    def touch(self, blocks) -> None:
-        """Mark blocks recently used (spill victims are chosen cold-first)."""
-        if self.tiering is None:
-            return
-        for block in blocks:
-            self._touch(block)
-
     def set_protected(self, blocks) -> None:
         """Pin blocks against spilling for the current round.
 
@@ -671,14 +658,10 @@ class PlaneBlockPool:
         positions of :func:`protection_mask` are never degraded — the
         divergence bound only ever applies to prunable middle context.
         """
-        if self.tiering is None:
-            return
         self._protected = {b for b in blocks if b in self._allocated}
 
     def resident_planes(self, block: int) -> int:
-        """Planes of ``block`` in the primary tier (``bits`` when flat)."""
-        if self.tiering is None:
-            return self.bits
+        """Planes of ``block`` in the primary tier (``bits`` unless spilled)."""
         return self._resident[block]
 
     def spill_candidates(self) -> List[int]:
@@ -764,27 +747,18 @@ class PlaneBlockPool:
         return moved
 
     def ensure_resident(self, block: int) -> int:
-        """Restore ``block`` to full precision if degraded (no-op when flat)."""
-        if self.tiering is None or self._resident.get(block, self.bits) == self.bits:
+        """Restore ``block`` to full precision if degraded."""
+        if block not in self._spill_store:
             return 0
         return self.restore_block(block)
 
     def degraded_blocks(self) -> List[int]:
         """Blocks with spilled planes, least-recently-touched first."""
-        if self.tiering is None:
-            return []
-        out = sorted(
-            self._spill_store, key=lambda b: (self._last_touch.get(b, 0), b)
-        )
-        return out
+        return sorted(self._spill_store, key=lambda b: (self._last_touch.get(b, 0), b))
 
     def resident_plane_histogram(self) -> Dict[int, int]:
-        """Live-block count per residency level (``{bits: n}`` when flat)."""
+        """Live-block count per residency level (``{bits: n}`` unless spilled)."""
         hist: Dict[int, int] = {}
-        if self.tiering is None:
-            if self._allocated:
-                hist[self.bits] = len(self._allocated)
-            return hist
         for block in self._allocated:
             level = self._resident[block]
             hist[level] = hist.get(level, 0) + 1

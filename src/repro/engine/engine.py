@@ -375,8 +375,9 @@ class PadeEngine:
     ) -> Optional[EngineAttentionResult]:
         """Populate a cache from prompt K/V and optionally attend ``q``.
 
-        This is the only place the bulk decomposition cost is paid; every
-        later :meth:`decode_step` reuses the stored planes.  The attend —
+        One-shot form of :meth:`prefill_begin` / :meth:`prefill_extend` /
+        :meth:`prefill_finish` (the path the scheduler takes), storing the
+        same bytes; later decode steps reuse the stored planes.  The attend —
         and all later decode steps on this cache — route through the
         engine's :class:`~repro.attention.policy.AttentionPolicy`, whose
         per-request state is created here (``total_tokens``, the final
@@ -385,15 +386,11 @@ class PadeEngine:
         """
         before = cache.rows_decomposed
         cache.prefill(k, v)
-        self.stats.prefill_tokens += cache.length
         self.stats.rows_decomposed += cache.rows_decomposed - before
-        cache.policy_state = self.policy.new_state(cache, total_tokens=total_tokens)
-        if q is None:
-            return None
-        return self.policy.prefill(self, cache, np.asarray(q, dtype=np.float64))
+        return self._seal_prompt(cache, q, total_tokens)
 
     def prefill_begin(self, cache, k: np.ndarray, v: np.ndarray) -> int:
-        """Start a chunked prefill: calibrate scales, attach prefix hits.
+        """Start a prefill: calibrate scales, attach prefix hits.
 
         Returns the tokens already resident (shared
         prefix blocks attached by reference — zero decompose cost); the
@@ -417,8 +414,12 @@ class PadeEngine:
         q: Optional[np.ndarray] = None,
         total_tokens: Optional[int] = None,
     ):
-        """Seal a chunked prefill and optionally attend the prompt queries."""
+        """Seal a prefill and optionally attend the prompt queries."""
         cache.finish_prefill()
+        return self._seal_prompt(cache, q, total_tokens)
+
+    def _seal_prompt(self, cache, q, total_tokens):
+        """Count a resident prompt, create the policy state, attend ``q``."""
         self.stats.prefill_tokens += cache.length
         cache.policy_state = self.policy.new_state(cache, total_tokens=total_tokens)
         if q is None:

@@ -354,7 +354,7 @@ class _RequestState:
 
     @property
     def prefilling(self) -> bool:
-        """True while a chunked prefill still owes prompt tokens."""
+        """True while a prefill still owes prompt tokens."""
         return getattr(self.cache, "prefill_remaining", 0) > 0
 
     @property
@@ -653,8 +653,9 @@ class ContinuousScheduler:
         Retained sets are unchanged — a hit block is byte-identical to
         what the request would have written itself.
     round_token_budget:
-        Tokens one decode round can process (0 = legacy instant-prefill
-        timing).  When set, a prompt's *missed* tokens cost rounds:
+        Tokens one decode round can process (0 = instant timing: a
+        prompt is written whole, as one chunk, in its admission round).
+        When set, a prompt's *missed* tokens cost rounds:
         without chunking the oldest prefill owns whole rounds exclusively
         (decode stalls — the motivation for chunked prefill); with
         ``chunk_tokens`` set, decode runs first every round and the
@@ -759,8 +760,7 @@ class ContinuousScheduler:
         self.time = 0.0
         self.pending: List[Tuple[int, EngineRequest]] = []  # (submit order, request)
         self.active: List[_RequestState] = []
-        self.trace: List[Tuple[str, Tuple[str, ...]]] = []
-        self.events: List[Tuple[float, str, Tuple[str, ...]]] = []  # timed trace
+        self.events: List[Tuple[float, str, Tuple[str, ...]]] = []  # (time, event, ids)
         self.occupancy: List[Tuple[float, int, int]] = []  # (time, used tokens, active)
         self.prefix_hit_blocks = 0  # prompt blocks attached from the prefix index
         self.prefix_miss_blocks = 0  # shareable prompt blocks written fresh
@@ -808,6 +808,11 @@ class ContinuousScheduler:
         self._streamed: Dict[str, int] = {}
 
     @property
+    def trace(self) -> List[Tuple[str, Tuple[str, ...]]]:
+        """The untimed view of :attr:`events`: ``(event, ids)`` per entry."""
+        return [(event, ids) for _, event, ids in self.events]
+
+    @property
     def _budgeted(self) -> bool:
         """True when the round-token prefill cost model is active."""
         return self.round_token_budget > 0
@@ -835,7 +840,9 @@ class ContinuousScheduler:
             # physical rows to admit into always exist.
             bs = self.block_size
             self._physical_tokens += self._dense_blocks(request) * bs
-        self._timings.setdefault(request.request_id, _Timing(arrival_time=request.arrival_time))
+        # Fresh marks: a preemption re-queues without coming through here,
+        # so only a finished id reused by a later run is overwritten.
+        self._timings[request.request_id] = _Timing(arrival_time=request.arrival_time)
 
     def check_request(self, request: EngineRequest) -> None:
         """Raise ``ValueError`` if this engine can never serve ``request``.
@@ -945,7 +952,6 @@ class ContinuousScheduler:
 
     # ------------------------------------------------------------------
     def _record(self, event: str, ids: Tuple[str, ...]) -> None:
-        self.trace.append((event, ids))
         self.events.append((self.time, event, ids))
 
     def _ensure_pool(self, request: EngineRequest) -> PlaneBlockPool:
@@ -1036,25 +1042,19 @@ class ContinuousScheduler:
                 )
                 if budget_blocks - used < self._charge_blocks(request):
                     return
-            elif self.tiering is not None:
+            else:
                 blocks_needed = max(1, -(-request.prompt_tokens // pool.block_size))
+                # One headroom block per unfinished active request keeps this
+                # admission from forcing a preemption in the very next round
+                # (prefix hits only lower the real demand).  Counted in plane
+                # units, a tiered pool's deficit walks the spill ladder
+                # before declining: admitting at degraded precision instead
+                # of queueing is the whole TTFT win.
                 headroom = sum(1 for s in self.active if not s.done)
-                # Tiered admission counts plane units, not physical blocks
-                # (the backing store is oversized): a deficit triggers the
-                # spill ladder *before* declining — admitting at degraded
-                # precision instead of queueing is the whole TTFT win.
                 units_needed = (blocks_needed + headroom) * pool.bits
                 if pool.plane_units_free < units_needed and not self._relieve_pressure(
                     units_needed, blocks_needed
                 ):
-                    return
-            else:
-                blocks_needed = max(1, -(-request.prompt_tokens // pool.block_size))
-                # One headroom block per unfinished active request keeps this
-                # admission from forcing a preemption in the very next round.
-                # (Worst case: prefix hits only lower the real demand.)
-                headroom = sum(1 for s in self.active if not s.done)
-                if pool.free_block_count < blocks_needed + headroom:
                     return
             self.pending.remove(entry)
             cache = PagedBitPlaneKVCache(pool, prefix_sharing=self.prefix_sharing)
@@ -1063,45 +1063,24 @@ class ContinuousScheduler:
             timing = self._timings[request.request_id]
             if timing.admit_time is None:
                 timing.admit_time = self.time
+            # Shared prefix blocks attach for free; under the round-token
+            # model the missed tokens are paid for round by round, under
+            # instant timing (or after a full hit) as one chunk right now.
+            self.engine.prefill_begin(cache, request.k, request.v)
+            self.active.append(state)
             if self._budgeted:
-                # Bookkeeping only: shared prefix blocks attach for free,
-                # the missed tokens are paid for round by round.
-                self.engine.prefill_begin(cache, request.k, request.v)
-                self.active.append(state)
                 self._record("admit", (request.request_id,))
-                if not state.prefilling:  # full prefix hit: nothing left to pay
-                    self._finish_prefill(state)
-            else:
-                res = self.engine.prefill(
-                    cache,
-                    request.k,
-                    request.v,
-                    q=request.q_prompt,
-                    total_tokens=request.total_tokens,
-                )
-                if res is not None:
-                    state.prefill_output = res.output
-                self.active.append(state)
-                self._account_prefix(cache)
-                # Bill only the prompt tokens actually *written* —
-                # prefix-hit blocks attached by reference cost the pool
-                # nothing, exactly as the chunked path accounts them.
-                written = request.prompt_tokens - (
-                    cache.prefix_hit_blocks * self.block_size
-                )
-                self._charge_service(state, max(0, written))
-                if request.decode_steps == 0 and timing.first_token_time is None:
-                    # Prefill-only: the prompt output is the first (and last) token.
-                    timing.first_token_time = self.time + 1.0
-                self._record("prefill", (request.request_id,))
-                self._setup_lineages(state)
-
-    def _account_prefix(self, cache) -> None:
-        self.prefix_hit_blocks += cache.prefix_hit_blocks
-        self.prefix_miss_blocks += cache.prefix_miss_blocks
+                if state.prefilling:
+                    continue
+            self._extend_with_preemption(state, None)
 
     def _finish_prefill(self, state: _RequestState) -> None:
-        """Seal a budgeted prefill: prompt-query attend + timing marks."""
+        """Seal a fully written prompt — the one place a prefill ends.
+
+        Attends the prompt queries, accounts prefix hits, stamps the
+        prefill-only first token, logs ``"prefill"`` and arms lineages
+        and the draft.  (Service was billed chunk by chunk as written.)
+        """
         request = state.request
         res = self.engine.prefill_finish(
             state.cache, q=request.q_prompt, total_tokens=request.total_tokens
@@ -1110,9 +1089,11 @@ class ContinuousScheduler:
             state.prefill_output = res.output
         # Counted at completion so late-binding hits (blocks attached
         # chunk by chunk as a concurrent donor registers them) are seen.
-        self._account_prefix(state.cache)
+        self.prefix_hit_blocks += state.cache.prefix_hit_blocks
+        self.prefix_miss_blocks += state.cache.prefix_miss_blocks
         timing = self._timings[request.request_id]
         if request.decode_steps == 0 and timing.first_token_time is None:
+            # Prefill-only: the prompt output is the first (and last) token.
             timing.first_token_time = self.time + 1.0
         self._record("prefill", (request.request_id,))
         self._setup_lineages(state)
@@ -1154,14 +1135,10 @@ class ContinuousScheduler:
 
     def _release_request(self, state: _RequestState) -> None:
         """Free every cache this request holds: all lineages + anchor."""
-        state.cache.release()
-        if state.sample_lineages:
-            for lin in state.sample_lineages:
-                lin.cache.release()
+        for cache in self._live_caches(state):
+            cache.release()
         state.sample_lineages = None
-        if state.spec_anchor is not None:
-            state.spec_anchor.release()
-            state.spec_anchor = None
+        state.spec_anchor = None
         state.draft_state = None
 
     def _live_caches(self, state: _RequestState):
@@ -1215,15 +1192,13 @@ class ContinuousScheduler:
         spillable and fails fast.
         """
         pool = self.pool
-        if pool is None or pool.tiering is None:
-            return False
         if pool.free_block_count < blocks_needed:
             return False
         needed = pool.bits if units_needed is None else int(units_needed)
         avoid = set(avoid)
         if pool.plane_units_free >= needed:
             return True
-        for level in pool.tiering.ladder(pool.bits):
+        for level in pool.spill_ladder:  # empty on a flat pool
             for block in pool.spill_candidates():
                 if block in avoid or pool.resident_planes(block) <= level:
                     continue
@@ -1278,7 +1253,10 @@ class ContinuousScheduler:
         next decodes, not on the blocking path of a write.  Restore
         traffic is charged in round-token equivalents (one block's worth
         of planes = one block of tokens) against the round budget when
-        one is set.
+        one is set, and never takes all of it: a prefetch is optional
+        work, and a round whose every token went to restoring what an
+        admission attempt just spilled would leave a prefill with no
+        budget, round after round.
         """
         pool = self.pool
         if pool is None or pool.tiering is None:
@@ -1291,10 +1269,13 @@ class ContinuousScheduler:
             if restored >= budget:
                 break
             missing = pool.bits - pool.resident_planes(block)
+            cost = -(-missing * self.block_size // pool.bits)
             if pool.plane_units_free < missing:
                 break  # pressure is still on; do not overshoot the tier
-            moved = pool.restore_block(block)
-            restore_cost += -(-moved * self.block_size // pool.bits)
+            if self._budgeted and restore_cost + cost >= self.round_token_budget:
+                break  # leave the round's decode and prefills some budget
+            pool.restore_block(block)
+            restore_cost += cost
             restored += 1
             self.tier_prefetch_restores += 1
         for level, count in pool.resident_plane_histogram().items():
@@ -1412,11 +1393,9 @@ class ContinuousScheduler:
     def _degraded(self, cache) -> bool:
         """True when some block of ``cache`` holds only partial planes."""
         pool = self.pool
-        return (
-            pool is not None
-            and pool.tiering is not None
-            and any(pool.resident_planes(b) < pool.bits for b in cache.block_table)
-        )
+        if not pool.degraded_block_count:
+            return False
+        return any(pool.resident_planes(b) < pool.bits for b in cache.block_table)
 
     def _emit(
         self, state: _RequestState, unit, output: np.ndarray, retained: np.ndarray,
@@ -1661,34 +1640,24 @@ class ContinuousScheduler:
         self,
         req: EngineRequest,
         state: Optional[_RequestState],
-        status: str = "ok",
         abort_reason: Optional[str] = None,
     ) -> RequestResult:
         """Assemble a :class:`RequestResult` from whatever was produced.
 
         ``state`` is ``None`` for requests aborted while still queued —
         they report empty outputs; an aborted active request keeps the
-        tokens it streamed before the abort.
+        tokens it streamed before the abort.  Any ``abort_reason`` makes
+        the status ``"aborted"``.
         """
-        decode_outputs = _stack_decode_outputs(
-            req, state.outputs if state is not None else []
-        )
-        lineages = state.sample_lineages if state is not None else None
-        sample_outputs = (
-            [_stack_decode_outputs(req, lin.outputs) for lin in lineages]
-            if lineages
-            else []
-        )
-        sample_retained = (
-            [lin.retained_history for lin in lineages] if lineages else []
-        )
+        decode_outputs = _stack_decode_outputs(req, state.outputs if state else [])
+        lineages = (state.sample_lineages if state else None) or []
         timing = self._timings[req.request_id]
         return RequestResult(
             request_id=req.request_id,
             prefill_output=state.prefill_output if state is not None else None,
             decode_outputs=decode_outputs,
-            sample_outputs=sample_outputs,
-            sample_retained=sample_retained,
+            sample_outputs=[_stack_decode_outputs(req, lin.outputs) for lin in lineages],
+            sample_retained=[lin.retained_history for lin in lineages],
             retained_history=state.retained_history if state is not None else [],
             final_length=state.cache.length if state is not None else 0,
             arrival_time=timing.arrival_time,
@@ -1702,7 +1671,7 @@ class ContinuousScheduler:
             tenant=req.tenant,
             priority=req.priority,
             deadline_ms=req.deadline_ms,
-            status=status,
+            status="ok" if abort_reason is None else "aborted",
             abort_reason=abort_reason,
         )
 
@@ -1741,30 +1710,19 @@ class ContinuousScheduler:
         """
         kept_pending = []
         for entry in self.pending:
-            _, req = entry
-            reason = self._abort_reason(req, queued=True)
+            reason = self._abort_reason(entry[1], queued=True)
             if reason is None:
                 kept_pending.append(entry)
-                continue
-            results[req.request_id] = self._build_result(
-                req, None, status="aborted", abort_reason=reason
-            )
-            self._cancelled.discard(req.request_id)
-            self._record("abort", (req.request_id,))
+            else:
+                self._retire(results, entry[1], None, reason)
         self.pending = kept_pending
         still_active = []
         for state in self.active:
             reason = None if state.done else self._abort_reason(state.request, queued=False)
             if reason is None:
                 still_active.append(state)
-                continue
-            req = state.request
-            results[req.request_id] = self._build_result(
-                req, state, status="aborted", abort_reason=reason
-            )
-            self._release_request(state)
-            self._cancelled.discard(req.request_id)
-            self._record("abort", (req.request_id,))
+            else:
+                self._retire(results, state.request, state, reason)
         self.active = still_active
 
     def _collect(self, results: Dict[str, RequestResult]) -> None:
@@ -1778,20 +1736,35 @@ class ContinuousScheduler:
                 # Pool amplification accounting at the moment of maximal
                 # divergence: unique physical blocks across every lineage
                 # vs what n independent caches would have held.
-                tables = set(state.cache.block_table)
-                for lineage in state.sample_lineages:
-                    tables.update(lineage.cache.block_table)
+                tables = {b for c in self._live_caches(state) for b in c.block_table}
                 self.parallel_requests += 1
                 self.parallel_unique_blocks += len(tables)
                 self.parallel_single_blocks += len(state.cache.block_table)
                 self.parallel_replicated_blocks += (
                     len(state.cache.block_table) * req.n_samples
                 )
-            results[req.request_id] = self._build_result(req, state)
-            self._release_request(state)
-            self._cancelled.discard(req.request_id)  # finished first: too late
-            self._record("finish", (req.request_id,))
+            # A cancel still pending for it arrived too late: finished first.
+            self._retire(results, req, state)
         self.active = still_active
+
+    def _retire(
+        self,
+        results: Dict[str, RequestResult],
+        req: EngineRequest,
+        state: Optional[_RequestState],
+        abort_reason: Optional[str] = None,
+    ) -> None:
+        """The one exit of a request: finished, or aborted with a reason.
+
+        Reports the result, releases every cache it holds (``state`` is
+        ``None`` for a request aborted while queued), consumes any
+        pending cancel and logs ``"finish"`` or ``"abort"``.
+        """
+        results[req.request_id] = self._build_result(req, state, abort_reason)
+        if state is not None:
+            self._release_request(state)
+        self._cancelled.discard(req.request_id)
+        self._record("finish" if abort_reason is None else "abort", (req.request_id,))
 
     # ------------------------------------------------------------------
     def _used_tokens(self) -> int:
@@ -1800,13 +1773,13 @@ class ContinuousScheduler:
             # Charged accounting: what the budget ceiling actually sees.
             used = sum(self._charge_blocks(s.request) for s in self.active)
             return used * self.block_size
-        if self.pool is not None and self.pool.tiering is not None:
-            # Tiered accounting: residency-weighted primary-tier usage
-            # in token equivalents (a half-spilled block counts half),
-            # so occupancy stays meaningful against the token budget
-            # even though the backing store is oversized.
-            return self.pool.plane_units_used * self.block_size // self.pool.bits
-        return self.pool.used_tokens if self.pool is not None else 0
+        if self.pool is None:
+            return 0
+        # Residency-weighted primary-tier usage in token equivalents (a
+        # half-spilled block counts half; on a flat pool, used tokens), so
+        # occupancy stays meaningful against the token budget even when
+        # the backing store is oversized.
+        return self.pool.plane_units_used * self.block_size // self.pool.bits
 
     def start(self) -> Dict[str, RequestResult]:
         """Begin a run: reset per-run state and pin the malloc thresholds.
@@ -1817,7 +1790,6 @@ class ContinuousScheduler:
         """
         pin_malloc_thresholds()
         self.time = 0.0
-        self.trace = []
         self.events = []
         self.occupancy = []
         self.tenant_service = {}

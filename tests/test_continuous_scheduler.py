@@ -330,6 +330,36 @@ class TestTimingAndMetrics:
         assert res.first_token_time == res.admit_time + 1.0
         assert res.decode_outputs.shape[1] == 0
 
+    def test_reused_request_id_gets_fresh_timing(self):
+        """An id finished in one run and resubmitted to a later run of the
+        same scheduler is timed from scratch, exactly as a fresh
+        scheduler times it."""
+
+        def batch():
+            return [
+                build_engine_request("c", 2, 16, 2, head_dim=8, seed=2),
+                build_engine_request("a", 2, 16, 2, head_dim=8, seed=1),
+            ]
+
+        engine = PadeEngine()
+        reused = ContinuousScheduler(engine, max_active=1)
+        reused.submit(build_engine_request("a", 2, 16, 2, head_dim=8, seed=1))
+        reused.run()
+        for req in batch():
+            reused.submit(req)
+        second = reused.run()["a"]
+        fresh = ContinuousScheduler(engine, max_active=1)
+        for req in batch():
+            fresh.submit(req)
+        expected = fresh.run()["a"]
+
+        def marks(res):
+            return (res.arrival_time, res.admit_time, res.first_token_time,
+                    res.finish_time, res.preemptions)
+
+        assert marks(second) == marks(expected)
+        assert expected.admit_time > 0.0  # served after "c" on one slot
+
     def test_summarize_serving_report(self):
         workload = build_serving_workload(
             5, 2, 24, 6, 8, rate=0.5, seed=3

@@ -389,3 +389,57 @@ class TestPoolLifecycleEdges:
         fresh = PagedBitPlaneKVCache(pool, prefix_sharing=True)
         fresh.prefill(k2, v2)
         assert fresh.prefix_hit_blocks == 2
+
+
+class TestFlatPoolLedger:
+    """A pool without tiering keeps the same plane-unit ledger as a tiered
+    one: capacity is its physical block count, the ladder is empty and
+    every live block stays at full precision."""
+
+    def test_ledger_tracks_blocks_at_full_precision(self, rng):
+        pool = PlaneBlockPool(2, 4, 4, bits=8, block_size=4, token_budget=32)
+        assert pool.plane_capacity_units == pool.num_blocks * pool.bits
+        assert pool.spill_ladder == []
+        caches = []
+        for tokens in (5, 9, 3):
+            cache = PagedBitPlaneKVCache(pool)
+            cache.prefill(*_kv(rng, 2, tokens, 4, 4))
+            caches.append(cache)
+        caches.append(caches[1].fork())
+        caches[-1].append(np.ones((2, 4)), np.ones((2, 4)))  # COW tail copy
+        for cache in caches:
+            used = pool.used_block_count
+            assert used > 0
+            assert pool.plane_units_used == used * pool.bits
+            assert pool.plane_units_free == pool.free_block_count * pool.bits
+            assert pool.resident_plane_histogram() == {pool.bits: used}
+            assert pool.degraded_blocks() == []
+            assert pool.degraded_block_count == 0
+            cache.release()
+        assert pool.plane_units_used == 0
+        assert pool.resident_plane_histogram() == {}
+
+    def test_spill_requires_a_tier_config(self):
+        pool = PlaneBlockPool(1, 4, 4, block_size=4, token_budget=16)
+        block = pool.allocate()
+        with pytest.raises(RuntimeError, match="without tiering"):
+            pool.spill_block(block, 2)
+        with pytest.raises(RuntimeError, match="without tiering"):
+            pool.spill_candidates()
+        assert pool.resident_planes(block) == pool.bits
+        assert pool.ensure_resident(block) == 0
+
+    def test_oversized_charged_pool_allocates_every_physical_block(self):
+        # Charged-footprint serving (h2o, streaming-llm) builds a flat pool
+        # whose backing store exceeds the accounting budget: the plane
+        # budget is ignored without tiering, so no physical block is lost.
+        pool = PlaneBlockPool(
+            1, 4, 4, block_size=4, token_budget=64, plane_budget_blocks=4
+        )
+        assert pool.num_blocks == 16
+        assert pool.plane_capacity_units == 16 * pool.bits
+        blocks = pool.allocate_many(pool.num_blocks)
+        assert len(set(blocks)) == 16
+        assert pool.plane_units_used == pool.plane_capacity_units
+        with pytest.raises(PoolExhausted):
+            pool.allocate()
