@@ -99,7 +99,7 @@ def run_parity(
     reference = summarize_serving(
         results.values(),
         occupancy=scheduler.occupancy,
-        token_budget=scheduler.pool.token_budget if scheduler.pool else None,
+        token_budget=scheduler.token_budget,
         scheduler=scheduler,
     )
 

@@ -83,7 +83,7 @@ def run_prefix_comparison(
             report = summarize_serving(
                 on.values(),
                 occupancy=on_sched.occupancy,
-                token_budget=on_sched.pool.token_budget,
+                token_budget=on_sched.token_budget,
                 scheduler=on_sched,
             )
             peak_off = off_sched.pool.peak_used_blocks

@@ -55,7 +55,7 @@ def _serve(workload, backend, budget, block_size, max_active, policy, admission)
     report = summarize_serving(
         results.values(),
         occupancy=scheduler.occupancy,
-        token_budget=scheduler.pool.token_budget if scheduler.pool else None,
+        token_budget=scheduler.token_budget,
     )
     return results, report
 

@@ -58,7 +58,7 @@ def _serve(workload, policy, budget, block_size=16, max_active=2, **kwargs):
     report = summarize_serving(
         results.values(),
         occupancy=scheduler.occupancy,
-        token_budget=scheduler.pool.token_budget if scheduler.pool else None,
+        token_budget=scheduler.token_budget,
         scheduler=scheduler,
     )
     return results, report, scheduler

@@ -62,7 +62,7 @@ def _serve(workload, budget, max_active, backend=None, **kw):
     report = summarize_serving(
         results.values(),
         occupancy=scheduler.occupancy,
-        token_budget=scheduler.pool.token_budget if scheduler.pool else None,
+        token_budget=scheduler.token_budget,
         scheduler=scheduler,
     )
     return results, report, scheduler

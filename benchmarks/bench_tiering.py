@@ -73,7 +73,7 @@ def _serve(workload, budget, max_active, tiering=None, backend=None):
     report = summarize_serving(
         results.values(),
         occupancy=scheduler.occupancy,
-        token_budget=scheduler.pool.token_budget if scheduler.pool else None,
+        token_budget=scheduler.token_budget,
         scheduler=scheduler,
     )
     return results, report, scheduler

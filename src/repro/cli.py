@@ -35,7 +35,7 @@ wall-clock TTFT/TPOT/queueing columns are added), and ``--replicas`` /
 behind the prefix-affinity router in :mod:`repro.cluster`; the report
 becomes the cluster roll-up with ``cluster_throughput_tokens_per_round``
 and ``jain_replica_index``).  ``--speculative`` / ``--draft-policy`` /
-``--draft-tokens`` / ``--spec-accept-tol`` turn on draft-verify
+``--draft-tokens`` turn on draft-verify
 speculative decoding (a draftable policy proposes tokens on a
 copy-on-write forked cache, the PADE verifier accepts a prefix per
 round), and ``--parallel-samples N`` serves n-best parallel sampling
@@ -236,11 +236,6 @@ def main(argv=None) -> int:
         "(serve only, needs --speculative)",
     )
     serve_group.add_argument(
-        "--spec-accept-tol", type=float, default=0.05,
-        help="relative-L2 tolerance for accepting a drafted token against "
-        "the verifier output (serve only, needs --speculative)",
-    )
-    serve_group.add_argument(
         "--routing", choices=ROUTING_MODES, default="prefix",
         help="replica routing mode: 'prefix' matches chained prompt block "
         "keys against each replica's key index, 'random' and "
@@ -285,7 +280,6 @@ def main(argv=None) -> int:
                 "parallel_samples": args.parallel_samples,
                 "draft_policy": args.draft_policy,
                 "draft_tokens": args.draft_tokens,
-                "spec_accept_tol": args.spec_accept_tol,
             }
             if name == "serve"
             else {}

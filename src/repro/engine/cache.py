@@ -304,8 +304,16 @@ class PlaneBlockPool:
     :class:`PagedBitPlaneKVCache` maps its logical token positions onto
     those rows through its block table.
 
-    ``token_budget`` is rounded *down* to a whole number of blocks — the
-    pool never over-commits the budget it was given.
+    ``token_budget`` is the pool's one capacity: rounded *down* to whole
+    blocks, it is the primary tier's plane-unit ceiling (DESIGN.md §16),
+    and :class:`PoolExhausted` means that ceiling is reached — never that
+    the backing store is.  ``None`` means no ceiling (charged-footprint
+    serving bills admission instead).  The backing store starts at the
+    budget's blocks and grows only when every physical block is live
+    and the ceiling still has room — a tiered pool whose spilled blocks
+    left units free, or an unbounded one.  It doubles, and the new
+    blocks go *beneath* the LIFO free stack, so blocks come out exactly
+    as from a pool pre-sized to the largest store ever needed.
 
     Blocks are *ref-counted*: :meth:`allocate` hands out a block with one
     reference, :meth:`share` adds references (prefix hits, cache forks),
@@ -325,30 +333,32 @@ class PlaneBlockPool:
         v_dim: int,
         bits: int = 8,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        token_budget: int = 4096,
+        token_budget: Optional[int] = 4096,
         tiering: Optional[TierConfig] = None,
-        plane_budget_blocks: Optional[int] = None,
     ) -> None:
         if num_heads < 1 or head_dim < 1 or v_dim < 1:
             raise ValueError("num_heads, head_dim and v_dim must be positive")
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if token_budget < block_size:
+        if token_budget is not None and token_budget < block_size:
             raise ValueError(f"token_budget {token_budget} below one block ({block_size} tokens)")
         self.num_heads = num_heads
         self.head_dim = head_dim
         self.v_dim = v_dim
         self.bits = bits
         self.block_size = block_size
-        self.num_blocks = token_budget // block_size
-        rows = self.num_blocks * block_size
+        self.token_budget = (
+            None if token_budget is None else token_budget // block_size * block_size
+        )
         key_dtype = signed_dtype(bits)
-        self._keys = np.zeros((num_heads, rows, head_dim), dtype=key_dtype)
-        self._popcounts = np.zeros((bits, num_heads, rows), dtype=popcount_dtype(head_dim))
+        self.num_blocks = 0
+        self._keys = np.zeros((num_heads, 0, head_dim), dtype=key_dtype)
+        self._popcounts = np.zeros((bits, num_heads, 0), dtype=popcount_dtype(head_dim))
         self._masks = prefix_masks(bits).astype(key_dtype)  # [r]: keep planes 0..r
-        self._values = np.zeros((num_heads, rows, v_dim), dtype=np.float64)
-        # LIFO free list seeded so the first allocations come out 0, 1, 2...
-        self._free: List[int] = list(range(self.num_blocks - 1, -1, -1))
+        self._values = np.zeros((num_heads, 0, v_dim), dtype=np.float64)
+        # LIFO free list: the first allocations come out 0, 1, 2...
+        self._free: List[int] = []
+        self._grow((self.token_budget or 0) // block_size)
         self._allocated: set = set()
         self._refcounts: Dict[int, int] = {}
         self._prefix_index: Dict[bytes, int] = {}  # content key -> block
@@ -367,17 +377,10 @@ class PlaneBlockPool:
         # entry goes stale until its next miss, never unbounded memory.
         self._evicted_keys: Deque[bytes] = deque(maxlen=4096)
         # --- plane-unit ledger (DESIGN.md §16): a flat pool (no TierConfig)
-        # keeps it too, with its block count as capacity and an empty
-        # spill ladder, so every live block stays at full precision.
+        # keeps it too, with an empty spill ladder, so every live block
+        # stays at full precision and its store never outgrows the budget.
         self.tiering = tiering
-        self.plane_budget_blocks = self.num_blocks
-        self.spill_ladder: List[int] = []  # target residencies, shallow to deep
-        if tiering is not None:
-            self.spill_ladder = tiering.ladder(bits)
-            if plane_budget_blocks is not None:
-                if plane_budget_blocks < 1:
-                    raise ValueError("plane_budget_blocks must be >= 1")
-                self.plane_budget_blocks = min(int(plane_budget_blocks), self.num_blocks)
+        self.spill_ladder = tiering.ladder(bits) if tiering is not None else []
         self._resident: Dict[int, int] = {}  # block -> planes in primary tier
         self._spill_store: Dict[int, _Spilled] = {}  # block -> planes [r, bits)
         self._plane_units_used = 0  # sum of residencies of live blocks
@@ -393,12 +396,8 @@ class PlaneBlockPool:
 
     # ------------------------------------------------------------------
     @property
-    def token_budget(self) -> int:
-        """Total token rows the pool can hold (budget rounded to blocks)."""
-        return self.num_blocks * self.block_size
-
-    @property
     def free_block_count(self) -> int:
+        """Physical blocks on the free stack (the store may still grow)."""
         return len(self._free)
 
     @property
@@ -406,18 +405,9 @@ class PlaneBlockPool:
         return len(self._allocated)
 
     @property
-    def free_tokens(self) -> int:
-        return self.free_block_count * self.block_size
-
-    @property
     def used_tokens(self) -> int:
         """Token rows reserved by live block tables (block granularity)."""
         return self.used_block_count * self.block_size
-
-    @property
-    def occupancy(self) -> float:
-        """Fraction of the token budget currently reserved."""
-        return self.used_block_count / self.num_blocks
 
     @property
     def bytes_per_block(self) -> int:
@@ -434,9 +424,12 @@ class PlaneBlockPool:
     # the whole point of tiering: the same plane budget admits more
     # sequences at degraded precision instead of preempting one.
     @property
-    def plane_capacity_units(self) -> int:
-        """Primary-tier capacity in plane units (budget blocks × bits)."""
-        return self.plane_budget_blocks * self.bits
+    def plane_capacity_units(self) -> Optional[int]:
+        """Primary-tier capacity in plane units (budget blocks × bits);
+        ``None`` for a pool without a ceiling."""
+        if self.token_budget is None:
+            return None
+        return self.token_budget // self.block_size * self.bits
 
     @property
     def plane_units_used(self) -> int:
@@ -459,51 +452,55 @@ class PlaneBlockPool:
 
     # ------------------------------------------------------------------
     def allocate(self) -> int:
-        """Take one free block (refcount 1); :class:`PoolExhausted` when full.
-
-        The primary tier must also have ``bits`` plane units free (only a
-        tiered pool can lack them with blocks free) — a fresh block is
-        always written at full precision.  The scheduler turns this
-        failure into the spill ladder before falling back to preemption.
-        """
-        if not self._free:
-            raise PoolExhausted(
-                f"pool exhausted: all {self.num_blocks} blocks "
-                f"({self.token_budget} tokens) in use"
-            )
-        if self._plane_units_used + self.bits > self.plane_capacity_units:
-            raise PoolExhausted(
-                f"plane budget exhausted: {self._plane_units_used}/"
-                f"{self.plane_capacity_units} units in the primary tier"
-            )
-        block = self._free.pop()
-        self._allocated.add(block)
-        self._refcounts[block] = 1
-        self.allocations += 1
-        self.peak_used_blocks = max(self.peak_used_blocks, len(self._allocated))
-        self._resident[block] = self.bits
-        self._plane_units_used += self.bits
-        self._touch(block)
-        return block
+        """Take one block (refcount 1); see :meth:`allocate_many`."""
+        return self.allocate_many(1)[0]
 
     def allocate_many(self, count: int) -> List[int]:
-        """Take ``count`` blocks atomically: all of them or none.
+        """Take ``count`` blocks atomically (refcount 1 each): all or none.
 
-        The free-list check happens before any block is claimed, so a
-        failed compound allocation can never leak a partial set — the
-        pool is byte-for-byte as it was before the call.
+        The only refusal is the plane budget: :class:`PoolExhausted` when
+        the primary tier lacks ``count × bits`` free units — a fresh
+        block is always written at full precision, and only a tiered
+        pool can regain units without freeing blocks (the scheduler turns
+        this failure into the spill ladder before falling back to
+        preemption).  The check precedes every claim, so a failed call
+        leaves the pool byte-for-byte as it was.  When the free stack is
+        short, the backing store grows first.
         """
+        capacity = self.plane_capacity_units
+        if capacity is not None and self._plane_units_used + count * self.bits > capacity:
+            raise PoolExhausted(
+                f"plane budget exhausted: {count} blocks need {count * self.bits} "
+                f"plane units, {capacity - self._plane_units_used} of {capacity} free "
+                f"({self.token_budget} tokens)"
+            )
         if count > len(self._free):
-            raise PoolExhausted(
-                f"allocation of {count} blocks exceeds the {len(self._free)} free "
-                f"({self.num_blocks} total, {self.token_budget} tokens)"
-            )
-        if self._plane_units_used + count * self.bits > self.plane_capacity_units:
-            raise PoolExhausted(
-                f"allocation of {count} blocks exceeds the primary tier's "
-                f"{self.plane_units_free} free plane units"
-            )
-        return [self.allocate() for _ in range(count)]
+            self._grow(max(count - len(self._free), self.num_blocks))
+        blocks = [self._free.pop() for _ in range(count)]
+        for block in blocks:
+            self._allocated.add(block)
+            self._refcounts[block] = 1
+            self._resident[block] = self.bits
+            self._touch(block)
+        self.allocations += count
+        self._plane_units_used += count * self.bits
+        self.peak_used_blocks = max(self.peak_used_blocks, len(self._allocated))
+        return blocks
+
+    def _grow(self, count: int) -> None:
+        """Append ``count`` zeroed blocks to the backing store, beneath
+        the free stack (popped only after every block freed before)."""
+        old_rows = self.num_blocks * self.block_size
+        self.num_blocks += count
+        rows = self.num_blocks * self.block_size
+        for name, axis in (("_keys", 1), ("_popcounts", 2), ("_values", 1)):
+            old = getattr(self, name)
+            shape = list(old.shape)
+            shape[axis] = rows
+            store = np.zeros(shape, dtype=old.dtype)
+            store[(slice(None),) * axis + (slice(old_rows),)] = old
+            setattr(self, name, store)
+        self._free[:0] = range(self.num_blocks - 1, self.num_blocks - count - 1, -1)
 
     def share(self, block: int) -> int:
         """Add one reference to an allocated block (prefix hit / fork)."""

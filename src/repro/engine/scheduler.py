@@ -53,6 +53,10 @@ from repro.engine.cache import (
 )
 from repro.engine.heap import pin_malloc_thresholds
 
+# Speculative acceptance (DESIGN.md §17): a draft token whose output lies
+# within this relative L2 of the verifier's output is accepted.
+SPEC_ACCEPT_TOL = 0.05
+
 __all__ = [
     "EngineRequest",
     "RequestResult",
@@ -632,7 +636,11 @@ class ContinuousScheduler:
     max_active:
         Decode-round batch width.
     token_budget:
-        Global KV budget in tokens, rounded down to whole blocks.
+        Global KV budget in tokens, rounded down to whole blocks: the
+        pool's one capacity (its plane-unit ceiling, DESIGN.md §16).  A
+        dense policy's pool holds it directly; a charged policy's
+        admission bills its bounded footprint against it instead, so its
+        pool has no ceiling and its backing store grows to what is live.
     block_size:
         Tokens per pool block.
     policy:
@@ -684,11 +692,6 @@ class ContinuousScheduler:
         ``topk-oracle``).  Resolved lazily — only when a speculative
         request is actually submitted, which also requires the engine to
         serve the ``pade`` verifier policy.
-    spec_accept_tol:
-        Relative L2 tolerance for accepting a draft token: a draft
-        output within ``tol * ||verify||`` of the verifier's output for
-        the same position is accepted; the first reject ends the
-        accepted run (the verifier's own output is emitted there).
     """
 
     def __init__(
@@ -705,17 +708,14 @@ class ContinuousScheduler:
         tenant_weights: Optional[Dict[str, float]] = None,
         tiering=None,
         draft_policy="streaming-llm",
-        spec_accept_tol: float = 0.05,
     ) -> None:
         self.policy_obj = resolve_scheduling_policy(policy)
         if admission not in ("continuous", "drain"):
             raise ValueError(f"admission must be 'continuous' or 'drain', got {admission!r}")
-        if max_active < 1:
-            raise ValueError("max_active must be >= 1")
+        if max_active < 1 or block_size < 1:
+            raise ValueError("max_active and block_size must be >= 1")
         if chunk_tokens < 0 or round_token_budget < 0:
             raise ValueError("chunk_tokens and round_token_budget must be >= 0")
-        if spec_accept_tol < 0:
-            raise ValueError("spec_accept_tol must be >= 0")
         if chunk_tokens and not round_token_budget:
             raise ValueError("chunk_tokens requires round_token_budget (the per-round split)")
         if tiering:
@@ -733,7 +733,7 @@ class ContinuousScheduler:
             self.tiering = None
         self.engine = engine
         self.max_active = max_active
-        self.token_budget = token_budget
+        self.token_budget = token_budget // block_size * block_size
         self.block_size = block_size
         self.policy = self.policy_obj.name
         self.admission = admission
@@ -750,13 +750,8 @@ class ContinuousScheduler:
         self._charged = attn_policy is not None and not attn_policy.dense_footprint
         # Charged mode keeps every key physically resident (retained sets
         # must stay exactly reproducible) while *admission* is billed the
-        # policy's bounded footprint; the physical backing store is sized
-        # to the dense worst case of everything submitted so far, and the
-        # token budget lives on as the accounting ceiling — the capacity a
-        # bounded-cache deployment would actually provision.  Accumulated
-        # in :meth:`submit` so incremental (async) submission sizes the
-        # pool the same way a batch submit does.
-        self._physical_tokens = 0
+        # policy's bounded footprint against the token budget — the
+        # capacity a bounded-cache deployment would actually provision.
         self.time = 0.0
         self.pending: List[Tuple[int, EngineRequest]] = []  # (submit order, request)
         self.active: List[_RequestState] = []
@@ -778,7 +773,6 @@ class ContinuousScheduler:
         )
         self._draft_policy_arg = draft_policy
         self._draft_policy = None  # resolved on the first speculative request
-        self.spec_accept_tol = float(spec_accept_tol)
         self.spec_rounds = 0
         self.spec_drafted_tokens = 0
         self.spec_accepted_tokens = 0
@@ -832,14 +826,6 @@ class ContinuousScheduler:
             )
         self.pending.append((self._submit_seq, request))
         self._submit_seq += 1
-        if self._charged or self.tiering is not None:
-            # Tiered mode reuses the charged-footprint oversizing: the
-            # backing store is sized to the dense worst case while the
-            # token budget lives on as the primary tier's plane-unit
-            # ceiling — spilled planes free accounting units, and the
-            # physical rows to admit into always exist.
-            bs = self.block_size
-            self._physical_tokens += self._dense_blocks(request) * bs
         # Fresh marks: a preemption re-queues without coming through here,
         # so only a finished id reused by a later run is overwritten.
         self._timings[request.request_id] = _Timing(arrival_time=request.arrival_time)
@@ -899,16 +885,14 @@ class ContinuousScheduler:
         message to drive least-loaded routing and drain detection; every
         field is a plain number so the snapshot serializes as-is.
         """
-        pool = self.pool
-        used = pool.used_block_count if pool is not None else 0
-        total = pool.num_blocks if pool is not None else self.token_budget // self.block_size
+        used = self.pool.used_block_count if self.pool is not None else 0
         return {
             "time": float(self.time),
             "pending": len(self.pending),
             "active": len(self.active),
             "in_flight": len(self.pending) + len(self.active),
             "used_blocks": int(used),
-            "total_blocks": int(total),
+            "total_blocks": self.token_budget // self.block_size,
             "completed": len(self._results),
             "prefix_hit_blocks": int(self.prefix_hit_blocks),
             "prefix_miss_blocks": int(self.prefix_miss_blocks),
@@ -958,20 +942,16 @@ class ContinuousScheduler:
         num_heads, _, head_dim = np.asarray(request.k).shape
         v_dim = np.asarray(request.v).shape[2]
         if self.pool is None:
-            oversized = self._charged or self.tiering is not None
+            # The token budget is the pool's plane ceiling, except under
+            # charged admission, which bills it itself: that pool has none.
             self.pool = PlaneBlockPool(
                 num_heads,
                 head_dim,
                 v_dim,
                 bits=self.engine.config.bits,
                 block_size=self.block_size,
-                token_budget=(
-                    max(self.token_budget, self._physical_tokens)
-                    if oversized
-                    else self.token_budget
-                ),
+                token_budget=None if self._charged else self.token_budget,
                 tiering=self.tiering,
-                plane_budget_blocks=self.token_budget // self.block_size,
             )
         elif (self.pool.num_heads, self.pool.head_dim, self.pool.v_dim) != (
             num_heads,
@@ -1043,7 +1023,7 @@ class ContinuousScheduler:
                 if budget_blocks - used < self._charge_blocks(request):
                     return
             else:
-                blocks_needed = max(1, -(-request.prompt_tokens // pool.block_size))
+                prompt_blocks = max(1, -(-request.prompt_tokens // pool.block_size))
                 # One headroom block per unfinished active request keeps this
                 # admission from forcing a preemption in the very next round
                 # (prefix hits only lower the real demand).  Counted in plane
@@ -1051,9 +1031,9 @@ class ContinuousScheduler:
                 # before declining: admitting at degraded precision instead
                 # of queueing is the whole TTFT win.
                 headroom = sum(1 for s in self.active if not s.done)
-                units_needed = (blocks_needed + headroom) * pool.bits
+                units_needed = (prompt_blocks + headroom) * pool.bits
                 if pool.plane_units_free < units_needed and not self._relieve_pressure(
-                    units_needed, blocks_needed
+                    units_needed
                 ):
                     return
             self.pending.remove(entry)
@@ -1177,9 +1157,7 @@ class ContinuousScheduler:
 
     # ------------------------------------------------------------------
     # Two-tier pressure ladder (DESIGN.md §16).
-    def _relieve_pressure(
-        self, units_needed: Optional[int] = None, blocks_needed: int = 1, avoid=()
-    ) -> bool:
+    def _relieve_pressure(self, units_needed: Optional[int] = None, avoid=()) -> bool:
         """Walk the spill ladder until ``units_needed`` plane units are free.
 
         Spills cold, unprotected blocks level by level (half residency,
@@ -1187,13 +1165,10 @@ class ContinuousScheduler:
         room; ``False`` means even fully-spilled state cannot make room —
         the caller falls back to preemption.  ``avoid`` lists blocks the
         caller is about to write into (a write target must stay resident,
-        so spilling it would just bounce back).  Physical exhaustion
-        (fewer than ``blocks_needed`` free backing blocks) is not
-        spillable and fails fast.
+        so spilling it would just bounce back).  The backing store grows
+        under whatever the spills admit, so units are the only limit.
         """
         pool = self.pool
-        if pool.free_block_count < blocks_needed:
-            return False
         needed = pool.bits if units_needed is None else int(units_needed)
         avoid = set(avoid)
         if pool.plane_units_free >= needed:
@@ -1433,8 +1408,7 @@ class ContinuousScheduler:
 
     # -- the relief ladder ---------------------------------------------
     def _relieve_or_preempt(
-        self, state: _RequestState, cache, units_needed: Optional[int] = None,
-        blocks_needed: int = 1,
+        self, state: _RequestState, cache, units_needed: Optional[int] = None
     ) -> bool:
         """One rung of relief after ``state`` hit :class:`PoolExhausted`.
 
@@ -1446,7 +1420,7 @@ class ContinuousScheduler:
         everything it held (working cache, lineages, speculative anchor)
         was released and it is back in the queue.
         """
-        if self._relieve_pressure(units_needed, blocks_needed, avoid=cache.block_table[-1:]):
+        if self._relieve_pressure(units_needed, avoid=cache.block_table[-1:]):
             self._record("spill", (state.request.request_id,))
             return True
         if len(self.active) == 1:
@@ -1509,7 +1483,7 @@ class ContinuousScheduler:
         the appended queries — query ``j`` sits at position
         ``base_len + j``, exactly where decode step ``t0 + j`` would, so
         causal offsets line up automatically.  The leading run of draft
-        outputs within ``spec_accept_tol`` relative L2 of the verifier's
+        outputs within :data:`SPEC_ACCEPT_TOL` relative L2 of the verifier's
         is accepted; the verifier's own output is emitted at the first
         reject (the bonus token), so a round always advances at least
         one step.  On a reject the cache rewinds to the anchor and the
@@ -1541,7 +1515,7 @@ class ContinuousScheduler:
         for j in range(gamma):
             verify = vres.output[:, j, :]
             err = float(np.linalg.norm(draft_outs[j] - verify))
-            if err <= self.spec_accept_tol * (float(np.linalg.norm(verify)) + 1e-12):
+            if err <= SPEC_ACCEPT_TOL * (float(np.linalg.norm(verify)) + 1e-12):
                 accepted += 1
             else:
                 break
@@ -1602,8 +1576,7 @@ class ContinuousScheduler:
                 chunk_blocks = max(
                     1, -(-end // self.block_size) - len(cache.block_table)
                 )
-                units = chunk_blocks * self.pool.bits
-                if not self._relieve_or_preempt(state, cache, units, chunk_blocks):
+                if not self._relieve_or_preempt(state, cache, chunk_blocks * self.pool.bits):
                     return 0
         self._charge_service(state, written)
         if not state.prefilling:
@@ -1768,7 +1741,7 @@ class ContinuousScheduler:
 
     # ------------------------------------------------------------------
     def _used_tokens(self) -> int:
-        """Tokens the budget ceiling currently sees (charged or physical)."""
+        """Tokens the budget ceiling currently sees (charged or resident)."""
         if self._charged:
             # Charged accounting: what the budget ceiling actually sees.
             used = sum(self._charge_blocks(s.request) for s in self.active)
@@ -1778,7 +1751,7 @@ class ContinuousScheduler:
         # Residency-weighted primary-tier usage in token equivalents (a
         # half-spilled block counts half; on a flat pool, used tokens), so
         # occupancy stays meaningful against the token budget even when
-        # the backing store is oversized.
+        # the backing store has grown past it.
         return self.pool.plane_units_used * self.block_size // self.pool.bits
 
     def start(self) -> Dict[str, RequestResult]:

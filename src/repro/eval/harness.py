@@ -998,7 +998,6 @@ def serving_profile(
     parallel_samples: int = 1,
     draft_policy: str = "streaming-llm",
     draft_tokens: int = 4,
-    spec_accept_tol: float = 0.05,
 ) -> Dict[str, float]:
     """Continuous-batching serving profile over the paged bit-plane pool.
 
@@ -1045,8 +1044,7 @@ def serving_profile(
     ``speculative`` swaps the stream for a draft-friendly workload
     (:func:`repro.eval.workloads.build_speculative_workload`) served in
     draft-verify mode — ``draft_policy`` picks the draftable proposer,
-    ``draft_tokens`` the per-round draft depth, ``spec_accept_tol`` the
-    relative-L2 acceptance tolerance — and the report gains the
+    ``draft_tokens`` the per-round draft depth — and the report gains the
     ``spec_*`` block (rounds, drafted/accepted/emitted tokens,
     accepted-tokens-per-round, rollbacks).  ``parallel_samples`` > 1
     forks every request into that many n-best decode lineages off one
@@ -1058,7 +1056,7 @@ def serving_profile(
     CLI exposes ``--rate/--budget/--sched-policy/--scenario/--tenants/
     --prefix-sharing/--chunk/--round-tokens/--attention/--async/--port/
     --tiering/--tier-min-planes/--tier-restore-blocks/--speculative/
-    --parallel-samples/--draft-policy/--draft-tokens/--spec-accept-tol``.
+    --parallel-samples/--draft-policy/--draft-tokens``.
     """
     from repro.engine import PadeEngine
     from repro.eval.serving_metrics import summarize_serving
@@ -1132,7 +1130,6 @@ def serving_profile(
         round_token_budget=round_tokens,
         tenant_weights=tenant_weights,
         draft_policy=draft_policy,
-        spec_accept_tol=spec_accept_tol,
     )
     if tiering:
         from repro.engine.cache import TierConfig
@@ -1176,7 +1173,7 @@ def serving_profile(
         report = summarize_serving(
             results.values(),
             occupancy=scheduler.occupancy,
-            token_budget=scheduler.pool.token_budget if scheduler.pool else None,
+            token_budget=scheduler.token_budget,
             scheduler=scheduler,
         )
     return {

@@ -170,11 +170,10 @@ class AsyncPadeServer:
         round-clock report the in-process path produces, plus the
         measured ``wall_*_ms`` latency block."""
         scheduler = self.scheduler
-        pool = scheduler.pool
         return summarize_serving(
             self.timings(),
             occupancy=scheduler.occupancy,
-            token_budget=pool.token_budget if pool is not None else scheduler.token_budget,
+            token_budget=scheduler.token_budget,
             scheduler=scheduler,
         )
 

@@ -415,3 +415,59 @@ class TestIdleGapOccupancy:
         assert report["mean_active_requests"] < 0.25
         assert report["peak_active_requests"] == 1.0
         assert report["mean_pool_occupancy"] < 0.25 * report["peak_pool_occupancy"]
+
+
+class TestLiveSubmission:
+    """Requests submitted after the pool exists (the async front-end's
+    live mode) are served like a batch submitted before round 0: the
+    token budget is the pool's only capacity, whenever a request comes."""
+
+    @staticmethod
+    def _live(engine, requests, max_preemptions=8, **kwargs):
+        """Submit one request, run a round, then submit the rest."""
+        sched = ContinuousScheduler(engine, **kwargs)
+        preempt = sched._preempt_one
+        count = [0]
+
+        def bounded_preempt():
+            count[0] += 1
+            if count[0] > max_preemptions:
+                raise AssertionError("preemption loop: a request keeps evicting itself")
+            preempt()
+
+        sched._preempt_one = bounded_preempt
+        sched.submit(requests[0])
+        sched.start()
+        sched.step()
+        for request in requests[1:]:
+            sched.submit(request)
+        while sched.step():
+            pass
+        return sched.finish(), sched
+
+    @pytest.mark.parametrize("attention", ["h2o", "streaming-llm"])
+    def test_charged_policy_serves_live_submissions(self, attention):
+        from repro.serve.protocol import result_digests
+
+        requests = build_serving_workload(3, 2, 256, 8, 8, arrival_times=[0.0] * 3, seed=1)
+        kwargs = dict(max_active=4, token_budget=512, block_size=16)
+        results, sched = self._live(PadeEngine(policy=attention), requests, **kwargs)
+        batch = PadeEngine(policy=attention).serve(requests, **kwargs)
+        assert all(r.status == "ok" for r in results.values())
+        for request in requests:
+            rid = request.request_id
+            assert result_digests(results[rid]) == result_digests(batch[rid]), rid
+        assert sched.pool.used_block_count == 0
+
+    def test_tiered_live_submission_spills_before_preempting(self):
+        requests = build_serving_workload(6, 2, 160, 16, 8, arrival_times=[0.0] * 6, seed=1)
+        kwargs = dict(max_active=8, token_budget=512, block_size=16, tiering=True)
+        results, sched = self._live(PadeEngine(), requests, **kwargs)
+        batch = PadeEngine()
+        batch.serve(requests, **kwargs)  # the same requests, all submitted first
+        assert all(r.status == "ok" for r in results.values())
+        assert sched.pool.spill_events > 0
+        assert sum(r.preemptions for r in results.values()) == 0
+        # One round behind the batch serve: the late requests miss round 0.
+        assert sched.time <= batch.last_serve.time + 1
+        assert sched.pool.used_block_count == 0

@@ -24,7 +24,7 @@ from repro.engine import (
     PlaneBlockPool,
     PoolExhausted,
 )
-from repro.engine.cache import _key_rows, quantize_heads
+from repro.engine.cache import TierConfig, _key_rows, quantize_heads
 from repro.quant.bitplane import decompose_bitplanes
 from repro.quant.integer import int_range, quantize_symmetric
 
@@ -393,8 +393,8 @@ class TestPoolLifecycleEdges:
 
 class TestFlatPoolLedger:
     """A pool without tiering keeps the same plane-unit ledger as a tiered
-    one: capacity is its physical block count, the ladder is empty and
-    every live block stays at full precision."""
+    one: capacity is its token budget, which its store never outgrows,
+    the ladder is empty and every live block stays at full precision."""
 
     def test_ledger_tracks_blocks_at_full_precision(self, rng):
         pool = PlaneBlockPool(2, 4, 4, bits=8, block_size=4, token_budget=32)
@@ -429,17 +429,71 @@ class TestFlatPoolLedger:
         assert pool.resident_planes(block) == pool.bits
         assert pool.ensure_resident(block) == 0
 
-    def test_oversized_charged_pool_allocates_every_physical_block(self):
-        # Charged-footprint serving (h2o, streaming-llm) builds a flat pool
-        # whose backing store exceeds the accounting budget: the plane
-        # budget is ignored without tiering, so no physical block is lost.
-        pool = PlaneBlockPool(
-            1, 4, 4, block_size=4, token_budget=64, plane_budget_blocks=4
-        )
-        assert pool.num_blocks == 16
-        assert pool.plane_capacity_units == 16 * pool.bits
-        blocks = pool.allocate_many(pool.num_blocks)
-        assert len(set(blocks)) == 16
-        assert pool.plane_units_used == pool.plane_capacity_units
-        with pytest.raises(PoolExhausted):
-            pool.allocate()
+    def test_unbounded_charged_pool_grows_and_never_raises(self, rng):
+        # Charged-footprint serving (h2o, streaming-llm) bills admission
+        # against the budget, so its pool has no plane ceiling: the
+        # backing store grows past its first blocks, every block it hands
+        # out is usable, and rows written before a growth survive it.
+        pool = PlaneBlockPool(1, 4, 4, block_size=4, token_budget=None)
+        assert pool.plane_capacity_units is None and pool.num_blocks == 0
+        cache = PagedBitPlaneKVCache(pool)
+        cache.prefill(*_kv(rng, 1, 6, 4, 4))
+        k_int, values = cache.k_int.copy(), cache.values.copy()
+        blocks = [pool.allocate() for _ in range(14)] + pool.allocate_many(16)
+        assert list(cache.block_table) + blocks == list(range(32))
+        assert pool.num_blocks >= 32
+        assert pool.plane_units_used == 32 * pool.bits
+        assert np.array_equal(cache.k_int, k_int)
+        assert np.array_equal(cache.values, values)
+        pool.release(blocks)
+        cache.release()
+        assert pool.free_block_count == pool.num_blocks
+
+
+class TestGrowingStore:
+    """A pool's backing store grows beneath its LIFO free stack, so a
+    growing pool hands out exactly the blocks of one pre-sized to the
+    largest store it ever needs."""
+
+    @given(
+        ops=st.lists(
+            st.tuples(st.sampled_from(("allocate", "allocate_many", "release")),
+                      st.integers(0, 2**16)),
+            max_size=60,
+        ),
+        start_blocks=st.sampled_from([None, 2, 3]),
+    )
+    def test_growing_pool_hands_out_presized_block_ids(self, ops, start_blocks):
+        """Random allocate/allocate_many/release sequences return the same
+        block ids from a growing pool as from a pool pre-sized to 64."""
+        # A tiered pool at the floor residency holds ``bits`` blocks per
+        # block of plane budget, so a small budget still grows its store.
+        tiering = None if start_blocks is None else TierConfig(min_resident_planes=1)
+        budget = None if start_blocks is None else start_blocks * 4
+        growing = PlaneBlockPool(1, 4, 4, block_size=4, token_budget=budget, tiering=tiering)
+        presized = PlaneBlockPool(1, 4, 4, block_size=4, token_budget=64 * 4)
+        live = []
+        for op, pick in ops:
+            if op == "release":
+                if live:
+                    block = live.pop(pick % len(live))
+                    growing.release([block])
+                    presized.release([block])
+                continue
+            count = 1 if op == "allocate" else pick % 4
+            if len(live) + count > 24:
+                continue
+            if tiering is not None:  # spill every live block to the floor
+                for block in growing.spill_candidates():
+                    growing.spill_block(block, 1)
+                if growing.plane_units_free < count * growing.bits:
+                    continue
+            if op == "allocate":
+                got, want = [growing.allocate()], [presized.allocate()]
+            else:
+                got, want = growing.allocate_many(count), presized.allocate_many(count)
+            assert got == want
+            live += got
+        # Doubling keeps the store within twice the live high-water mark.
+        assert growing.free_block_count + growing.used_block_count == growing.num_blocks
+        assert growing.num_blocks <= max(2 * growing.peak_used_blocks, start_blocks or 0)

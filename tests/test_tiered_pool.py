@@ -29,12 +29,11 @@ from repro.quant.bitplane import decompose_bitplanes, prefix_masks
 
 
 def _tiered_pool(budget_blocks=6, block_size=4, bits=8, min_resident=2,
-                 num_heads=2, head_dim=4, plane_budget_blocks=None):
+                 num_heads=2, head_dim=4):
     return PlaneBlockPool(
         num_heads, head_dim, head_dim, bits=bits, block_size=block_size,
         token_budget=budget_blocks * block_size,
         tiering=TierConfig(min_resident_planes=min_resident),
-        plane_budget_blocks=plane_budget_blocks,
     )
 
 
@@ -199,13 +198,14 @@ class TestSharingAndCow:
 
     def test_plane_budget_exhaustion_raises_and_spill_unblocks(self):
         rng = np.random.default_rng(1)
-        pool = _tiered_pool(budget_blocks=6, plane_budget_blocks=2, block_size=4)
+        pool = _tiered_pool(budget_blocks=2, block_size=4)
         cache = _fill_cache(pool, rng, 8)  # 2 blocks = entire plane budget
         with pytest.raises(PoolExhausted):
             pool.allocate()
         for block in cache.block_table:
             pool.spill_block(block, pool.tiering.min_resident_planes)
         extra = pool.allocate()  # freed units admit a new block
+        assert extra == 2 and pool.num_blocks > 2  # the backing store grew
         pool.release([extra])
         cache.release()
         assert pool.plane_units_used == 0
@@ -441,6 +441,32 @@ class TestSchedulerIntegration:
             or "degraded" in k
         ]
         assert not leaked, f"disabled run leaked tiering columns: {leaked}"
+
+    @pytest.mark.parametrize("async_serve", [False, True])
+    def test_occupancy_is_measured_against_the_configured_budget(
+        self, monkeypatch, async_serve
+    ):
+        """A tiered serve's store grows past its budget; its occupancy is
+        still its used tokens over the budget it was configured with."""
+        from repro.eval import serving_metrics
+        from repro.eval.harness import serving_profile
+        from repro.serve import server
+
+        timelines = []
+        summarize = serving_metrics.summarize_serving
+
+        def spy(*args, **kwargs):
+            timelines.append(kwargs["occupancy"])
+            return summarize(*args, **kwargs)
+
+        monkeypatch.setattr(server, "summarize_serving", spy)
+        monkeypatch.setattr(serving_metrics, "summarize_serving", spy)
+        report = serving_profile(
+            rate=1.5, budget=256, tiering=True, async_serve=async_serve
+        )
+        assert report["spill_events"] > 0
+        peak_used = max(used for _, used, _ in timelines[-1])
+        assert report["peak_pool_occupancy"] == peak_used / 256
 
     def test_tiering_requires_the_pade_policy(self):
         from repro.eval.workloads import build_serving_workload
