@@ -2,10 +2,11 @@
 
 N replica workers (one subprocess + private pool each, spawned via
 :class:`~repro.cluster.replica.ReplicaHandle`) behind one client-facing
-socket speaking the *same* NDJSON protocol as a single
-:class:`~repro.serve.server.AsyncPadeServer` — every existing client
-(:class:`ServeConnection`, the closed/open-loop load generators) works
-against a cluster unchanged.
+socket.  :class:`ClusterServer` is a :class:`~repro.serve.server.FrontEnd`,
+like a single :class:`~repro.serve.server.AsyncPadeServer`: the framing,
+the submit gate, the id ownership ledger and cancel-on-disconnect are
+that class's, so every existing client (:class:`ServeConnection`, the
+closed/open-loop load generators) works against a cluster unchanged.
 
 **Routing.**  Each accepted submit is routed once by the
 :class:`PrefixAffinityRouter` (``prefix`` computes the prompt's chained
@@ -17,7 +18,8 @@ client as they arrive.
 **Admission.**  Two layers: the cluster rejects with ``overloaded`` when
 total in-flight reaches ``queue_limit`` (global admission), and each
 replica still applies its own queue bound and ``fits_budget`` check —
-a replica-level rejection is relayed like any other reply.
+a replica-level rejection is relayed like any other reply, and frees
+the id for a new submit.
 
 **Replica failure.**  When a replica's socket dies unexpectedly, it is
 drained from the router (its key index dies with its pool) and every
@@ -38,16 +40,18 @@ deterministic function of the workload — the mode the scaling and
 affinity benchmarks use.
 
 **Shutdown.**  A client ``shutdown`` drains every live replica
-(forwarded ``shutdown``, which finishes all in-flight work), then
-answers with a cluster ``shutdown_ack``: summed ``leaked_blocks``, the
-roll-up report (:func:`repro.eval.serving_metrics.summarize_cluster`)
-and the per-replica reports under ``replica_reports``.
+(forwarded ``shutdown``, which finishes all in-flight work) in a task
+of its own, so the connection is still read, then answers with a
+cluster ``shutdown_ack``: summed ``leaked_blocks``, the roll-up report
+(:func:`repro.eval.serving_metrics.summarize_cluster`) and the
+per-replica reports under ``replica_reports``.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional, Sequence, Set
+from functools import partial
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.replica import BARRIER_HOLD, ReplicaHandle
 from repro.cluster.router import (
@@ -56,34 +60,14 @@ from repro.cluster.router import (
     request_chain_keys,
 )
 from repro.eval.serving_metrics import summarize_cluster
-from repro.serve.protocol import (
-    MAX_LINE_BYTES,
-    FrameError,
-    decode_message,
-    decode_request,
-    encode_message,
-    encode_settings,
-)
+from repro.serve.client import serve_over_socket
+from repro.serve.protocol import decode_request, encode_settings
+from repro.serve.server import FrontEnd
 
 __all__ = ["ClusterServer", "serve_workload_over_cluster"]
 
 
-class _ClientConn:
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.owned: Set[str] = set()
-        self.alive = True
-
-    def send(self, msg: dict) -> None:
-        if not self.alive:
-            return
-        try:
-            self.writer.write(encode_message(msg))
-        except (ConnectionError, RuntimeError):
-            self.alive = False
-
-
-class ClusterServer:
+class ClusterServer(FrontEnd):
     """``replicas`` workers behind one socket; see the module docstring.
 
     ``attention`` is each replica engine's attention policy and
@@ -109,18 +93,13 @@ class ClusterServer:
     ) -> None:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
+        super().__init__(host, port, queue_limit, start_barrier)
         from repro.engine import ContinuousScheduler, PadeEngine
 
         probe = ContinuousScheduler(PadeEngine(policy=attention), **scheduler_kwargs)
         encode_settings(scheduler_kwargs)
         self.num_replicas = int(replicas)
         self.routing = routing
-        self.host = host
-        self.port = port
-        self.queue_limit = int(queue_limit)
-        self.start_barrier = int(start_barrier)
         # Routing hashes prompt blocks exactly as every worker's pool does.
         self.block_size = probe.block_size
         self.bits = probe.engine.config.bits
@@ -134,19 +113,12 @@ class ClusterServer:
         self.rerouted_requests = 0
         self.lost_aborts = 0
         self.lost_replicas: List[str] = []
-        self._owners: Dict[str, _ClientConn] = {}
+        # Routing state of every owned id, released with its ownership.
         self._rid_replica: Dict[str, str] = {}
         self._rid_keys: Dict[str, List[bytes]] = {}
-        self._done: Set[str] = set()
-        self._rejected: Set[str] = set()
-        self._connections: List[_ClientConn] = []
-        self._draining = False
         self._replies = 0  # accepted+rejected replies seen (barrier bookkeeping)
         self._barrier_lowered = False
         self._drain_task: Optional[asyncio.Task] = None
-        self._handler_tasks: Set[asyncio.Task] = set()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self.closed = asyncio.Event()
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -157,36 +129,11 @@ class ClusterServer:
             handle.on_lost = self._on_replica_lost
             await handle.spawn(start_barrier=barrier, **self._worker_kwargs)
             self.replicas[handle.replica_id] = handle
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
 
-    async def stop(self) -> None:
-        """Force teardown (the graceful path is the ``shutdown`` message)."""
+    async def _halt(self) -> None:
         for handle in self.replicas.values():
             await handle.close()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for conn in self._connections:
-            if conn.alive:
-                conn.alive = False
-                try:
-                    conn.writer.close()
-                except RuntimeError:
-                    pass
-        # Let the client-handler tasks observe EOF and return on their
-        # own — cancelling them trips asyncio's stream-server done
-        # callback into logging the cancellation.  Only a handler still
-        # stuck after the grace period gets cancelled.
-        if self._handler_tasks:
-            _, stuck = await asyncio.wait(set(self._handler_tasks), timeout=5.0)
-            for task in stuck:
-                task.cancel()
-            if stuck:
-                await asyncio.gather(*stuck, return_exceptions=True)
-        self.closed.set()
 
     async def kill_replica(self, replica_id: str) -> None:
         """Failure injection: hard-kill one worker (``on_lost`` settles it)."""
@@ -209,17 +156,15 @@ class ClusterServer:
             self._replies += 1
             handle.assigned.pop(rid, None)
             self.router.sub_load(handle.replica_id)
-            self._rejected.add(rid)
-            self._relay(rid, msg)
+            self._relay(rid, msg, settle=True)
             self._maybe_lower_barrier()
         elif kind == "token":
             handle.streamed[rid] = handle.streamed.get(rid, 0) + 1
             self._relay(rid, msg)
         elif kind == "done":
             handle.done.add(rid)
-            self._done.add(rid)
             self.router.sub_load(handle.replica_id)
-            self._relay(rid, msg)
+            self._relay(rid, msg, settle=True)
             # A finished request is when the replica's pool recycles
             # blocks, so poll its stats (fire-and-forget) to learn which
             # prefix keys died — the reply unindexes them below.
@@ -240,10 +185,21 @@ class ClusterServer:
             handle.ack_event.set()
         # barrier_ack replies need no action here
 
-    def _relay(self, rid: Optional[str], msg: dict) -> None:
-        conn = self._owners.get(rid)
+    def _relay(self, rid: Optional[str], msg: dict, settle: bool = False) -> None:
+        """Pass a reply on to the id's owner; ``settle`` marks the id's
+        last reply, a ``done`` or a ``rejected`` (which frees the id)."""
+        if settle:
+            conn = self._settle(rid, release=msg["type"] == "rejected")
+        else:
+            conn = self._owners.get(rid)
         if conn is not None:
-            conn.send(msg)
+            self._send(conn, msg)
+            self._write(conn)
+
+    def _settle(self, rid: str, release: bool = False):
+        self._rid_replica.pop(rid, None)
+        self._rid_keys.pop(rid, None)
+        return super()._settle(rid, release)
 
     def _maybe_lower_barrier(self) -> None:
         if (
@@ -287,7 +243,6 @@ class ClusterServer:
         self.rerouted_requests += 1
 
     def _abort_lost(self, rid: str, streamed: int) -> None:
-        self._done.add(rid)
         self.lost_aborts += 1
         self._relay(
             rid,
@@ -301,26 +256,11 @@ class ClusterServer:
                 "timing": {},
                 "wall": {},
             },
+            settle=True,
         )
 
     # ------------------------------------------------------------------
-    async def _on_submit(
-        self, conn: _ClientConn, msg: dict, line: bytes, payload: bytes
-    ) -> None:
-        body = msg.get("request")
-        if not isinstance(body, dict) or body.get("request_id") is None:
-            conn.send({"type": "rejected", "request_id": None, "error": "invalid"})
-            return
-        rid = str(body["request_id"])
-        if self._draining:
-            conn.send({"type": "rejected", "request_id": rid, "error": "shutting-down"})
-            return
-        if rid in self._owners:
-            conn.send({"type": "rejected", "request_id": rid, "error": "duplicate"})
-            return
-        if self.in_flight >= self.queue_limit:
-            conn.send({"type": "rejected", "request_id": rid, "error": "overloaded"})
-            return
+    def _accept(self, conn, rid, msg, line, payload) -> Optional[str]:
         keys: List[bytes] = []
         if self.routing == "prefix":
             # A malformed request must not end this connection, which
@@ -328,29 +268,36 @@ class ClusterServer:
             # to its sender, as a replica rejects one it cannot decode.
             try:
                 keys = request_chain_keys(
-                    decode_request(body, payload), bits=self.bits, block_size=self.block_size
+                    decode_request(msg["request"], payload),
+                    bits=self.bits, block_size=self.block_size,
                 )
             except (KeyError, TypeError, ValueError, IndexError):
-                conn.send({"type": "rejected", "request_id": rid, "error": "invalid"})
-                return
+                return "invalid"
         try:
             target = self.router.route(keys)
         except NoReplicaAvailable:
-            conn.send({"type": "rejected", "request_id": rid, "error": "no-replica"})
-            return
+            return "no-replica"
         self.router.register(target, keys)
         self.router.add_load(target)
-        self._owners[rid] = conn
-        conn.owned.add(rid)
         self._rid_replica[rid] = target
         self._rid_keys[rid] = keys
         # The submit travels on verbatim: its header line and payload.
+        # The replica answers accepted or rejected; both are relayed.
         frame = line + payload
         handle = self.replicas[target]
         handle.assigned[rid] = frame
-        await handle.send(frame)
+        handle.send_nowait(frame)
+        return None
 
-    def _cluster_stats(self) -> dict:
+    def _backlog(self) -> int:
+        return self.in_flight
+
+    def _cancel(self, rid: str) -> None:
+        handle = self.replicas[self._rid_replica[rid]]
+        if handle.alive:
+            handle.send_nowait({"type": "cancel", "request_id": rid})
+
+    def _stats(self) -> dict:
         return {
             "type": "stats",
             "routing": self.routing,
@@ -372,82 +319,13 @@ class ClusterServer:
             },
         }
 
-    def _drop_connection(self, conn: _ClientConn) -> None:
-        if not conn.alive:
-            return
-        conn.alive = False
-        for rid in conn.owned:
-            if rid in self._done or rid in self._rejected:
-                continue
-            target = self._rid_replica.get(rid)
-            if target is not None and self.replicas[target].alive:
-                self.replicas[target].send_nowait({"type": "cancel", "request_id": rid})
-
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _ClientConn(writer)
-        self._connections.append(conn)
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:  # past MAX_LINE_BYTES: the stream lost its framing
-                    conn.send({"type": "error", "error": "line too long"})
-                    break
-                if not line:
-                    break
-                try:
-                    msg = decode_message(line)
-                except FrameError:  # the payload's length is unknown
-                    conn.send({"type": "error", "error": "bad binary_bytes"})
-                    break
-                except ValueError:
-                    conn.send({"type": "error", "error": "malformed message"})
-                    continue
-                size = msg.get("binary_bytes", 0)
-                payload = await reader.readexactly(size) if size else b""
-                kind = msg["type"]
-                if kind == "submit":
-                    await self._on_submit(conn, msg, line, payload)
-                elif kind == "cancel":
-                    if msg.get("request_id") is None:
-                        conn.send({"type": "error", "error": "cancel needs a request_id"})
-                    else:
-                        target = self._rid_replica.get(str(msg["request_id"]))
-                        if target is not None and self.replicas[target].alive:
-                            await self.replicas[target].send(msg)
-                elif kind == "stats":
-                    conn.send(self._cluster_stats())
-                elif kind == "shutdown":
-                    ack = await self._drain_all()
-                    conn.send(ack)
-                else:
-                    conn.send({"type": "error", "error": f"unknown type {kind!r}"})
-                try:
-                    await writer.drain()
-                except (ConnectionError, RuntimeError):
-                    break
-        except (ConnectionError, ValueError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            if task is not None:
-                self._handler_tasks.discard(task)
-            self._drop_connection(conn)
-            writer.close()  # the client sees EOF, never a silent socket
-
     # ------------------------------------------------------------------
-    async def _drain_all(self) -> dict:
-        """Drain every replica once; all shutdown clients share the ack."""
+    def _drain(self) -> None:
+        """Drain every replica once, beside the client connections."""
         if self._drain_task is None:
             self._drain_task = asyncio.ensure_future(self._drain_flow())
-        return await self._drain_task
 
-    async def _drain_flow(self) -> dict:
-        self._draining = True
+    async def _drain_flow(self) -> None:
         live = [h for h in self.replicas.values() if h.alive]
         for handle in live:
             await handle.send({"type": "shutdown"})
@@ -472,7 +350,7 @@ class ClusterServer:
         }
         for handle in self.replicas.values():
             await handle.close()
-        return ack_msg
+        await self._acknowledge(ack_msg)
 
 
 def serve_workload_over_cluster(
@@ -496,37 +374,10 @@ def serve_workload_over_cluster(
     loaded); ``barrier=False`` serves live with the closed-loop client.
     ``scheduler_kwargs`` configure every replica's scheduler.
     """
-    from repro.serve.client import ServeConnection, run_closed_loop, run_open_loop
-
-    limit = queue_limit if queue_limit is not None else max(len(requests), 1)
-
-    async def _run():
-        cluster = ClusterServer(
-            replicas=replicas,
-            routing=routing,
-            host=host,
-            port=port,
-            queue_limit=limit,
-            start_barrier=len(requests) if barrier else 0,
-            seed=seed,
-            attention=attention,
-            **scheduler_kwargs,
-        )
-        await cluster.start()
-        try:
-            if barrier:
-                dones = await run_open_loop(cluster.host, cluster.port, requests)
-            else:
-                dones = await run_closed_loop(
-                    cluster.host, cluster.port, requests, concurrency=concurrency
-                )
-            conn = await ServeConnection.open(cluster.host, cluster.port)
-            try:
-                ack = await conn.shutdown()
-            finally:
-                await conn.close()
-        finally:
-            await cluster.stop()
-        return dones, ack, cluster
-
-    return asyncio.run(_run())
+    return serve_over_socket(
+        partial(
+            ClusterServer, replicas=replicas, routing=routing, host=host, port=port,
+            seed=seed, attention=attention, **scheduler_kwargs,
+        ),
+        requests, barrier=barrier, concurrency=concurrency, queue_limit=queue_limit,
+    )

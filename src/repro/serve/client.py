@@ -11,9 +11,11 @@ closed-loop / open-loop load generators.
   arrival schedule (the workload's round-clock arrival times are
   honored by the scheduler); optionally paced on the wall clock.
   Arrival rate is fixed, concurrency floats — the tail-latency load.
-* :func:`serve_workload_over_loopback` — spin a server up in-process,
-  push a workload through it, return the per-request done messages and
-  the server (scheduler, report, leak counters all inspectable).  With
+* :func:`serve_over_socket` — spin a front-end (one server or a
+  cluster) up in-process, push a workload through it, return the
+  per-request done messages and the server (scheduler, report, leak
+  counters all inspectable); :func:`serve_workload_over_loopback` is
+  its single-server form.  With
   ``barrier=True`` every submit lands before round 0 runs, which makes
   the socket path's schedule — and therefore its outputs and round-clock
   report — identical to a batch :meth:`PadeEngine.serve` call.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from repro.serve.protocol import (
@@ -40,6 +43,7 @@ __all__ = [
     "ServeConnection",
     "run_closed_loop",
     "run_open_loop",
+    "serve_over_socket",
     "serve_workload_over_loopback",
 ]
 
@@ -213,6 +217,52 @@ async def run_open_loop(
     return dones
 
 
+def serve_over_socket(
+    make_server,
+    requests: Sequence,
+    barrier: bool = True,
+    concurrency: int = 4,
+    queue_limit: Optional[int] = None,
+    pace_s_per_round: float = 0.0,
+):
+    """Serve ``requests`` through ``make_server(queue_limit=...,
+    start_barrier=...)``, a front-end started here and stopped after a
+    graceful ``shutdown``.
+
+    Returns ``(dones, ack, server)``.  ``barrier=True`` holds round 0
+    until every request is submitted (the open-loop client, unpaced);
+    ``barrier=False`` serves live with a closed-loop client at
+    ``concurrency``, or — with ``pace_s_per_round`` > 0 — with the
+    open-loop client replaying each request's arrival schedule against
+    real wall-clock time.  ``queue_limit`` defaults to the workload size.
+    """
+    limit = queue_limit if queue_limit is not None else max(len(requests), 1)
+
+    async def _run():
+        server = make_server(queue_limit=limit, start_barrier=len(requests) if barrier else 0)
+        await server.start()
+        try:
+            if barrier or pace_s_per_round > 0:
+                dones = await run_open_loop(
+                    server.host, server.port, requests,
+                    pace_s_per_round=0.0 if barrier else pace_s_per_round,
+                )
+            else:
+                dones = await run_closed_loop(
+                    server.host, server.port, requests, concurrency=concurrency
+                )
+            conn = await ServeConnection.open(server.host, server.port)
+            try:
+                ack = await conn.shutdown()
+            finally:
+                await conn.close()
+        finally:
+            await server.stop()
+        return dones, ack, server
+
+    return asyncio.run(_run())
+
+
 def serve_workload_over_loopback(
     engine,
     requests: Sequence,
@@ -231,42 +281,11 @@ def serve_workload_over_loopback(
     (stopped) server for deeper inspection.  ``barrier=True`` holds the
     engine loop until every request is submitted, making the run a
     deterministic replay of the equivalent in-process
-    :meth:`PadeEngine.serve` call; ``barrier=False`` serves live with a
-    closed-loop client at ``concurrency``, or — with
-    ``pace_s_per_round`` > 0 — with the open-loop client replaying each
-    request's arrival schedule against real wall-clock time.
+    :meth:`PadeEngine.serve` call; the other modes are
+    :func:`serve_over_socket`'s.
     """
-    limit = queue_limit if queue_limit is not None else max(len(requests), 1)
-
-    async def _run():
-        server = AsyncPadeServer(
-            engine,
-            host=host,
-            port=port,
-            start_barrier=len(requests) if barrier else 0,
-            queue_limit=limit,
-            **scheduler_kwargs,
-        )
-        await server.start()
-        try:
-            if barrier:
-                dones = await run_open_loop(server.host, server.port, requests)
-            elif pace_s_per_round > 0:
-                dones = await run_open_loop(
-                    server.host, server.port, requests,
-                    pace_s_per_round=pace_s_per_round,
-                )
-            else:
-                dones = await run_closed_loop(
-                    server.host, server.port, requests, concurrency=concurrency
-                )
-            conn = await ServeConnection.open(server.host, server.port)
-            try:
-                ack = await conn.shutdown()
-            finally:
-                await conn.close()
-        finally:
-            await server.stop()
-        return dones, ack, server
-
-    return asyncio.run(_run())
+    return serve_over_socket(
+        partial(AsyncPadeServer, engine, host=host, port=port, **scheduler_kwargs),
+        requests, barrier=barrier, concurrency=concurrency,
+        queue_limit=queue_limit, pace_s_per_round=pace_s_per_round,
+    )

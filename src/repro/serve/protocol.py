@@ -43,6 +43,10 @@ for base64 to cost anything)::
      "wall", "output_digest", "retained_digest", ...}
     {"type": "shutdown_ack", "leaked_blocks", "served", "report"}
 
+A ``rejected`` id was never taken and may be submitted again.  An
+accepted id stays taken after its ``done``: submitting it again is
+``duplicate``.
+
 A token's ``output`` is :func:`encode_array`'s ``{"shape", "data"}``
 with the float64 bytes in base64.  Messages without tensors are the
 same bytes they were before binary frames existed.

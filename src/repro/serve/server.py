@@ -1,6 +1,11 @@
-"""Asyncio serving front-end: :class:`AsyncPadeServer`.
+"""Asyncio serving front-end: :class:`FrontEnd` and :class:`AsyncPadeServer`.
 
-One engine task drives :meth:`ContinuousScheduler.step` — the *same*
+:class:`FrontEnd` is the client-facing half of every server — this one
+and :class:`~repro.cluster.server.ClusterServer` — so one place decides
+what the wire protocol accepts, rejects and replies: framing errors,
+the submit gate, the id ownership ledger, cancel-on-disconnect.
+
+In :class:`AsyncPadeServer` one engine task drives :meth:`ContinuousScheduler.step` — the *same*
 round implementation :meth:`PadeEngine.serve` runs in-process — so the
 schedule a workload gets over the socket is identical to the one it gets
 in-process.  Everything wall-clock lives out here: arrivals are stamped
@@ -24,9 +29,11 @@ Flow control, cancellation, shutdown:
   the request via :meth:`ContinuousScheduler.cancel`; the next round
   boundary aborts it (blocks, staging and prefix refs freed) and the
   result surfaces ``abort_reason="cancelled"``.  A cancel for an id
-  that was never accepted or has already finished is ignored.
+  that was never accepted or has already finished is ignored.  A
+  rejected id may be submitted again; a finished one may not.
 * **Shutdown** — a ``shutdown`` message stops new admissions, drains
-  everything in flight, then answers with ``shutdown_ack`` carrying the
+  everything in flight while its connection is still read (a later
+  ``cancel`` lands), then answers with ``shutdown_ack`` carrying the
   serving report and the pool-leak counter (0 on a clean run).
 
 ``start_barrier`` holds the engine loop until that many submits are
@@ -75,10 +82,10 @@ from repro.serve.protocol import (
     result_digests,
 )
 
-__all__ = ["AsyncPadeServer", "main"]
+__all__ = ["AsyncPadeServer", "FrontEnd", "main"]
 
 class _Connection:
-    """One client: its writer, the ids it owns, its outbox."""
+    """One client: its writer, the ids it owns until their done, its outbox."""
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
@@ -87,7 +94,230 @@ class _Connection:
         self.alive = True
 
 
-class AsyncPadeServer:
+class FrontEnd:
+    """The client-facing half of a server speaking the wire protocol.
+
+    It owns the listening socket, one :class:`_Connection` per client,
+    the read loop and its framing errors, the submit gate (``invalid``,
+    ``shutting-down``, ``duplicate``, ``overloaded``), the ownership
+    ledger, cancel-on-disconnect and :meth:`stop`.  An id is owned from
+    its acceptance until its ``done``: ``_owners`` maps it to the
+    connection its replies go to, and that connection's ``owned`` set is
+    what a disconnect cancels.  A rejection releases the id, so it may be
+    submitted again; an id whose ``done`` went out stays taken.
+
+    A subclass supplies what differs:
+
+    * ``_accept(conn, rid, msg, line, payload)`` serves a submit that
+      passed the gate and returns ``None`` once it is taken on (the id
+      is then owned by ``conn``), or the rejection's error;
+    * ``_backlog()``: the accepted submits that count against
+      ``queue_limit``;
+    * ``_cancel(rid)``: take a cancel to the work;
+    * ``_stats()``: the ``stats`` reply;
+    * ``_drain()``: start draining after a ``shutdown``, then answer
+      through :meth:`_acknowledge`;
+    * ``_halt()``: what :meth:`stop` stops before the sockets close.
+    """
+
+    def __init__(self, host: str, port: int, queue_limit: int, start_barrier: int) -> None:
+        if queue_limit < 1:
+            raise ValueError("queue_limit must be >= 1")
+        self.host = host
+        self.port = port
+        self.queue_limit = int(queue_limit)
+        self.start_barrier = int(start_barrier)
+        self._connections: List[_Connection] = []
+        self._handlers: Set[asyncio.Task] = set()
+        self._owners: Dict[str, _Connection] = {}
+        self._draining = False
+        self._shutdown_conns: List[_Connection] = []
+        self._ack: Optional[Dict] = None
+        self._server: Optional[asyncio.base_events.Server] = None
+        self.closed = asyncio.Event()
+
+    async def start(self) -> None:
+        self._server = await asyncio.start_server(
+            self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    async def wait_closed(self) -> None:
+        await self.closed.wait()
+
+    async def stop(self) -> None:
+        """Force shutdown (the graceful path is the ``shutdown`` message)."""
+        self._draining = True
+        await self._halt()
+        await self._close()
+
+    async def _close(self) -> None:
+        """Close the listening socket and every connection; set ``closed``."""
+        if self.closed.is_set():
+            return
+        if self._server is not None:
+            self._server.close()
+        for conn in self._connections:
+            conn.alive = False
+            try:
+                conn.writer.close()
+            except RuntimeError:
+                pass
+        if self._server is not None:
+            await self._server.wait_closed()
+        # Let the client handlers observe EOF and return on their own:
+        # cancelling them trips asyncio's stream-server done callback
+        # into logging the cancellation.  Only a handler still stuck
+        # after the grace period gets cancelled.
+        handlers = self._handlers - {asyncio.current_task()}
+        if handlers:
+            _, stuck = await asyncio.wait(handlers, timeout=5.0)
+            for task in stuck:
+                task.cancel()
+            if stuck:
+                await asyncio.gather(*stuck, return_exceptions=True)
+        self.closed.set()
+
+    # ------------------------------------------------------------------
+    def _send(self, conn: _Connection, msg: Dict) -> None:
+        if conn.alive:
+            conn.outbox.append(encode_message(msg))
+
+    def _write(self, conn: _Connection) -> None:
+        """Hand a connection's outbox to its transport in one write."""
+        if not conn.alive or not conn.outbox:
+            return
+        data = b"".join(conn.outbox)
+        conn.outbox.clear()
+        try:
+            conn.writer.write(data)
+        except (ConnectionError, RuntimeError):
+            self._drop_connection(conn)
+
+    async def _flush_outboxes(self) -> None:
+        for conn in tuple(self._connections):
+            if not conn.alive or not conn.outbox:
+                continue
+            self._write(conn)
+            try:
+                await conn.writer.drain()
+            except (ConnectionError, RuntimeError):
+                self._drop_connection(conn)
+
+    def _drop_connection(self, conn: _Connection) -> None:
+        """Map a client disconnect onto the cancel path."""
+        if not conn.alive:
+            return
+        conn.alive = False
+        conn.outbox.clear()
+        for rid in conn.owned:
+            self._cancel(rid)
+
+    def _settle(self, rid: str, release: bool = False) -> Optional[_Connection]:
+        """The id's last reply is going out: its connection no longer owns
+        it.  ``release`` (a rejection) also frees the id for a new submit.
+        Returns the connection the reply goes to."""
+        conn = self._owners.pop(rid, None) if release else self._owners.get(rid)
+        if conn is not None:
+            conn.owned.discard(rid)
+        return conn
+
+    async def _acknowledge(self, ack: Dict) -> None:
+        """The drain is over: answer every ``shutdown`` sender, and any
+        later one at once."""
+        self._ack = ack
+        for conn in self._shutdown_conns:
+            self._send(conn, ack)
+        await self._flush_outboxes()
+
+    # ------------------------------------------------------------------
+    def _on_submit(self, conn: _Connection, msg: Dict, line: bytes, payload: bytes) -> None:
+        body = msg.get("request")
+        if not isinstance(body, dict) or body.get("request_id") is None:
+            self._send(conn, {"type": "rejected", "request_id": None, "error": "invalid"})
+            return
+        rid = str(body["request_id"])
+        if self._draining:
+            error = "shutting-down"
+        elif rid in self._owners:
+            error = "duplicate"
+        elif self._backlog() >= self.queue_limit:
+            error = "overloaded"
+        else:
+            error = self._accept(conn, rid, msg, line, payload)
+        if error is None:
+            self._owners[rid] = conn
+            conn.owned.add(rid)
+        else:
+            self._send(conn, {"type": "rejected", "request_id": rid, "error": error})
+
+    def _on_message(self, conn: _Connection, msg: Dict, line: bytes, payload: bytes) -> None:
+        kind = msg["type"]
+        if kind == "submit":
+            self._on_submit(conn, msg, line, payload)
+        elif kind == "cancel":
+            if msg.get("request_id") is None:
+                self._send(conn, {"type": "error", "error": "cancel needs a request_id"})
+            else:
+                # An id never accepted, or whose done went out, would sit
+                # in the scheduler's cancel set for good.
+                rid = str(msg["request_id"])
+                owner = self._owners.get(rid)
+                if owner is not None and rid in owner.owned:
+                    self._cancel(rid)
+        elif kind == "shutdown":
+            if self._ack is not None:
+                self._send(conn, self._ack)
+            else:
+                # The drain runs beside this connection's reader, so a
+                # cancel sent after the shutdown still lands.
+                self._draining = True
+                self._shutdown_conns.append(conn)
+                self._drain()
+        elif kind == "stats":
+            self._send(conn, self._stats())
+        else:
+            self._send(conn, {"type": "error", "error": f"unknown type {kind!r}"})
+
+    async def _handle_client(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        conn = _Connection(writer)
+        self._connections.append(conn)
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        try:
+            while True:
+                try:
+                    line = await reader.readline()
+                except ValueError:  # past MAX_LINE_BYTES: the stream lost its framing
+                    self._send(conn, {"type": "error", "error": "line too long"})
+                    break
+                if not line:
+                    break
+                try:
+                    msg = decode_message(line)
+                except FrameError:  # the payload's length is unknown
+                    self._send(conn, {"type": "error", "error": "bad binary_bytes"})
+                    break
+                except ValueError:
+                    self._send(conn, {"type": "error", "error": "malformed message"})
+                else:
+                    size = msg.get("binary_bytes", 0)
+                    payload = await reader.readexactly(size) if size else b""
+                    self._on_message(conn, msg, line, payload)
+                await self._flush_outboxes()
+            await self._flush_outboxes()
+        except (ConnectionError, ValueError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            self._handlers.discard(task)
+            self._connections.remove(conn)
+            self._drop_connection(conn)
+            writer.close()  # the client sees EOF, never a silent socket
+
+
+class AsyncPadeServer(FrontEnd):
     def __init__(
         self,
         engine,
@@ -97,50 +327,31 @@ class AsyncPadeServer:
         start_barrier: int = 0,
         **scheduler_kwargs,
     ) -> None:
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
+        super().__init__(host, port, queue_limit, start_barrier)
         self.engine = engine
-        self.host = host
-        self.port = port
-        self.queue_limit = int(queue_limit)
-        self.start_barrier = int(start_barrier)
         self.scheduler = ContinuousScheduler(engine, **scheduler_kwargs)
         self.scheduler.token_sink = self._on_token
         self.results: Dict[str, object] = {}
         self.epoch = time.perf_counter()
         # Accepted submits, decoded once on receipt: (request, arrival).
         self._accept_queue: Deque[Tuple[EngineRequest, Any]] = deque()
-        self._connections: List[_Connection] = []
-        self._owners: Dict[str, _Connection] = {}
         self._wall: Dict[str, Dict[str, float]] = {}
         self._done_sent: Set[str] = set()
         self._events_seen = 0
         self._started = False
-        self._draining = False
-        self._shutdown_conns: List[_Connection] = []
         self._wake = asyncio.Event()
-        self._server: Optional[asyncio.base_events.Server] = None
         self._engine_task: Optional[asyncio.Task] = None
-        self.closed = asyncio.Event()
 
     # ------------------------------------------------------------------
     def _now_ms(self) -> float:
         return (time.perf_counter() - self.epoch) * 1000.0
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         self.results = self.scheduler.start()
         self._engine_task = asyncio.create_task(self._engine_loop())
 
-    async def wait_closed(self) -> None:
-        await self.closed.wait()
-
-    async def stop(self) -> None:
-        """Force shutdown (the graceful path is the ``shutdown`` message)."""
-        self._draining = True
+    async def _halt(self) -> None:
         self._wake.set()
         await self.closed.wait()
 
@@ -178,10 +389,6 @@ class AsyncPadeServer:
         )
 
     # ------------------------------------------------------------------
-    def _send(self, conn: _Connection, msg: Dict) -> None:
-        if conn.alive:
-            conn.outbox.append(encode_message(msg))
-
     def _on_token(self, request_id: str, step: int, output) -> None:
         wall = self._wall.setdefault(request_id, {})
         if "first_token" not in wall:
@@ -226,7 +433,7 @@ class AsyncPadeServer:
             res = self.results[rid]
             self._done_sent.add(rid)
             self._wall.setdefault(rid, {})["finish"] = self._now_ms()
-            conn = self._owners.get(rid)
+            conn = self._settle(rid)
             if conn is None or not conn.alive:
                 continue  # orphaned by a disconnect; the result stands
             msg = {
@@ -246,29 +453,6 @@ class AsyncPadeServer:
             }
             msg.update(result_digests(res))
             self._send(conn, msg)
-
-    async def _flush_outboxes(self) -> None:
-        for conn in self._connections:
-            if not conn.alive or not conn.outbox:
-                continue
-            data = b"".join(conn.outbox)
-            conn.outbox.clear()
-            try:
-                conn.writer.write(data)
-                await conn.writer.drain()
-            except (ConnectionError, RuntimeError):
-                self._drop_connection(conn)
-
-    def _drop_connection(self, conn: _Connection) -> None:
-        """Map a client disconnect onto the round-boundary abort path."""
-        if not conn.alive:
-            return
-        conn.alive = False
-        conn.outbox.clear()
-        for rid in conn.owned:
-            if rid not in self._done_sent:
-                self.scheduler.cancel(rid)
-        self._wake.set()
 
     # ------------------------------------------------------------------
     def _barrier_open(self) -> bool:
@@ -292,129 +476,66 @@ class AsyncPadeServer:
             drained += 1
         return drained
 
-    def _on_submit(self, conn: _Connection, msg: Dict, payload: bytes) -> None:
-        body = msg.get("request")
-        if not isinstance(body, dict) or body.get("request_id") is None:
-            self._send(conn, {"type": "rejected", "request_id": None, "error": "invalid"})
-            return
-        rid = str(body["request_id"])
-        if self._draining:
-            self._send(conn, {"type": "rejected", "request_id": rid, "error": "shutting-down"})
-            return
-        if rid in self._owners:
-            self._send(conn, {"type": "rejected", "request_id": rid, "error": "duplicate"})
-            return
-        if len(self._accept_queue) >= self.queue_limit:
-            self._send(conn, {"type": "rejected", "request_id": rid, "error": "overloaded"})
-            return
+    def _accept(self, conn, rid, msg, line, payload) -> Optional[str]:
         arrival = msg.get("arrival")
         # A malformed request must not reach, and kill, the engine loop —
         # nor this connection: a missing field or a mistyped scalar is
         # rejected to its sender like any other invalid request.
         try:
-            request = decode_request(body, payload)
+            request = decode_request(msg["request"], payload)
             if arrival not in (None, "now"):
                 request, arrival = replace(request, arrival_time=float(arrival)), None
             self.scheduler.check_request(request)
         except (KeyError, TypeError, ValueError):
-            self._send(conn, {"type": "rejected", "request_id": rid, "error": "invalid"})
-            return
+            return "invalid"
         if not self.scheduler.fits_budget(request):
-            self._send(conn, {"type": "rejected", "request_id": rid, "error": "too-large"})
-            return
-        self._owners[rid] = conn
-        conn.owned.add(rid)
+            return "too-large"
         self._wall.setdefault(rid, {})["arrival"] = self._now_ms()
         self._accept_queue.append((request, arrival))
         self._send(conn, {"type": "accepted", "request_id": rid})
         self._wake.set()
+        return None
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Connection(writer)
-        self._connections.append(conn)
+    def _backlog(self) -> int:
+        return len(self._accept_queue)
+
+    def _cancel(self, rid: str) -> None:
+        self.scheduler.cancel(rid)
+        self._wake.set()
+
+    def _drain(self) -> None:
+        self._wake.set()
+
+    def _stats(self) -> Dict:
+        return {
+            "type": "stats",
+            "load": self.scheduler.load_stats(),
+            "accept_queued": len(self._accept_queue),
+            "served": len(self.results),
+            # Prefix chain keys whose blocks the pool has recycled since
+            # the last poll — the cluster router unindexes them so
+            # dropped prefixes stop attracting affinity routes (hex,
+            # since the wire format is JSON).
+            "evicted_prefix_keys": [
+                key.hex() for key in self.scheduler.drain_evicted_prefix_keys()
+            ],
+        }
+
+    def _on_message(self, conn, msg, line, payload) -> None:
+        if msg["type"] != "barrier":
+            super()._on_message(conn, msg, line, payload)
+            return
+        # Re-arm the start barrier at runtime: the cluster front-end
+        # spawns replay-mode workers with an unreachable barrier, routes
+        # every submit, then lowers each replica's barrier to its routed
+        # count so all replicas start their round 0 fully loaded.
         try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:  # past MAX_LINE_BYTES: the stream lost its framing
-                    self._send(conn, {"type": "error", "error": "line too long"})
-                    await self._flush_outboxes()
-                    break
-                if not line:
-                    break
-                try:
-                    msg = decode_message(line)
-                except FrameError:  # the payload's length is unknown
-                    self._send(conn, {"type": "error", "error": "bad binary_bytes"})
-                    await self._flush_outboxes()
-                    break
-                except ValueError:
-                    self._send(conn, {"type": "error", "error": "malformed message"})
-                    await self._flush_outboxes()
-                    continue
-                size = msg.get("binary_bytes", 0)
-                payload = await reader.readexactly(size) if size else b""
-                kind = msg["type"]
-                if kind == "submit":
-                    self._on_submit(conn, msg, payload)
-                elif kind == "cancel":
-                    if msg.get("request_id") is None:
-                        self._send(conn, {"type": "error", "error": "cancel needs a request_id"})
-                    else:
-                        rid = str(msg["request_id"])
-                        # An id never accepted, or whose done went out,
-                        # would sit in the scheduler's cancel set for good.
-                        if rid in self._owners and rid not in self._done_sent:
-                            self.scheduler.cancel(rid)
-                            self._wake.set()
-                elif kind == "shutdown":
-                    self._draining = True
-                    self._shutdown_conns.append(conn)
-                    self._wake.set()
-                elif kind == "stats":
-                    self._send(
-                        conn,
-                        {
-                            "type": "stats",
-                            "load": self.scheduler.load_stats(),
-                            "accept_queued": len(self._accept_queue),
-                            "served": len(self.results),
-                            # Prefix chain keys whose blocks the pool has
-                            # recycled since the last poll — the cluster
-                            # router unindexes them so dropped prefixes
-                            # stop attracting affinity routes (hex, since
-                            # the wire format is JSON).
-                            "evicted_prefix_keys": [
-                                key.hex()
-                                for key in self.scheduler.drain_evicted_prefix_keys()
-                            ],
-                        },
-                    )
-                elif kind == "barrier":
-                    # Re-arm the start barrier at runtime: the cluster
-                    # front-end spawns replay-mode workers with an
-                    # unreachable barrier, routes every submit, then
-                    # lowers each replica's barrier to its routed count
-                    # so all replicas start their round 0 fully loaded.
-                    try:
-                        self.start_barrier = int(msg.get("count", 0))
-                    except (TypeError, ValueError):
-                        self._send(
-                            conn, {"type": "error", "error": "barrier needs an integer count"}
-                        )
-                    else:
-                        self._send(conn, {"type": "barrier_ack", "count": self.start_barrier})
-                        self._wake.set()
-                else:
-                    self._send(conn, {"type": "error", "error": f"unknown type {kind!r}"})
-                await self._flush_outboxes()
-        except (ConnectionError, ValueError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._drop_connection(conn)
-            writer.close()  # the client sees EOF, never a silent socket
+            self.start_barrier = int(msg.get("count", 0))
+        except (TypeError, ValueError):
+            self._send(conn, {"type": "error", "error": "barrier needs an integer count"})
+        else:
+            self._send(conn, {"type": "barrier_ack", "count": self.start_barrier})
+            self._wake.set()
 
     # ------------------------------------------------------------------
     async def _engine_loop(self) -> None:
@@ -435,27 +556,16 @@ class AsyncPadeServer:
                 await self._wake.wait()
                 self._wake.clear()
             self.scheduler.finish()
-            ack = {
-                "type": "shutdown_ack",
-                "served": len(self.results),
-                "leaked_blocks": self.leaked_blocks(),
-                "report": self.report() if self.results else {},
-            }
-            for conn in self._shutdown_conns:
-                self._send(conn, ack)
-            await self._flush_outboxes()
+            await self._acknowledge(
+                {
+                    "type": "shutdown_ack",
+                    "served": len(self.results),
+                    "leaked_blocks": self.leaked_blocks(),
+                    "report": self.report() if self.results else {},
+                }
+            )
         finally:
-            if self._server is not None:
-                self._server.close()
-                await self._server.wait_closed()
-            for conn in self._connections:
-                if conn.alive:
-                    conn.alive = False
-                    try:
-                        conn.writer.close()
-                    except RuntimeError:
-                        pass
-            self.closed.set()
+            await self._close()
 
 
 async def _amain(args) -> int:

@@ -30,14 +30,19 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import os
 import platform
 import resource
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cluster.server import ClusterServer
 from repro.engine import EngineRequest, PadeEngine
 from repro.eval.workloads import (
     build_engine_request,
@@ -74,13 +79,26 @@ async def _wait_for(pred, timeout=10.0, what="condition"):
         await asyncio.sleep(0.001)
 
 
-async def _start(engine=None, **kwargs):
+#: The two front-ends of the wire protocol: one engine behind
+#: :class:`AsyncPadeServer`, and a one-replica :class:`ClusterServer`.
+FRONT_ENDS = ("single", "cluster")
+
+
+async def _start(engine=None, front_end="single", **kwargs):
     kwargs.setdefault("max_active", 2)
     kwargs.setdefault("token_budget", 512)
     kwargs.setdefault("block_size", 8)
-    server = AsyncPadeServer(engine or PadeEngine(), **kwargs)
+    if front_end == "cluster":
+        server = ClusterServer(replicas=1, **kwargs)
+    else:
+        server = AsyncPadeServer(engine or PadeEngine(), **kwargs)
     await server.start()
     return server
+
+
+def _engine_report(ack):
+    """The serving report of the one engine behind either front-end."""
+    return ack["replica_reports"]["r0"] if "replica_reports" in ack else ack["report"]
 
 
 def _submit_frame(request, **extra) -> bytes:
@@ -408,24 +426,28 @@ class TestCancellation:
 
 class TestBackpressure:
     def test_overloaded_rejection_is_bounded_by_queue_limit(self):
-        async def run():
+        async def run(front_end):
             # Barrier above the queue limit: nothing drains, so the
             # accept queue really fills to its bound.
-            server = await _start(queue_limit=2, start_barrier=99)
-            conn = await ServeConnection.open(server.host, server.port)
+            server = await _start(front_end=front_end, queue_limit=2, start_barrier=99)
             try:
-                assert (await conn.submit(_req("a")))["type"] == "accepted"
-                assert (await conn.submit(_req("b")))["type"] == "accepted"
-                reply = await conn.submit(_req("c"))
-                assert reply["type"] == "rejected"
-                assert reply["error"] == "overloaded"
+                conn = await ServeConnection.open(server.host, server.port)
+                try:
+                    assert (await conn.submit(_req("a")))["type"] == "accepted"
+                    assert (await conn.submit(_req("b")))["type"] == "accepted"
+                    reply = await conn.submit(_req("c"))
+                    assert reply["type"] == "rejected"
+                    assert reply["error"] == "overloaded"
+                finally:
+                    await conn.close()
+                ack = await _graceful_stop(server)  # drain opens the barrier
+                assert ack["served"] == 2
+                assert ack["leaked_blocks"] == 0
             finally:
-                await conn.close()
-            ack = await _graceful_stop(server)  # drain opens the barrier
-            assert ack["served"] == 2
-            assert ack["leaked_blocks"] == 0
+                await server.stop()  # a failed check must not leave a replica running
 
-        asyncio.run(run())
+        for front_end in FRONT_ENDS:
+            asyncio.run(run(front_end))
 
     @pytest.mark.parametrize("mode", ["plain", "n-best"])
     def test_too_large_rejection(self, mode):
@@ -638,48 +660,59 @@ class TestBackpressure:
         framing: the server answers ``error`` and closes, and the
         sender's request in flight is cancelled like on a disconnect."""
 
-        async def run():
-            server = await _start(max_active=1)
-            reader, writer = await asyncio.open_connection(server.host, server.port)
+        async def run(front_end):
+            server = await _start(front_end=front_end, max_active=1)
             try:
-                writer.write(_submit_frame(_req("req0", steps=400), arrival="now"))
-                header, payload = _split_frame(_submit_frame(_req("bad")))
-                header["binary_bytes"] = size
-                writer.write(json.dumps(header).encode() + b"\n" + payload)
-                await writer.drain()
-                msgs = []
-                while line := await asyncio.wait_for(reader.readline(), 10.0):
-                    msgs.append(decode_message(line))
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                try:
+                    writer.write(_submit_frame(_req("req0", steps=400), arrival="now"))
+                    await writer.drain()
+                    # A cluster relays its replica's accept: wait for it, so
+                    # the error cannot overtake it.
+                    msgs = [decode_message(await asyncio.wait_for(reader.readline(), 10.0))]
+                    header, payload = _split_frame(_submit_frame(_req("bad")))
+                    header["binary_bytes"] = size
+                    writer.write(json.dumps(header).encode() + b"\n" + payload)
+                    await writer.drain()
+                    while line := await asyncio.wait_for(reader.readline(), 10.0):
+                        msgs.append(decode_message(line))
+                finally:
+                    writer.close()
+                replies = [msg for msg in msgs if msg["type"] != "token"]
+                assert replies == [
+                    {"type": "accepted", "request_id": "req0"},
+                    {"type": "error", "error": "bad binary_bytes"},
+                ]
+                ack = await _graceful_stop(server)
+                assert _engine_report(ack)["aborted_cancelled"] == 1.0
+                assert ack["leaked_blocks"] == 0
             finally:
-                writer.close()
-            replies = [msg for msg in msgs if msg["type"] != "token"]
-            assert replies == [
-                {"type": "accepted", "request_id": "req0"},
-                {"type": "error", "error": "bad binary_bytes"},
-            ]
-            ack = await _graceful_stop(server)
-            assert server.results["req0"].abort_reason == "cancelled"
-            assert ack["leaked_blocks"] == 0
+                await server.stop()  # a failed check must not leave a replica running
 
-        asyncio.run(run())
+        for front_end in FRONT_ENDS:
+            asyncio.run(run(front_end))
 
     def test_eof_inside_a_payload_is_a_disconnect(self):
-        async def run():
-            server = await _start(max_active=1)
-            reader, writer = await asyncio.open_connection(server.host, server.port)
-            writer.write(_submit_frame(_req("req0", steps=400), arrival="now"))
-            writer.write(_submit_frame(_req("cut"))[:-100])
-            writer.write_eof()
-            await writer.drain()
-            while await asyncio.wait_for(reader.readline(), 10.0):  # until EOF
-                pass
-            writer.close()
-            ack = await _graceful_stop(server)
-            assert "cut" not in server.results
-            assert server.results["req0"].abort_reason == "cancelled"
-            assert ack["leaked_blocks"] == 0
+        async def run(front_end):
+            server = await _start(front_end=front_end, max_active=1)
+            try:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(_submit_frame(_req("req0", steps=400), arrival="now"))
+                writer.write(_submit_frame(_req("cut"))[:-100])
+                writer.write_eof()
+                await writer.drain()
+                while await asyncio.wait_for(reader.readline(), 10.0):  # until EOF
+                    pass
+                writer.close()
+                ack = await _graceful_stop(server)
+                assert ack["served"] == 1  # req0 only: "cut" never arrived
+                assert _engine_report(ack)["aborted_cancelled"] == 1.0
+                assert ack["leaked_blocks"] == 0
+            finally:
+                await server.stop()  # a failed check must not leave a replica running
 
-        asyncio.run(run())
+        for front_end in FRONT_ENDS:
+            asyncio.run(run(front_end))
 
     def test_lines_that_are_not_messages_get_an_error_reply(self):
         """A line that is not JSON, JSON that is not an object and an
@@ -719,34 +752,38 @@ class TestBackpressure:
         so the client never waits on a silent socket.  Other clients are
         served as before."""
 
-        async def run():
-            server = await _start()
-            reader, writer = await asyncio.open_connection(server.host, server.port)
+        async def run(front_end):
+            server = await _start(front_end=front_end)
             try:
-                writer.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
-                lines = []
+                reader, writer = await asyncio.open_connection(server.host, server.port)
                 try:
-                    await writer.drain()
-                    while True:
-                        line = await asyncio.wait_for(reader.readline(), 10.0)
-                        if not line:
-                            break
-                        lines.append(decode_message(line))
-                except ConnectionError:
-                    pass  # a reset is an answer too: the client is not left waiting
+                    writer.write(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+                    lines = []
+                    try:
+                        await writer.drain()
+                        while True:
+                            line = await asyncio.wait_for(reader.readline(), 10.0)
+                            if not line:
+                                break
+                            lines.append(decode_message(line))
+                    except ConnectionError:
+                        pass  # a reset is an answer too: the client is not left waiting
+                finally:
+                    writer.close()
+                assert all(msg["type"] == "error" for msg in lines)
+                conn = await ServeConnection.open(server.host, server.port)
+                try:
+                    assert (await conn.submit(_req("after")))["type"] == "accepted"
+                    assert (await conn.result("after"))["status"] == "ok"
+                finally:
+                    await conn.close()
+                ack = await _graceful_stop(server)
+                assert ack["leaked_blocks"] == 0
             finally:
-                writer.close()
-            assert all(msg["type"] == "error" for msg in lines)
-            conn = await ServeConnection.open(server.host, server.port)
-            try:
-                assert (await conn.submit(_req("after")))["type"] == "accepted"
-                assert (await conn.result("after"))["status"] == "ok"
-            finally:
-                await conn.close()
-            ack = await _graceful_stop(server)
-            assert ack["leaked_blocks"] == 0
+                await server.stop()  # a failed check must not leave a replica running
 
-        asyncio.run(run())
+        for front_end in FRONT_ENDS:
+            asyncio.run(run(front_end))
 
     def test_non_finite_request_tensors_are_rejected(self):
         request = _req("nan")
@@ -754,27 +791,57 @@ class TestBackpressure:
             EngineRequest(request.request_id, request.k, request.v * np.inf)
 
     def test_submit_while_draining_is_rejected(self):
-        async def run():
-            server = await _start(max_active=1)
-            conn = await ServeConnection.open(server.host, server.port)
+        async def run(front_end):
+            server = await _start(front_end=front_end, max_active=1)
             try:
-                assert (await conn.submit(_req("inflight", steps=30), arrival="now"))[
-                    "type"
-                ] == "accepted"
-                shutdown_conn = await ServeConnection.open(server.host, server.port)
-                ack_task = asyncio.create_task(shutdown_conn.shutdown())
-                await _wait_for(lambda: server._draining, what="drain to begin")
-                reply = await conn.submit(_req("late"))
-                assert reply["type"] == "rejected"
-                assert reply["error"] == "shutting-down"
-                done = await conn.result("inflight")
-                assert done["status"] == "ok"  # in-flight work still drains
-                ack = await ack_task
-                assert ack["leaked_blocks"] == 0
-                await shutdown_conn.close()
+                conn = await ServeConnection.open(server.host, server.port)
+                try:
+                    assert (await conn.submit(_req("inflight", steps=30), arrival="now"))[
+                        "type"
+                    ] == "accepted"
+                    shutdown_conn = await ServeConnection.open(server.host, server.port)
+                    ack_task = asyncio.create_task(shutdown_conn.shutdown())
+                    await _wait_for(lambda: server._draining, what="drain to begin")
+                    reply = await conn.submit(_req("late"))
+                    assert reply["type"] == "rejected"
+                    assert reply["error"] == "shutting-down"
+                    done = await conn.result("inflight")
+                    assert done["status"] == "ok"  # in-flight work still drains
+                    ack = await ack_task
+                    assert ack["leaked_blocks"] == 0
+                    await shutdown_conn.close()
+                finally:
+                    await conn.close()
             finally:
-                await conn.close()
-            await server.stop()
+                await server.stop()  # a failed check must not leave a replica running
+
+        for front_end in FRONT_ENDS:
+            asyncio.run(run(front_end))
+
+    @pytest.mark.parametrize("front_end", FRONT_ENDS)
+    def test_a_rejected_id_may_be_submitted_again(self, front_end):
+        """A rejection leaves the id free: resubmitted with a prompt that
+        fits, it is accepted and served, on the cluster as on one engine
+        (where the rejection comes from the replica behind the router)."""
+
+        async def run():
+            server = await _start(front_end=front_end, token_budget=64)
+            try:
+                conn = await ServeConnection.open(server.host, server.port)
+                try:
+                    reply = await conn.submit(_req("again", context=200, steps=8))
+                    assert (reply["type"], reply["error"]) == ("rejected", "too-large")
+                    assert (await conn.submit(_req("again")))["type"] == "accepted"
+                    assert (await conn.result("again"))["status"] == "ok"
+                    reply = await conn.submit(_req("again"))
+                    assert (reply["type"], reply["error"]) == ("rejected", "duplicate")
+                finally:
+                    await conn.close()
+                ack = await _graceful_stop(server)
+                assert ack["served"] == 1
+                assert ack["leaked_blocks"] == 0
+            finally:
+                await server.stop()  # a failed check must not leave a replica running
 
         asyncio.run(run())
 
@@ -863,6 +930,42 @@ class TestGracefulShutdown:
     def test_queue_limit_validation(self):
         with pytest.raises(ValueError, match="queue_limit"):
             AsyncPadeServer(PadeEngine(), queue_limit=0)
+
+    @pytest.mark.parametrize("front_end", FRONT_ENDS)
+    def test_a_cancel_after_shutdown_is_read_during_the_drain(self, front_end):
+        """The drain does not hold the connection's reader: a ``cancel``
+        sent after ``shutdown`` on the same connection aborts the request
+        mid-stream, and the ``shutdown_ack`` follows its ``done``."""
+
+        async def run():
+            server = await _start(front_end=front_end, max_active=1)
+            try:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(_submit_frame(_req("long", steps=400), arrival="now"))
+                await writer.drain()
+                while decode_message(await asyncio.wait_for(reader.readline(), 10.0))[
+                    "type"
+                ] != "token":
+                    pass
+                writer.write(encode_message({"type": "shutdown"}))
+                writer.write(encode_message({"type": "cancel", "request_id": "long"}))
+                await writer.drain()
+                replies = []
+                while not replies or replies[-1]["type"] != "shutdown_ack":
+                    msg = decode_message(await asyncio.wait_for(reader.readline(), 10.0))
+                    if msg["type"] != "token":
+                        replies.append(msg)
+                writer.close()
+            finally:
+                await server.stop()  # a failed check must not leave a replica running
+            return replies
+
+        done, ack = asyncio.run(run())
+        assert (done["type"], done["status"], done["abort_reason"]) == (
+            "done", "aborted", "cancelled"
+        )
+        assert done["decode_tokens"] < 400
+        assert ack["leaked_blocks"] == 0
 
 
 class TestBinaryFrames:
@@ -989,3 +1092,38 @@ class TestMallocThresholds:
                 await server.stop()
 
         assert asyncio.run(run()) < 50
+
+
+class TestTracing:
+    def test_the_benchmark_tracer_sees_every_protocol_call(self):
+        """``servebench/tracing.py`` wraps the protocol functions as globals
+        of ``repro.serve.server`` and ``AsyncPadeServer.report``.  A front-end
+        that called them another way would lose its ``serve.protocol`` spans
+        without an error.  ``install()`` patches classes for good, so the
+        traced serve runs in a subprocess."""
+        root = Path(__file__).resolve().parent.parent
+        script = """
+import json
+from tracing import Tracer, install
+tracer = Tracer()
+install(tracer)
+from repro.engine import PadeEngine
+from repro.eval.workloads import build_engine_request
+from repro.serve.client import serve_workload_over_loopback
+requests = [build_engine_request(f"r{i}", 2, 16, 2, head_dim=8, seed=i) for i in range(2)]
+serve_workload_over_loopback(PadeEngine(), requests, token_budget=512, block_size=8)
+print(json.dumps(sorted({tracer.names[i] for i in tracer.name_of})))
+"""
+        path = os.pathsep.join([str(root / "servebench"), str(root / "src")])
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        recorded = set(json.loads(out.stdout.splitlines()[-1]))
+        protocol = {
+            f"protocol.{fn}" for fn in (
+                "decode_message", "decode_request", "encode_message",
+                "encode_array", "array_digest", "result_digests",
+            )
+        }
+        assert protocol | {"server.report"} <= recorded
