@@ -180,9 +180,8 @@ async def _failure_flow(workload, replicas, kill_after, seed, worker_kwargs):
                 for fut in finished:
                     dones[pending.pop(fut)] = fut.result()
                 if victim is None and len(dones) >= kill_after:
-                    live = [h for h in cluster.replicas.values() if h.alive]
-                    handle = max(live, key=lambda h: h.in_flight)
-                    victim = handle.replica_id
+                    live = [r for r, h in cluster.replicas.items() if h.alive]
+                    victim = max(live, key=cluster.router.load)
                     await cluster.kill_replica(victim)
             ack = await conn.shutdown()
         finally:

@@ -1,9 +1,8 @@
 """One replica from the cluster front-end's point of view.
 
 :class:`ReplicaHandle` pairs the worker subprocess with the control
-socket the cluster keeps to it, tracks what was routed there (assigned
-submits, per-request token high-water marks, done set), and surfaces the
-two events the cluster reacts to:
+socket the cluster keeps to it, and surfaces the two events the cluster
+reacts to:
 
 * ``on_message(handle, msg)`` — every decoded protocol message the
   worker sends (accepted / rejected / token / done / stats /
@@ -13,12 +12,14 @@ two events the cluster reacts to:
   ``expect_close`` flag is set (graceful shutdown acked, or an injected
   kill the caller owns) does not fire it.
 
-The token high-water marks exist for exactly one decision: when a
-replica dies, requests with **zero** streamed tokens are safe to
-re-route (the client saw nothing; restart-from-scratch is the engine's
-own preemption semantics), while requests that already streamed must
-surface ``abort_reason="replica_lost"`` — silently replaying them could
-hand the client duplicate tokens.
+What was routed to a replica is not kept here: the cluster's route
+for each in-flight id names its replica, and the route's token count
+decides the one thing a replica loss needs to know.  Requests with
+**zero** streamed tokens are safe to re-route (the client saw nothing;
+restart-from-scratch is the engine's own preemption semantics), while
+requests that already streamed must surface
+``abort_reason="replica_lost"`` — silently replaying them could hand
+the client duplicate tokens.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Set, Union
+from typing import Optional, Union
 
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -54,19 +55,12 @@ class ReplicaHandle:
         self.expect_close = False
         self.on_message = None
         self.on_lost = None
-        self.assigned: Dict[str, bytes] = {}  # rid -> submit frame (for re-route)
-        self.streamed: Dict[str, int] = {}  # rid -> tokens relayed so far
-        self.done: Set[str] = set()
         self.accepted_count = 0
         self.ack: Optional[dict] = None  # shutdown_ack once received
         self.ack_event = asyncio.Event()
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._pump_task: Optional[asyncio.Task] = None
-
-    @property
-    def in_flight(self) -> int:
-        return len(self.assigned) - len(self.done)
 
     # ------------------------------------------------------------------
     async def spawn(

@@ -35,7 +35,7 @@ Invariants (property-tested in ``tests/test_cluster_router.py``):
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -147,8 +147,9 @@ class PrefixAffinityRouter:
         self._drained.add(replica_id)
         self._keys[replica_id] = {}
 
-    def register(self, replica_id: str, keys: Sequence[bytes]) -> None:
-        """Record that ``keys`` were routed to ``replica_id`` (optimistic).
+    def register(self, replica_id: str, keys: Sequence[bytes]) -> List[bytes]:
+        """Record that ``keys`` were routed to ``replica_id`` (optimistic);
+        returns the keys that were not indexed there before.
 
         Re-registering an existing key refreshes its age (moves it to the
         back of the eviction order); past ``max_keys_per_replica`` the
@@ -157,11 +158,14 @@ class PrefixAffinityRouter:
         if replica_id in self._drained:
             raise ValueError(f"replica {replica_id!r} is drained")
         index = self._keys[replica_id]
+        added = []
         for key in keys:
-            index.pop(key, None)
+            if index.pop(key, True):  # an indexed key's value is None
+                added.append(key)
             index[key] = None
         while len(index) > self.max_keys_per_replica:
             index.pop(next(iter(index)))
+        return added
 
     def unregister(self, replica_id: str, keys: Sequence[bytes]) -> int:
         """Drop ``keys`` from a replica's index; returns how many were present.
@@ -219,9 +223,10 @@ class PrefixAffinityRouter:
                 return self._least_loaded(matched)
         return self._least_loaded(live)
 
-    def assign(self, keys: Sequence[bytes] = ()) -> str:
-        """Route, then commit: register the keys and charge one load unit."""
+    def assign(self, keys: Sequence[bytes] = ()) -> Tuple[str, List[bytes]]:
+        """Route, then commit: register the keys and charge one load unit.
+        Returns the replica and the keys :meth:`register` added there."""
         replica_id = self.route(keys)
-        self.register(replica_id, keys)
+        added = self.register(replica_id, keys)
         self.add_load(replica_id)
-        return replica_id
+        return replica_id, added

@@ -4,22 +4,26 @@ N replica workers (one subprocess + private pool each, spawned via
 :class:`~repro.cluster.replica.ReplicaHandle`) behind one client-facing
 socket.  :class:`ClusterServer` is a :class:`~repro.serve.server.FrontEnd`,
 like a single :class:`~repro.serve.server.AsyncPadeServer`: the framing,
-the submit gate, the id ownership ledger and cancel-on-disconnect are
+the submit gate, the in-flight ledger and cancel-on-disconnect are
 that class's, so every existing client (:class:`ServeConnection`, the
 closed/open-loop load generators) works against a cluster unchanged.
 
-**Routing.**  Each accepted submit is routed once by the
+**Routing.**  Each accepted submit is assigned once by the
 :class:`PrefixAffinityRouter` (``prefix`` computes the prompt's chained
 block keys and matches the per-replica key index; ``random`` /
 ``least-loaded`` are the control arms) and forwarded verbatim; replies
 (accepted / rejected / token / done) are relayed back to the owning
-client as they arrive.
+client as they arrive.  One :class:`_Route` per in-flight id holds its
+replica, its chain keys, its submit frame and its streamed-token count;
+it is dropped with the id's last reply, and a replica's router load is
+its number of routes.
 
 **Admission.**  Two layers: the cluster rejects with ``overloaded`` when
 total in-flight reaches ``queue_limit`` (global admission), and each
 replica still applies its own queue bound and ``fits_budget`` check —
-a replica-level rejection is relayed like any other reply, and frees
-the id for a new submit.
+a replica-level rejection is relayed like any other reply, frees
+the id for a new submit, and takes back the index keys its routing
+added (those no other route to that replica carries).
 
 **Replica failure.**  When a replica's socket dies unexpectedly, it is
 drained from the router (its key index dies with its pool) and every
@@ -50,6 +54,7 @@ per-replica reports under ``replica_reports``.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence
 
@@ -65,6 +70,19 @@ from repro.serve.protocol import decode_request, encode_settings
 from repro.serve.server import FrontEnd
 
 __all__ = ["ClusterServer", "serve_workload_over_cluster"]
+
+
+@dataclass
+class _Route:
+    """Where an in-flight id went: its replica, its prompt's chain keys
+    and those of them its routing added to the replica's index, the
+    submit frame a re-route re-sends, and the tokens it has streamed."""
+
+    replica: str
+    keys: List[bytes]
+    added: List[bytes]
+    frame: bytes
+    streamed: int = 0
 
 
 class ClusterServer(FrontEnd):
@@ -113,9 +131,7 @@ class ClusterServer(FrontEnd):
         self.rerouted_requests = 0
         self.lost_aborts = 0
         self.lost_replicas: List[str] = []
-        # Routing state of every owned id, released with its ownership.
-        self._rid_replica: Dict[str, str] = {}
-        self._rid_keys: Dict[str, List[bytes]] = {}
+        self._routes: Dict[str, _Route] = {}  # in-flight id -> its route
         self._replies = 0  # accepted+rejected replies seen (barrier bookkeeping)
         self._barrier_lowered = False
         self._drain_task: Optional[asyncio.Task] = None
@@ -139,10 +155,6 @@ class ClusterServer(FrontEnd):
         """Failure injection: hard-kill one worker (``on_lost`` settles it)."""
         await self.replicas[replica_id].kill()
 
-    @property
-    def in_flight(self) -> int:
-        return sum(h.in_flight for h in self.replicas.values())
-
     # ------------------------------------------------------------------
     def _on_replica_message(self, handle: ReplicaHandle, msg: dict) -> None:
         kind = msg.get("type")
@@ -154,17 +166,14 @@ class ClusterServer(FrontEnd):
             self._maybe_lower_barrier()
         elif kind == "rejected":
             self._replies += 1
-            handle.assigned.pop(rid, None)
-            self.router.sub_load(handle.replica_id)
-            self._relay(rid, msg, settle=True)
+            self._finish(rid, msg)
             self._maybe_lower_barrier()
         elif kind == "token":
-            handle.streamed[rid] = handle.streamed.get(rid, 0) + 1
+            if rid in self._routes:
+                self._routes[rid].streamed += 1
             self._relay(rid, msg)
         elif kind == "done":
-            handle.done.add(rid)
-            self.router.sub_load(handle.replica_id)
-            self._relay(rid, msg, settle=True)
+            self._finish(rid, msg)
             # A finished request is when the replica's pool recycles
             # blocks, so poll its stats (fire-and-forget) to learn which
             # prefix keys died — the reply unindexes them below.
@@ -185,21 +194,33 @@ class ClusterServer(FrontEnd):
             handle.ack_event.set()
         # barrier_ack replies need no action here
 
-    def _relay(self, rid: Optional[str], msg: dict, settle: bool = False) -> None:
-        """Pass a reply on to the id's owner; ``settle`` marks the id's
-        last reply, a ``done`` or a ``rejected`` (which frees the id)."""
-        if settle:
-            conn = self._settle(rid, release=msg["type"] == "rejected")
-        else:
-            conn = self._owners.get(rid)
+    def _relay(self, rid: Optional[str], msg: dict) -> None:
+        """Pass a reply on to the connection of the id in flight."""
+        conn = self._in_flight.get(rid)
         if conn is not None:
             self._send(conn, msg)
             self._write(conn)
 
-    def _settle(self, rid: str, release: bool = False):
-        self._rid_replica.pop(rid, None)
-        self._rid_keys.pop(rid, None)
-        return super()._settle(rid, release)
+    def _finish(self, rid: Optional[str], msg: dict) -> None:
+        """Relay the id's last reply, a ``done`` or a ``rejected``, and drop
+        its route.  A rejection frees the id and takes back the index keys
+        its routing added; a key another route there carries passes to that
+        route instead, to be taken back if it is rejected too."""
+        route = self._routes.pop(rid, None)
+        if route is None:
+            return
+        self.router.sub_load(route.replica)
+        rejected = msg["type"] == "rejected"
+        if rejected:
+            added = set(route.added)
+            for other in self._routes.values():
+                if other.replica == route.replica:
+                    carried = added.intersection(other.keys)
+                    other.added += carried
+                    added -= carried
+            self.router.unregister(route.replica, added)
+        self._relay(rid, msg)
+        self._settle(rid, release=rejected)
 
     def _maybe_lower_barrier(self) -> None:
         if (
@@ -208,43 +229,32 @@ class ClusterServer(FrontEnd):
             and self._replies >= self.start_barrier
         ):
             self._barrier_lowered = True
-            for handle in self.replicas.values():
-                if handle.alive:
-                    handle.send_nowait(
-                        {"type": "barrier", "count": handle.accepted_count}
-                    )
+            for handle in self.replicas.values():  # a dead one ignores it
+                handle.send_nowait({"type": "barrier", "count": handle.accepted_count})
 
     # ------------------------------------------------------------------
     def _on_replica_lost(self, handle: ReplicaHandle) -> None:
-        """Unexpected replica death: drain it, settle its assignments."""
+        """Unexpected replica death: drain it, settle its routes."""
         handle.ack_event.set()  # nothing further will arrive
         self.router.drain(handle.replica_id)
         self.lost_replicas.append(handle.replica_id)
-        for rid, frame in list(handle.assigned.items()):
-            if rid in handle.done:
-                continue
-            if handle.streamed.get(rid, 0) == 0:
-                try:
-                    self._reroute(rid, frame)
-                    continue
-                except NoReplicaAvailable:
-                    pass  # nowhere left: fall through to the abort
-            self._abort_lost(rid, handle.streamed.get(rid, 0))
+        lost = [(rid, r) for rid, r in self._routes.items() if r.replica == handle.replica_id]
+        for rid, route in lost:
+            if route.streamed == 0 and self.router.live_replicas:
+                self._reroute(route)
+            else:
+                self._abort_lost(rid, route.streamed)
 
-    def _reroute(self, rid: str, frame: bytes) -> None:
-        keys = self._rid_keys.get(rid, [])
-        target = self.router.route(keys)
-        self.router.register(target, keys)
-        self.router.add_load(target)
-        new_handle = self.replicas[target]
-        new_handle.assigned[rid] = frame
-        self._rid_replica[rid] = target
-        new_handle.send_nowait(frame)
+    def _reroute(self, route: _Route) -> None:
+        target, added = self.router.assign(route.keys)
+        self.router.sub_load(route.replica)
+        route.replica, route.added = target, added
+        self.replicas[target].send_nowait(route.frame)
         self.rerouted_requests += 1
 
     def _abort_lost(self, rid: str, streamed: int) -> None:
         self.lost_aborts += 1
-        self._relay(
+        self._finish(
             rid,
             {
                 "type": "done",
@@ -256,7 +266,6 @@ class ClusterServer(FrontEnd):
                 "timing": {},
                 "wall": {},
             },
-            settle=True,
         )
 
     # ------------------------------------------------------------------
@@ -274,28 +283,21 @@ class ClusterServer(FrontEnd):
             except (KeyError, TypeError, ValueError, IndexError):
                 return "invalid"
         try:
-            target = self.router.route(keys)
+            target, added = self.router.assign(keys)
         except NoReplicaAvailable:
             return "no-replica"
-        self.router.register(target, keys)
-        self.router.add_load(target)
-        self._rid_replica[rid] = target
-        self._rid_keys[rid] = keys
         # The submit travels on verbatim: its header line and payload.
         # The replica answers accepted or rejected; both are relayed.
-        frame = line + payload
-        handle = self.replicas[target]
-        handle.assigned[rid] = frame
-        handle.send_nowait(frame)
+        route = self._routes[rid] = _Route(target, keys, added, line + payload)
+        self.replicas[target].send_nowait(route.frame)
         return None
 
     def _backlog(self) -> int:
         return self.in_flight
 
     def _cancel(self, rid: str) -> None:
-        handle = self.replicas[self._rid_replica[rid]]
-        if handle.alive:
-            handle.send_nowait({"type": "cancel", "request_id": rid})
+        # A dead replica's transport ignores it; its loss settles the id.
+        self.replicas[self._routes[rid].replica].send_nowait({"type": "cancel", "request_id": rid})
 
     def _stats(self) -> dict:
         return {
@@ -310,10 +312,8 @@ class ClusterServer(FrontEnd):
                     "alive": handle.alive,
                     "drained": self.router.is_drained(rid),
                     "load": self.router.load(rid),
-                    "in_flight": handle.in_flight,
+                    "in_flight": int(self.router.load(rid)),
                     "indexed_keys": self.router.indexed_keys(rid),
-                    "assigned": len(handle.assigned),
-                    "done": len(handle.done),
                 }
                 for rid, handle in self.replicas.items()
             },

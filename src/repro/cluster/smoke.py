@@ -6,7 +6,8 @@ Exit code 0 requires: every request completed ``ok`` with a non-empty
 token stream, its output/retained digests and every token digest equal
 to an in-process :meth:`PadeEngine.serve` of the same workload, the
 cluster shutdown ack reporting zero leaked pool blocks across all
-replicas, and — under ``prefix`` routing — a nonzero cluster
+replicas, no id in flight and every replica's router load at 0 after
+the drain, and — under ``prefix`` routing — a nonzero cluster
 prefix-hit count (the affinity index actually landed requests on warm
 replicas).  Run by CI as::
 
@@ -67,6 +68,9 @@ def main(argv=None) -> int:
     )
     if ack.get("leaked_blocks", -1) != 0:
         failures.append(f"leaked_blocks = {ack.get('leaked_blocks')}")
+    loads = {r: cluster.router.load(r) for r in cluster.replicas if cluster.router.load(r)}
+    if cluster.in_flight or loads:
+        failures.append(f"{cluster.in_flight} ids in flight, router loads {loads} after the drain")
     report = ack.get("report", {})
     if report.get("reporting_replicas", 0.0) < 1.0:
         failures.append("no replica produced a serving report")

@@ -3,7 +3,7 @@
 :class:`FrontEnd` is the client-facing half of every server — this one
 and :class:`~repro.cluster.server.ClusterServer` — so one place decides
 what the wire protocol accepts, rejects and replies: framing errors,
-the submit gate, the id ownership ledger, cancel-on-disconnect.
+the submit gate, the in-flight ledger, cancel-on-disconnect.
 
 In :class:`AsyncPadeServer` one engine task drives :meth:`ContinuousScheduler.step` — the *same*
 round implementation :meth:`PadeEngine.serve` runs in-process — so the
@@ -63,6 +63,7 @@ import json
 import time
 from collections import deque
 from dataclasses import replace
+from itertools import takewhile
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.engine.scheduler import ContinuousScheduler, EngineRequest
@@ -85,11 +86,10 @@ from repro.serve.protocol import (
 __all__ = ["AsyncPadeServer", "FrontEnd", "main"]
 
 class _Connection:
-    """One client: its writer, the ids it owns until their done, its outbox."""
+    """One client: its writer and its outbox."""
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        self.owned: Set[str] = set()
         self.outbox: Deque[bytes] = deque()
         self.alive = True
 
@@ -99,18 +99,18 @@ class FrontEnd:
 
     It owns the listening socket, one :class:`_Connection` per client,
     the read loop and its framing errors, the submit gate (``invalid``,
-    ``shutting-down``, ``duplicate``, ``overloaded``), the ownership
-    ledger, cancel-on-disconnect and :meth:`stop`.  An id is owned from
-    its acceptance until its ``done``: ``_owners`` maps it to the
-    connection its replies go to, and that connection's ``owned`` set is
-    what a disconnect cancels.  A rejection releases the id, so it may be
-    submitted again; an id whose ``done`` went out stays taken.
+    ``shutting-down``, ``duplicate``, ``overloaded``), the in-flight
+    ledger, cancel-on-disconnect and :meth:`stop`.  ``_in_flight`` maps
+    an id, from its acceptance to its last reply (:meth:`_settle`), to
+    the connection its replies go to and a disconnect cancels.  A
+    rejection releases the id, so it may be submitted again; an id whose
+    ``done`` went out joins ``_finished`` and stays taken.
 
     A subclass supplies what differs:
 
     * ``_accept(conn, rid, msg, line, payload)`` serves a submit that
       passed the gate and returns ``None`` once it is taken on (the id
-      is then owned by ``conn``), or the rejection's error;
+      is then in flight for ``conn``), or the rejection's error;
     * ``_backlog()``: the accepted submits that count against
       ``queue_limit``;
     * ``_cancel(rid)``: take a cancel to the work;
@@ -129,7 +129,8 @@ class FrontEnd:
         self.start_barrier = int(start_barrier)
         self._connections: List[_Connection] = []
         self._handlers: Set[asyncio.Task] = set()
-        self._owners: Dict[str, _Connection] = {}
+        self._in_flight: Dict[str, _Connection] = {}
+        self._finished: Set[str] = set()
         self._draining = False
         self._shutdown_conns: List[_Connection] = []
         self._ack: Optional[Dict] = None
@@ -144,6 +145,11 @@ class FrontEnd:
 
     async def wait_closed(self) -> None:
         await self.closed.wait()
+
+    @property
+    def in_flight(self) -> int:
+        """Accepted ids whose last reply has not gone out."""
+        return len(self._in_flight)
 
     async def stop(self) -> None:
         """Force shutdown (the graceful path is the ``shutdown`` message)."""
@@ -210,17 +216,16 @@ class FrontEnd:
             return
         conn.alive = False
         conn.outbox.clear()
-        for rid in conn.owned:
+        for rid in [rid for rid, owner in self._in_flight.items() if owner is conn]:
             self._cancel(rid)
 
-    def _settle(self, rid: str, release: bool = False) -> Optional[_Connection]:
-        """The id's last reply is going out: its connection no longer owns
-        it.  ``release`` (a rejection) also frees the id for a new submit.
-        Returns the connection the reply goes to."""
-        conn = self._owners.pop(rid, None) if release else self._owners.get(rid)
-        if conn is not None:
-            conn.owned.discard(rid)
-        return conn
+    def _settle(self, rid: str, release: bool = False) -> _Connection:
+        """The id's last reply is going out: drop it from the ledger.  A
+        ``done`` leaves the id taken; ``release`` (a rejection) frees it
+        for a new submit.  Returns the connection the reply goes to."""
+        if not release:
+            self._finished.add(rid)
+        return self._in_flight.pop(rid)
 
     async def _acknowledge(self, ack: Dict) -> None:
         """The drain is over: answer every ``shutdown`` sender, and any
@@ -239,15 +244,14 @@ class FrontEnd:
         rid = str(body["request_id"])
         if self._draining:
             error = "shutting-down"
-        elif rid in self._owners:
+        elif rid in self._in_flight or rid in self._finished:
             error = "duplicate"
         elif self._backlog() >= self.queue_limit:
             error = "overloaded"
         else:
             error = self._accept(conn, rid, msg, line, payload)
         if error is None:
-            self._owners[rid] = conn
-            conn.owned.add(rid)
+            self._in_flight[rid] = conn
         else:
             self._send(conn, {"type": "rejected", "request_id": rid, "error": error})
 
@@ -262,8 +266,7 @@ class FrontEnd:
                 # An id never accepted, or whose done went out, would sit
                 # in the scheduler's cancel set for good.
                 rid = str(msg["request_id"])
-                owner = self._owners.get(rid)
-                if owner is not None and rid in owner.owned:
+                if rid in self._in_flight:
                     self._cancel(rid)
         elif kind == "shutdown":
             if self._ack is not None:
@@ -336,7 +339,6 @@ class AsyncPadeServer(FrontEnd):
         # Accepted submits, decoded once on receipt: (request, arrival).
         self._accept_queue: Deque[Tuple[EngineRequest, Any]] = deque()
         self._wall: Dict[str, Dict[str, float]] = {}
-        self._done_sent: Set[str] = set()
         self._events_seen = 0
         self._started = False
         self._wake = asyncio.Event()
@@ -398,18 +400,16 @@ class AsyncPadeServer(FrontEnd):
             # read admit <= first_token on the wall clock.
             wall.setdefault("admit", now)
             wall["first_token"] = now
-        conn = self._owners.get(request_id)
-        if conn is not None and conn.alive:
-            self._send(
-                conn,
-                {
-                    "type": "token",
-                    "request_id": request_id,
-                    "step": step,
-                    "digest": array_digest(output),
-                    "output": encode_array(output),
-                },
-            )
+        self._send(
+            self._in_flight[request_id],
+            {
+                "type": "token",
+                "request_id": request_id,
+                "step": step,
+                "digest": array_digest(output),
+                "output": encode_array(output),
+            },
+        )
 
     def _stamp_admits(self) -> None:
         events = self.scheduler.events
@@ -422,20 +422,13 @@ class AsyncPadeServer(FrontEnd):
 
     def _dispatch_done(self) -> None:
         # The scheduler only appends to ``results``, in finishing order,
-        # and every dispatch sends all it finds: the unsent ids are the
-        # tail after the last sent one, so a round never rescans the past.
-        fresh = []
-        for rid in reversed(self.results):
-            if rid in self._done_sent:
-                break
-            fresh.append(rid)
+        # and every dispatch settles all it finds: the unsent ids are the
+        # tail still in flight, so a round never rescans the past.  A done
+        # for a disconnected client is dropped; the result stands.
+        fresh = list(takewhile(self._in_flight.__contains__, reversed(self.results)))
         for rid in reversed(fresh):
             res = self.results[rid]
-            self._done_sent.add(rid)
             self._wall.setdefault(rid, {})["finish"] = self._now_ms()
-            conn = self._settle(rid)
-            if conn is None or not conn.alive:
-                continue  # orphaned by a disconnect; the result stands
             msg = {
                 "type": "done",
                 "request_id": rid,
@@ -452,7 +445,7 @@ class AsyncPadeServer(FrontEnd):
                 "wall": dict(self._wall[rid]),
             }
             msg.update(result_digests(res))
-            self._send(conn, msg)
+            self._send(self._settle(rid), msg)
 
     # ------------------------------------------------------------------
     def _barrier_open(self) -> bool:

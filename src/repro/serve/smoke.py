@@ -5,8 +5,9 @@ Exit code 0 requires: every request accepted and completed ``ok`` with
 a non-empty token stream, its output/retained digests and every token
 digest equal to an in-process :meth:`PadeEngine.serve` of the same
 workload (so every run checks that the binary submit frames are
-lossless), the shutdown ack reporting zero leaked pool blocks, and
-wall-clock TTFT populated for every request.  With
+lossless), the shutdown ack reporting zero leaked pool blocks, no id
+left in flight after the drain, and wall-clock TTFT populated for every
+request.  With
 ``--open-loop`` the workload instead replays each request's Poisson
 arrival schedule against real wall-clock time (``--pace`` seconds per
 round unit), and the makespan must additionally cover the paced
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
     )
     settings = dict(max_active=4, token_budget=args.budget, block_size=16)
     pace = args.pace if args.open_loop else 0.0
-    dones, ack, _server = serve_workload_over_loopback(
+    dones, ack, server = serve_workload_over_loopback(
         PadeEngine(PadeConfig.standard(), policy="pade"),
         workload,
         barrier=False,
@@ -93,6 +94,8 @@ def main(argv=None) -> int:
     )
     if ack.get("leaked_blocks", -1) != 0:
         failures.append(f"leaked_blocks = {ack.get('leaked_blocks')}")
+    if server.in_flight:
+        failures.append(f"{server.in_flight} ids still in flight after the drain")
     report = ack.get("report", {})
     if report.get("n_wall_ttft_ms", 0.0) != float(args.requests):
         failures.append(f"wall TTFT series incomplete: {report.get('n_wall_ttft_ms')}")

@@ -36,6 +36,7 @@ import resource
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,7 +62,7 @@ from repro.serve.protocol import (
     encode_request,
     result_digests,
 )
-from repro.serve.server import AsyncPadeServer
+from repro.serve.server import AsyncPadeServer, _Connection
 
 
 def _req(rid, context=16, steps=4, arrival=0.0, seed=0):
@@ -831,6 +832,8 @@ class TestBackpressure:
                 try:
                     reply = await conn.submit(_req("again", context=200, steps=8))
                     assert (reply["type"], reply["error"]) == ("rejected", "too-large")
+                    if front_end == "cluster":  # its keys left the affinity index
+                        assert server.router.indexed_keys("r0") == 0
                     assert (await conn.submit(_req("again")))["type"] == "accepted"
                     assert (await conn.result("again"))["status"] == "ok"
                     reply = await conn.submit(_req("again"))
@@ -899,15 +902,60 @@ class TestDoneDispatch:
             def values(self):
                 return (self[key] for key in self)
 
-        server = AsyncPadeServer(PadeEngine())
-        server.results = CountingResults((f"old{i}", None) for i in range(500))
+        settings = dict(max_active=2, token_budget=512, block_size=8)
+        result = PadeEngine().serve([_req("r")], **settings)["r"]
+        server = AsyncPadeServer(PadeEngine(), **settings)
+        conn = _Connection(writer=None)
+        server.results = CountingResults((f"old{i}", result) for i in range(500))
+        server._in_flight.update(dict.fromkeys(server.results, conn))
         server._dispatch_done()
-        assert server._done_sent == set(server.results)
-        server.results["new"] = None
+        assert server.in_flight == 0 and server._finished == set(server.results)
+        assert len(conn.outbox) == 500
+        server.results["new"] = result
+        server._in_flight["new"] = conn
         CountingResults.visited = 0
         server._dispatch_done()
-        assert "new" in server._done_sent
+        assert server.in_flight == 0 and "new" in server._finished
+        assert decode_message(conn.outbox[-1])["request_id"] == "new"
         assert CountingResults.visited <= 2
+
+
+class TestInFlightLedger:
+    @pytest.mark.parametrize("front_end", FRONT_ENDS)
+    def test_a_closed_client_is_released_once_its_requests_finish(self, front_end):
+        """Nothing of a client outlives its last request: after five
+        clients have each run two requests and closed, none of their
+        server-side writers is still alive."""
+
+        async def run():
+            server = await _start(front_end=front_end)
+            try:
+                writers = []
+                for c in range(5):
+                    conn = await ServeConnection.open(server.host, server.port)
+                    try:
+                        rids = [f"c{c}-{i}" for i in range(2)]
+                        for rid in rids:
+                            assert (await conn.submit(_req(rid)))["type"] == "accepted"
+                        (client,) = server._connections
+                        writers.append(weakref.ref(client.writer))
+                        del client
+                        for rid in rids:
+                            assert (await conn.result(rid))["status"] == "ok"
+                    finally:
+                        await conn.close()
+                    await _wait_for(lambda: not server._connections, what="the close")
+
+                def released():
+                    gc.collect()
+                    return all(ref() is None for ref in writers)
+
+                await _wait_for(released, timeout=3.0, what="the closed writers to be freed")
+                assert server.in_flight == 0
+            finally:
+                await server.stop()
+
+        asyncio.run(run())
 
 
 class TestGracefulShutdown:

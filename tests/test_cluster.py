@@ -6,10 +6,15 @@ protocol — the same path CI's cluster-smoke job exercises.
 """
 
 import asyncio
+import io
 import json
+from collections import deque
+from dataclasses import replace
 
 import pytest
 
+from repro.cluster.replica import ReplicaHandle
+from repro.cluster.router import request_chain_keys
 from repro.cluster.server import ClusterServer, serve_workload_over_cluster
 from repro.engine import PadeEngine, PriorityPolicy
 from repro.engine.cache import TierConfig
@@ -23,6 +28,7 @@ from repro.serve.protocol import (
     encode_request,
     result_digests,
 )
+from repro.serve.server import _Connection
 
 WORKER_KWARGS = dict(token_budget=1536, max_active=4, block_size=16, prefix_sharing=True)
 
@@ -323,7 +329,7 @@ def test_lines_that_are_not_messages_never_leave_the_client_waiting():
 # ----------------------------------------------------------------------
 
 
-async def _kill_one_mid_load(workload, replicas, kill_after):
+async def _kill_one_mid_load(workload, replicas, kill_after, settled=None):
     cluster = ClusterServer(
         replicas=replicas, routing="prefix",
         queue_limit=len(workload), seed=5, **WORKER_KWARGS,
@@ -349,10 +355,11 @@ async def _kill_one_mid_load(workload, replicas, kill_after):
                 for fut in finished:
                     dones[pending.pop(fut)] = fut.result()
                 if victim is None and len(dones) >= kill_after:
-                    live = [h for h in cluster.replicas.values() if h.alive]
-                    handle = max(live, key=lambda h: h.in_flight)
-                    victim = handle.replica_id
+                    live = [r for r, h in cluster.replicas.items() if h.alive]
+                    victim = max(live, key=cluster.router.load)
                     await cluster.kill_replica(victim)
+            if settled is not None:
+                await settled(cluster, conn, victim)
             ack = await conn.shutdown()
         finally:
             await conn.close()
@@ -399,12 +406,11 @@ def test_submits_routed_off_a_lost_replica_arrive_intact():
             try:
                 for request in workload:
                     assert (await conn.submit(request))["type"] == "accepted"
-                victim = max(cluster.replicas.values(), key=lambda h: len(h.assigned))
-                moved = len(victim.assigned)
-                await cluster.kill_replica(victim.replica_id)
+                assert len(_held_frames(cluster)) == len(workload)
+                victim = max(cluster.replicas, key=cluster.router.load)
+                moved = int(cluster.router.load(victim))
+                await cluster.kill_replica(victim)
                 dones = {r.request_id: await conn.result(r.request_id) for r in workload}
-                frames = [f for h in cluster.replicas.values() for f in h.assigned.values()]
-                assert all(f.startswith(b'{"binary_bytes":') for f in frames)
                 ack = await conn.shutdown()
             finally:
                 await conn.close()
@@ -419,6 +425,117 @@ def test_submits_routed_off_a_lost_replica_arrive_intact():
     for rid, res in expected.items():
         assert dones[rid]["status"] == "ok", rid
         assert {k: dones[rid][k] for k in result_digests(res)} == result_digests(res), rid
+
+
+def test_a_lost_replica_leaves_nothing_in_flight():
+    """Once a replica is killed mid-load and every request has settled,
+    nothing is left in flight: no backlog, the dead replica's router load
+    is 0, and a burst of ``queue_limit`` submits is accepted whole."""
+    workload = _workload(groups=2, per_group=4, steps=6, seed=5)
+    burst = [replace(r, request_id=f"burst-{r.request_id}") for r in workload]
+
+    async def settled(cluster, conn, victim):
+        assert (cluster.in_flight, cluster._backlog()) == (0, 0)
+        assert cluster.router.load(victim) == 0
+        replies = await asyncio.gather(*(conn.submit(r, arrival="now") for r in burst))
+        assert [reply["type"] for reply in replies] == ["accepted"] * len(burst)
+        for request in burst:
+            assert (await conn.result(request.request_id))["status"] == "ok"
+
+    dones, ack, victim = asyncio.run(_kill_one_mid_load(workload, 2, 2, settled))
+    assert len(dones) == len(workload) and ack["served"] >= len(burst)
+    assert ack["leaked_blocks"] == 0
+
+
+def _held_frames(root):
+    """Every submit frame reachable from ``root`` through this package's
+    objects and plain containers (asyncio's streams are not walked)."""
+    frames, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, bytes):
+            if obj.startswith(b'{"binary_bytes":'):
+                frames.append(obj)
+        elif isinstance(obj, dict):
+            stack += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, deque)):
+            stack += obj
+        elif type(obj).__module__.startswith("repro."):
+            stack += getattr(obj, "__dict__", {}).values()
+    return frames
+
+
+def test_the_cluster_keeps_no_route_or_frame_after_the_dones():
+    workload = _workload(groups=2, per_group=2, steps=3, seed=3)
+
+    async def run():
+        # An unreachable barrier: nothing runs before the shutdown drain,
+        # so every submit frame is still held when it is counted.
+        cluster = ClusterServer(
+            replicas=1, queue_limit=len(workload),
+            start_barrier=len(workload) + 1, **WORKER_KWARGS,
+        )
+        await cluster.start()
+        try:
+            conn = await ServeConnection.open(cluster.host, cluster.port)
+            try:
+                for request in workload:
+                    assert (await conn.submit(request))["type"] == "accepted"
+                assert len(_held_frames(cluster)) == len(workload)
+                ack = await conn.shutdown()
+                dones = [await conn.result(r.request_id) for r in workload]
+            finally:
+                await conn.close()
+        finally:
+            await cluster.stop()
+        assert [d["status"] for d in dones] == ["ok"] * len(workload)
+        assert ack["leaked_blocks"] == 0
+        assert _held_frames(cluster) == []
+        assert cluster.in_flight == 0 and cluster._routes == {}
+
+    asyncio.run(run())
+
+
+def test_a_rejection_takes_back_the_keys_its_routing_added():
+    """Keys a rejected submit added to the affinity index are unregistered;
+    one that another in-flight route there carries stays until that route
+    is rejected too.  Replica replies are fed in, so nothing is spawned."""
+    cluster = ClusterServer(replicas=2, **WORKER_KWARGS)
+    cluster.replicas = {rid: ReplicaHandle(rid) for rid in cluster.router.replica_ids}
+    conn = _Connection(writer=io.BytesIO())
+    prompt, other = _workload(groups=2, per_group=1, seed=2)
+    keys = request_chain_keys(prompt, bits=cluster.bits, block_size=cluster.block_size)
+    assert keys
+
+    def submit(rid, request):
+        request = replace(request, request_id=rid)
+        frame = encode_message({"type": "submit", "request": encode_request(request)})
+        line, payload = frame.split(b"\n", 1)
+        cluster._on_submit(conn, decode_message(line), line + b"\n", payload)
+
+    def reject(rid, replica):
+        cluster._on_replica_message(
+            cluster.replicas[replica],
+            {"type": "rejected", "request_id": rid, "error": "too-large"},
+        )
+
+    before = cluster.router.indexed_keys("r0")
+    for rid, request in (("a", prompt), ("b", prompt), ("c", other)):
+        submit(rid, request)  # "b" follows "a" to r0 by affinity; "c" goes to r1
+    reject("a", "r0")
+    assert cluster.router.match_length("r0", keys) == len(keys)  # "b" carries them
+    reject("b", "r0")
+    assert cluster.router.match_length("r0", keys) == 0
+    assert cluster.router.indexed_keys("r0") == before
+    cluster._on_replica_message(cluster.replicas["r1"], {"type": "done", "request_id": "c"})
+    assert cluster.in_flight == 0 and cluster._routes == {}
+    replies = [decode_message(line) for line in conn.writer.getvalue().splitlines()]
+    assert [(m["type"], m["request_id"]) for m in replies] == [
+        ("rejected", "a"), ("rejected", "b"), ("done", "c"),
+    ]
 
 
 def test_serving_profile_shards_every_scheduler_mode():

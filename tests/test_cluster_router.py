@@ -171,11 +171,12 @@ def test_interior_match_scores_nothing():
 @given(st.lists(key, min_size=1, max_size=4, unique=True))
 def test_assign_registers_and_charges(keys):
     router = PrefixAffinityRouter(["r0", "r1"], mode="prefix")
-    first = router.assign(keys)
+    first, added = router.assign(keys)
     assert router.load(first) == 1.0
     assert router.match_length(first, keys) == len(keys)
-    # The same prompt now has affinity to its first target.
-    assert router.assign(keys) == first
+    assert added == keys
+    # The same prompt now has affinity to its first target, and adds no key.
+    assert router.assign(keys) == (first, [])
 
 
 # -- key parity with the pool ------------------------------------------
@@ -215,6 +216,13 @@ def test_unregister_drops_match_and_reports_count(keys):
     assert router.indexed_keys("a") == 0
     # Idempotent: the keys are already gone, nothing else breaks.
     assert router.unregister("a", keys) == 0
+
+
+def test_register_reports_the_keys_it_added():
+    router = PrefixAffinityRouter(["a"])
+    assert router.register("a", [b"k1", b"k2"]) == [b"k1", b"k2"]
+    assert router.register("a", [b"k2", b"k3"]) == [b"k3"]
+    assert router.indexed_keys("a") == 3
 
 
 def test_unregister_unknown_replica_raises():
