@@ -14,9 +14,9 @@ block keys and matches the per-replica key index; ``random`` /
 ``least-loaded`` are the control arms) and forwarded verbatim; replies
 (accepted / rejected / token / done) are relayed back to the owning
 client as they arrive.  One :class:`_Route` per in-flight id holds its
-replica, its chain keys, its submit frame and its streamed-token count;
-it is dropped with the id's last reply, and a replica's router load is
-its number of routes.
+replica, its chain keys, its submit frame (until its first token) and
+its streamed-token count; it is dropped with the id's last reply, and a
+replica's router load is its number of routes.
 
 **Admission.**  Two layers: the cluster rejects with ``overloaded`` when
 total in-flight reaches ``queue_limit`` (global admission), and each
@@ -76,12 +76,13 @@ __all__ = ["ClusterServer", "serve_workload_over_cluster"]
 class _Route:
     """Where an in-flight id went: its replica, its prompt's chain keys
     and those of them its routing added to the replica's index, the
-    submit frame a re-route re-sends, and the tokens it has streamed."""
+    submit frame a re-route re-sends (``None`` once a token streamed),
+    and the tokens it has streamed."""
 
     replica: str
     keys: List[bytes]
     added: List[bytes]
-    frame: bytes
+    frame: Optional[bytes]
     streamed: int = 0
 
 
@@ -169,8 +170,10 @@ class ClusterServer(FrontEnd):
             self._finish(rid, msg)
             self._maybe_lower_barrier()
         elif kind == "token":
-            if rid in self._routes:
-                self._routes[rid].streamed += 1
+            route = self._routes.get(rid)
+            if route is not None:
+                route.streamed += 1
+                route.frame = None  # _on_replica_lost re-sends only unstreamed routes
             self._relay(rid, msg)
         elif kind == "done":
             self._finish(rid, msg)

@@ -275,12 +275,16 @@ class TierConfig:
 
 
 class PoolExhausted(RuntimeError):
-    """A block allocation would exceed the pool's global token budget.
+    """A block allocation would exceed the pool's plane budget.
 
-    The continuous scheduler catches this to trigger preemption; anything
-    else letting it propagate means the budget cannot even hold the
-    requesting sequence alone.
+    ``units`` is what the refused allocation needed (``count × bits``);
+    the continuous scheduler makes that much room and retries.  Anything
+    else letting it propagate means the budget cannot hold the sequence.
     """
+
+    def __init__(self, message: str, units: int) -> None:
+        super().__init__(message)
+        self.units = units
 
 
 class _Spilled(NamedTuple):
@@ -461,18 +465,20 @@ class PlaneBlockPool:
         The only refusal is the plane budget: :class:`PoolExhausted` when
         the primary tier lacks ``count × bits`` free units — a fresh
         block is always written at full precision, and only a tiered
-        pool can regain units without freeing blocks (the scheduler turns
-        this failure into the spill ladder before falling back to
-        preemption).  The check precedes every claim, so a failed call
-        leaves the pool byte-for-byte as it was.  When the free stack is
+        pool can regain units without freeing blocks (the scheduler
+        spills when that covers the deficit, and preempts otherwise).
+        The check precedes every claim, so a failed call leaves the pool
+        byte-for-byte as it was.  When the free stack is
         short, the backing store grows first.
         """
         capacity = self.plane_capacity_units
-        if capacity is not None and self._plane_units_used + count * self.bits > capacity:
+        units = count * self.bits
+        if capacity is not None and self._plane_units_used + units > capacity:
             raise PoolExhausted(
-                f"plane budget exhausted: {count} blocks need {count * self.bits} "
-                f"plane units, {capacity - self._plane_units_used} of {capacity} free "
-                f"({self.token_budget} tokens)"
+                f"plane budget exhausted: {count} blocks need {units} plane units, "
+                f"{capacity - self._plane_units_used} of {capacity} free "
+                f"({self.token_budget} tokens)",
+                units,
             )
         if count > len(self._free):
             self._grow(max(count - len(self._free), self.num_blocks))
@@ -483,7 +489,7 @@ class PlaneBlockPool:
             self._resident[block] = self.bits
             self._touch(block)
         self.allocations += count
-        self._plane_units_used += count * self.bits
+        self._plane_units_used += units
         self.peak_used_blocks = max(self.peak_used_blocks, len(self._allocated))
         return blocks
 

@@ -41,6 +41,7 @@ expressed on the same axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -761,7 +762,7 @@ class ContinuousScheduler:
         self.prefix_miss_blocks = 0  # shareable prompt blocks written fresh
         self.chunk_stall_rounds = 0  # rounds where a prefill got zero budget
         self.decode_blocked_rounds = 0  # rounds an exclusive prefill stalled decode
-        self.spill_reliefs = 0  # PoolExhausted events resolved by spilling (no preempt)
+        self.spill_reliefs = 0  # _make_room calls that spilling alone satisfied
         self.tier_prefetch_restores = 0  # blocks restored by the per-round prefetch pass
         self.degraded_tokens = 0  # decode tokens produced while any block was degraded
         self.decoded_tokens = 0  # all decode tokens this scheduler produced
@@ -1027,14 +1028,11 @@ class ContinuousScheduler:
                 # One headroom block per unfinished active request keeps this
                 # admission from forcing a preemption in the very next round
                 # (prefix hits only lower the real demand).  Counted in plane
-                # units, a tiered pool's deficit walks the spill ladder
-                # before declining: admitting at degraded precision instead
-                # of queueing is the whole TTFT win.
+                # units, a tiered pool's deficit is spilled away when the
+                # ladder can cover it: admitting at degraded precision
+                # instead of queueing is the whole TTFT win.
                 headroom = sum(1 for s in self.active if not s.done)
-                units_needed = (prompt_blocks + headroom) * pool.bits
-                if pool.plane_units_free < units_needed and not self._relieve_pressure(
-                    units_needed
-                ):
+                if not self._make_room((prompt_blocks + headroom) * pool.bits):
                     return
             self.pending.remove(entry)
             cache = PagedBitPlaneKVCache(pool, prefix_sharing=self.prefix_sharing)
@@ -1156,32 +1154,66 @@ class ContinuousScheduler:
         self._record("preempt", (victim.request.request_id,))
 
     # ------------------------------------------------------------------
-    # Two-tier pressure ladder (DESIGN.md §16).
-    def _relieve_pressure(self, units_needed: Optional[int] = None, avoid=()) -> bool:
-        """Walk the spill ladder until ``units_needed`` plane units are free.
+    # Making room: the two-tier pressure ladder, then preemption (DESIGN.md §16).
+    def _make_room(self, units: int, raiser: Optional[_RequestState] = None, cache=None) -> bool:
+        """Free ``units`` plane units: plan first, spill second, preempt last.
 
-        Spills cold, unprotected blocks level by level (half residency,
-        then the floor) and returns ``True`` once the primary tier has
-        room; ``False`` means even fully-spilled state cannot make room —
-        the caller falls back to preemption.  ``avoid`` lists blocks the
-        caller is about to write into (a write target must stay resident,
-        so spilling it would just bounce back).  The backing store grows
-        under whatever the spills admit, so units are the only limit.
+        The spill candidates (cold, unprotected, minus ``cache``'s write
+        tail, which would bounce straight back) are taken once and spilled
+        level by level only if spilling them all to the floor covers the
+        deficit.  Otherwise nothing is spilled: an admission (no
+        ``raiser``) declines, and an allocation preempts one policy-chosen
+        victim and plans again on its retry.  ``False``: the admission
+        declines, or the victim was ``raiser`` itself (everything it held
+        released, back in the queue).
         """
         pool = self.pool
-        needed = pool.bits if units_needed is None else int(units_needed)
-        avoid = set(avoid)
-        if pool.plane_units_free >= needed:
+        deficit = units - pool.plane_units_free
+        if deficit <= 0:
             return True
-        for level in pool.spill_ladder:  # empty on a flat pool
-            for block in pool.spill_candidates():
-                if block in avoid or pool.resident_planes(block) <= level:
-                    continue
-                pool.spill_block(block, level)
-                if pool.plane_units_free >= needed:
-                    self.spill_reliefs += 1
-                    return True
-        return False
+        ladder = pool.spill_ladder  # empty on a flat pool
+        if ladder:
+            avoid = cache.block_table[-1:] if cache is not None else ()
+            candidates = [b for b in pool.spill_candidates() if b not in avoid]
+            if sum(pool.resident_planes(b) - ladder[-1] for b in candidates) >= deficit:
+                for level, block in product(ladder, candidates):  # level by level
+                    if pool.resident_planes(block) > level:
+                        deficit -= pool.spill_block(block, level)
+                        if deficit <= 0:
+                            break
+                self.spill_reliefs += 1
+                if raiser is not None:
+                    self._record("spill", (raiser.request.request_id,))
+                return True
+        if raiser is None:
+            return False
+        if len(self.active) == 1:
+            # Defensive: submit checks that a lone request's charge fits
+            # the budget, so only something squatting on the pool gets here.
+            raise RuntimeError(
+                f"token budget {self.token_budget} cannot hold request "
+                f"{raiser.request.request_id!r} alone; raise --budget or "
+                f"shrink the request"
+            )
+        self._preempt_one()
+        return raiser in self.active
+
+    def _with_room(self, state: _RequestState, cache, write, before_relief=None) -> bool:
+        """Run ``write``, an allocating write into ``cache`` (one of
+        ``state``'s), making the room each exhaustion says it needed
+        (:attr:`PoolExhausted.units`) and retrying.  ``before_relief``
+        runs first at every exhaustion (the decode round flushes its
+        fused batch there).  ``False``: ``state`` itself was evicted.
+        """
+        while True:
+            try:
+                write()
+                return True
+            except PoolExhausted as exc:
+                if before_relief is not None:
+                    before_relief()
+                if not self._make_room(exc.units, state, cache):
+                    return False
 
     def _tier_protect(self) -> None:
         """Pin every active sequence's unspillable blocks for this round.
@@ -1229,9 +1261,8 @@ class ContinuousScheduler:
         traffic is charged in round-token equivalents (one block's worth
         of planes = one block of tokens) against the round budget when
         one is set, and never takes all of it: a prefetch is optional
-        work, and a round whose every token went to restoring what an
-        admission attempt just spilled would leave a prefill with no
-        budget, round after round.
+        work, and a round whose every token went to restoring would
+        leave a prefill with no budget, round after round.
         """
         pool = self.pool
         if pool is None or pool.tiering is None:
@@ -1324,8 +1355,11 @@ class ContinuousScheduler:
                 t = unit.next_step
                 # If the raiser itself was evicted, every lineage died
                 # with it.
-                if not self._append_with_relief(
-                    state, unit.cache, unit.decode_k[:, t, :], unit.decode_v[:, t, :],
+                if not self._with_room(
+                    state, unit.cache,
+                    lambda: self.engine.decode_append(
+                        unit.cache, unit.decode_k[:, t, :], unit.decode_v[:, t, :]
+                    ),
                     before_relief=flush,
                 ):
                     evicted = True
@@ -1406,57 +1440,6 @@ class ContinuousScheduler:
                 timing.first_token_time = self.time + 1.0
         round_ids.append(rid)
 
-    # -- the relief ladder ---------------------------------------------
-    def _relieve_or_preempt(
-        self, state: _RequestState, cache, units_needed: Optional[int] = None
-    ) -> bool:
-        """One rung of relief after ``state`` hit :class:`PoolExhausted`.
-
-        Spill first (keeping ``cache``'s write tail resident), preempt a
-        policy-chosen victim as the last resort — it may sit anywhere in
-        the active list (SLO-aware policies evict the lowest class, not
-        necessarily the tail).  The caller retries its allocation after
-        ``True``; ``False`` means the victim was ``state`` itself:
-        everything it held (working cache, lineages, speculative anchor)
-        was released and it is back in the queue.
-        """
-        if self._relieve_pressure(units_needed, avoid=cache.block_table[-1:]):
-            self._record("spill", (state.request.request_id,))
-            return True
-        if len(self.active) == 1:
-            # Defensive: submit admits only requests whose _charge_blocks
-            # fit the budget, and that charge covers every block a lone
-            # request holds, so this only fires if something else squats
-            # on the pool.
-            raise RuntimeError(
-                f"token budget {self.token_budget} cannot hold request "
-                f"{state.request.request_id!r} alone; raise --budget or "
-                f"shrink the request"
-            )
-        self._preempt_one()
-        return state in self.active
-
-    def _append_with_relief(
-        self, state: _RequestState, cache, k_step: np.ndarray, v_step: np.ndarray,
-        before_relief=None,
-    ) -> bool:
-        """Append one token to ``cache`` (one of ``state``'s lineage
-        caches), walking the relief ladder until it fits.
-
-        ``before_relief`` runs at every exhaustion, before any spill or
-        preemption (the decode round flushes its fused batch there).
-        Returns ``False`` when ``state`` itself was evicted.
-        """
-        while True:
-            try:
-                self.engine.decode_append(cache, k_step, v_step)
-                return True
-            except PoolExhausted:
-                if before_relief is not None:
-                    before_relief()
-                if not self._relieve_or_preempt(state, cache):
-                    return False
-
     # -- speculative decoding ------------------------------------------
 
     def _spec_rollback(self, state: _RequestState) -> None:
@@ -1500,9 +1483,9 @@ class ContinuousScheduler:
         draft_outs: List[np.ndarray] = []
         for j in range(gamma):
             step = t0 + j
-            if not self._append_with_relief(
-                state, state.cache, req.decode_k[:, step, :], req.decode_v[:, step, :]
-            ):
+            if not self._with_room(state, state.cache, lambda: self.engine.decode_append(
+                state.cache, req.decode_k[:, step, :], req.decode_v[:, step, :]
+            )):
                 return  # evicted: anchor and working cache already freed
             # engine=None: the draft pass is bookkept as part of the
             # speculative round, not as standalone decode-step stats.
@@ -1545,10 +1528,9 @@ class ContinuousScheduler:
             # draft tail vanished with the working cache.
             for j in range(emitted):
                 step = t0 + j
-                if not self._append_with_relief(
-                    state, state.cache, req.decode_k[:, step, :],
-                    req.decode_v[:, step, :],
-                ):
+                if not self._with_room(state, state.cache, lambda: self.engine.decode_append(
+                    state.cache, req.decode_k[:, step, :], req.decode_v[:, step, :]
+                )):
                     return
         self._record("spec", (rid,))
 
@@ -1556,28 +1538,19 @@ class ContinuousScheduler:
     def _extend_with_preemption(self, state: _RequestState, tokens: int) -> int:
         """Feed ``tokens`` prompt tokens to one prefilling request.
 
-        :class:`PoolExhausted` walks the same relief ladder as the decode
-        path and retries; if the victim turns out to be ``state`` itself,
-        the chunk is abandoned (the request is back in the queue, its
-        blocks freed).
+        Runs under the same retry loop as the decode appends
+        (:meth:`_with_room`); if the victim turns out to be ``state``
+        itself, the chunk is abandoned (the request is back in the
+        queue, its blocks freed) and nothing was written.
         """
-        while True:
-            try:
-                written = self.engine.prefill_extend(state.cache, tokens)
-                break
-            except PoolExhausted:
-                # The chunk may need several blocks at once, so relief
-                # must free the whole chunk's worth before the retry —
-                # anything less would loop on the same exhaustion.
-                cache = state.cache
-                remaining = cache.prefill_remaining
-                take = remaining if tokens is None else min(int(tokens), remaining)
-                end = cache.length + take
-                chunk_blocks = max(
-                    1, -(-end // self.block_size) - len(cache.block_table)
-                )
-                if not self._relieve_or_preempt(state, cache, chunk_blocks * self.pool.bits):
-                    return 0
+        written = 0
+
+        def write() -> None:
+            nonlocal written
+            written = self.engine.prefill_extend(state.cache, tokens)
+
+        if not self._with_room(state, state.cache, write):
+            return 0
         self._charge_service(state, written)
         if not state.prefilling:
             self._finish_prefill(state)

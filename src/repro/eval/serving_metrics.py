@@ -515,7 +515,8 @@ def summarize_cluster(replica_reports: Sequence[Dict[str, float]]) -> Dict[str, 
     to per-replica generated tokens — the load-balance figure, with
     ``tokens_r{i}`` detail columns.  Worst-tail columns
     (``worst_p95_ttft`` etc.) take the max across replicas: the SLO a
-    cluster operator quotes is the one its worst shard delivers.
+    cluster operator quotes is the one its worst shard delivers.  Tier
+    counters (``spill_events`` etc.) sum when any replica reports them.
     """
     reports = list(replica_reports)
     if not reports:
@@ -546,6 +547,10 @@ def summarize_cluster(replica_reports: Sequence[Dict[str, float]]) -> Dict[str, 
     miss = total("prefix_miss_blocks")
     out.update(prefix_cache_stats(int(hit), int(miss)))
     out["prefix_bytes_saved"] = total("prefix_bytes_saved")
+    for key in ("spill_events", "restore_events", "spill_reliefs",
+                "tier_prefetch_restores", "spilled_plane_bytes", "restored_plane_bytes"):
+        if any(key in r for r in served):
+            out[key] = total(key)
     out["jain_replica_index"] = jain_fairness_index(
         [float(r.get("generated_tokens", 0.0)) for r in reports]
     )

@@ -107,6 +107,17 @@ def test_summarize_cluster_rolls_up():
     assert out["worst_p95_ttft"] == 7.0
 
 
+def test_summarize_cluster_sums_tier_counters_only_when_reported():
+    flat = {"requests": 1.0, "generated_tokens": 4.0}
+    tiered = dict(flat, spill_events=5.0, restore_events=2.0, spill_reliefs=1.0,
+                  tier_prefetch_restores=2.0, spilled_plane_bytes=640.0,
+                  restored_plane_bytes=256.0)
+    out = summarize_cluster([tiered, dict(tiered, spill_events=3.0), {}])
+    assert (out["spill_events"], out["restore_events"]) == (8.0, 4.0)
+    assert out["spilled_plane_bytes"] == 1280.0
+    assert "spill_events" not in summarize_cluster([flat, flat])
+
+
 def test_summarize_cluster_empty_raises():
     with pytest.raises(ValueError):
         summarize_cluster([])
@@ -192,8 +203,15 @@ def test_tiered_replicas_spill_under_pressure():
     )
     assert all(d["status"] == "ok" for d in dones.values())
     assert ack["leaked_blocks"] == 0
-    spills = [r.get("spill_events", 0.0) for r in ack["replica_reports"].values()]
+    reports = ack["replica_reports"].values()
+    spills = [r.get("spill_events", 0.0) for r in reports]
     assert sum(spills) > 0, ack["replica_reports"]
+    # The cluster report rolls every replica's tier counters up.
+    for key in (
+        "spill_events", "restore_events", "spill_reliefs", "tier_prefetch_restores",
+        "spilled_plane_bytes", "restored_plane_bytes",
+    ):
+        assert ack["report"][key] == sum(r.get(key, 0.0) for r in reports), key
 
 
 @pytest.mark.parametrize(
@@ -497,6 +515,33 @@ def test_the_cluster_keeps_no_route_or_frame_after_the_dones():
         assert cluster.in_flight == 0 and cluster._routes == {}
 
     asyncio.run(run())
+
+
+def test_a_route_drops_its_frame_at_its_first_streamed_token():
+    """Only a route with nothing streamed is ever re-sent, so once every
+    request has streamed a token and none is done, the cluster holds no
+    submit frame.  Replica replies are fed in, so nothing is spawned."""
+    cluster = ClusterServer(replicas=1, **WORKER_KWARGS)
+    cluster.replicas = {rid: ReplicaHandle(rid) for rid in cluster.router.replica_ids}
+    handle = cluster.replicas["r0"]
+    conn = _Connection(writer=io.BytesIO())
+    workload = _workload(groups=2, per_group=2, seed=4)
+    for request in workload:
+        frame = encode_message({"type": "submit", "request": encode_request(request)})
+        line, payload = frame.split(b"\n", 1)
+        cluster._on_submit(conn, decode_message(line), line + b"\n", payload)
+        cluster._on_replica_message(
+            handle, {"type": "accepted", "request_id": request.request_id}
+        )
+    assert len(_held_frames(cluster)) == len(workload)
+    for i, request in enumerate(workload):
+        cluster._on_replica_message(
+            handle, {"type": "token", "request_id": request.request_id, "step": 0}
+        )
+        assert len(_held_frames(cluster)) == len(workload) - i - 1
+    assert _held_frames(cluster) == []
+    assert cluster.in_flight == len(workload)
+    assert [r.streamed for r in cluster._routes.values()] == [1] * len(workload)
 
 
 def test_a_rejection_takes_back_the_keys_its_routing_added():

@@ -200,6 +200,9 @@ class TestSharingAndCow:
         rng = np.random.default_rng(1)
         pool = _tiered_pool(budget_blocks=2, block_size=4)
         cache = _fill_cache(pool, rng, 8)  # 2 blocks = entire plane budget
+        with pytest.raises(PoolExhausted) as exc:
+            pool.allocate_many(3)
+        assert exc.value.units == 3 * pool.bits  # what the refused call needed
         with pytest.raises(PoolExhausted):
             pool.allocate()
         for block in cache.block_table:
@@ -467,6 +470,62 @@ class TestSchedulerIntegration:
         assert report["spill_events"] > 0
         peak_used = max(used for _, used, _ in timelines[-1])
         assert report["peak_pool_occupancy"] == peak_used / 256
+
+    @staticmethod
+    def _short_ladder(token_budget, **kwargs):
+        """A tiered scheduler whose ladder frees 2 of a block's 8 plane
+        units: one spillable block can never pay for a fresh one."""
+        from repro.engine import ContinuousScheduler
+
+        return ContinuousScheduler(
+            PadeEngine(PadeConfig.standard()), max_active=4,
+            token_budget=token_budget, block_size=16,
+            tiering=TierConfig(min_resident_planes=6), **kwargs,
+        )
+
+    def test_admission_the_ladder_cannot_pay_for_spills_nothing(self):
+        from repro.eval.workloads import build_engine_request
+
+        sched = self._short_ladder(128)
+        sched.start()
+        sched.submit(build_engine_request("a", 2, 64, 16, head_dim=16, seed=0))
+        sched.step()  # "a" holds its 4 prompt blocks and one decode block
+        sched.submit(build_engine_request("b", 2, 96, 4, head_dim=16, seed=1))
+        pool = sched.pool
+        assert pool.spill_candidates()  # the ladder has blocks, just too few
+        sched.step()  # "b" needs 7 blocks' units, the ladder frees 1 block's
+        assert pool.spill_events == 0
+        assert [r.request_id for _, r in sched.pending] == ["b"]
+        while sched.step():
+            pass
+        results = sched.finish()
+        assert {rid: r.status for rid, r in results.items()} == {"a": "ok", "b": "ok"}
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["append", "chunk"])
+    def test_allocation_the_ladder_cannot_pay_for_preempts_without_spilling(
+        self, chunked
+    ):
+        from repro.eval.workloads import build_engine_request
+
+        if chunked:
+            # "b"'s second chunk needs 3 blocks once "a" has started decoding.
+            sched = self._short_ladder(96, round_token_budget=64, chunk_tokens=64)
+            prompts = (48, 64)
+        else:
+            # Both decode from full prompt blocks; "a"'s 17th step needs a
+            # block when the pool is full.
+            sched = self._short_ladder(64)
+            prompts = (16, 16)
+        for i, (rid, prompt) in enumerate(zip("ab", prompts)):
+            sched.submit(build_engine_request(rid, 2, prompt, 20, head_dim=16, seed=i))
+        sched.start()
+        while "preempt" not in {event for event, _ in sched.trace}:
+            assert sched.step()
+        assert sched.pool.spill_events == 0
+        assert ("preempt", ("b",)) in sched.trace
+        while sched.step():
+            pass
+        assert all(r.status == "ok" for r in sched.finish().values())
 
     def test_tiering_requires_the_pade_policy(self):
         from repro.eval.workloads import build_serving_workload
