@@ -29,7 +29,8 @@ from the head's key rows; the slab stays cache-resident, so the masked
 copy never round-trips through memory.  The products *are* the running
 partials — no plane weight, no accumulation — and stay in that float
 dtype (float32 for every served shape): one ``(R, Hh, rows, bits,
-S_max)`` lattice per row block, each gemv result copied in unchanged.
+S_max)`` lattice per row block, each gemv writing straight into its
+slice.
 
 The rounds then read round ``r``'s partial for every cell, alive or
 not.  Dead cells are never read: only alive cells feed the max and the
@@ -58,7 +59,7 @@ from repro.core.bsf import BSFResult
 from repro.core.bui import build_bui_lut
 from repro.quant.bitplane import BitPlanes, popcount_dtype, prefix_masks
 
-__all__ = ["bsf_filter_fast_batch", "exact_dot_dtype", "plane_products"]
+__all__ = ["BSFRound", "bsf_filter_fast_batch", "exact_dot_dtype", "plane_products", "round_arrays"]
 
 #: Largest integer magnitudes float32 / float64 represent exactly.
 _FLOAT32_EXACT = 1 << 24
@@ -70,6 +71,44 @@ _FLOAT64_EXACT = 1 << 53
 #: block's lattice instead of ``bits`` full ``(P, S)`` arrays; a decode
 #: round (one query row) is always a single block.
 BLOCK_CELLS = 1 << 18
+
+
+class BSFRound(list):
+    """The per-request :class:`BSFResult` list of one fused round.
+
+    A plain list of results, which also carries the round's
+    ``(R, Hh, P, S_max)`` ``retained`` and ``scores`` arrays: each
+    result's ``retained`` / ``scores`` is the view ``[i, :, :, :S_i]`` of
+    them, and the ragged tail columns are ``False`` / zero.  Consumers
+    that fold the whole round at once read these instead of re-stacking
+    the results (:func:`round_arrays`).
+    """
+
+    def __init__(self, results, retained: np.ndarray, scores: np.ndarray) -> None:
+        super().__init__(results)
+        self.retained = retained
+        self.scores = scores
+
+
+def round_arrays(results: Sequence[BSFResult]):
+    """``(retained, scores)`` of a round as ``(R, Hh, P, S_max)`` arrays.
+
+    A :class:`BSFRound` hands out the arrays its results view; any other
+    result list (the reference backend's per-request loop, a one-request
+    ``filter_heads`` call) is zero-padded into fresh ones, so a round's
+    consumer has one layout whichever backend filtered it.
+    """
+    if isinstance(results, BSFRound):
+        return results.retained, results.scores
+    s_max = max(res.retained.shape[-1] for res in results)
+    shape = (len(results),) + results[0].retained.shape[:-1] + (s_max,)
+    retained = np.zeros(shape, dtype=bool)
+    scores = np.zeros(shape, dtype=np.int64)
+    for i, res in enumerate(results):
+        s = res.retained.shape[-1]
+        retained[i, ..., :s] = res.retained
+        scores[i, ..., :s] = res.scores
+    return retained, scores
 
 
 def _partial_bound(q: np.ndarray, head_dim: int, bits: int) -> int:
@@ -106,19 +145,23 @@ def exact_dot_dtype(q: np.ndarray, head_dim: int, bits: int) -> type:
     )
 
 
-def plane_products(q_dot: np.ndarray, slab: np.ndarray) -> np.ndarray:
+def plane_products(q_dot: np.ndarray, slab: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Exact ``q · slab`` of every query row with every slab row.
 
-    ``q_dot`` has shape ``(..., P, D)`` in the dtype :func:`exact_dot_dtype`
+    ``q_dot`` has shape ``(P, D)`` in the dtype :func:`exact_dot_dtype`
     chose; ``slab`` has shape ``(..., S, D)`` with masked-key entries
-    (``k & prefix_masks(bits)[r]``).  Returns ``(..., P, S)`` in
-    ``q_dot``'s dtype, every entry an exact integer.  One batched
-    ``np.matmul`` runs a matrix-vector product per query row: BLAS gemm
-    on a few rows can wake sleeping worker threads and take milliseconds
-    (up to 100x a gemv on a busy 2-core host), while gemv stays fast at
-    every row count.
+    (``k & prefix_masks(bits)[r]``).  Returns ``(P, ..., S)`` in
+    ``q_dot``'s dtype, every entry an exact integer, written into ``out``
+    when given (any strided view of that shape, e.g. a lattice slice).
+    One broadcast ``np.matmul`` runs a matrix-vector product per query
+    row and leading slab index: BLAS gemm on a few rows can wake sleeping
+    worker threads and take milliseconds (up to 100x a gemv on a busy
+    2-core host), while gemv stays fast at every row count.
     """
-    products = np.matmul(slab.astype(q_dot.dtype, copy=False)[..., None, :, :], q_dot[..., None])
+    q_col = q_dot.reshape(q_dot.shape[:1] + (1,) * (slab.ndim - 2) + q_dot.shape[1:] + (1,))
+    products = np.matmul(
+        slab.astype(q_dot.dtype, copy=False), q_col, out=None if out is None else out[..., None]
+    )
     return products[..., 0]
 
 
@@ -148,7 +191,8 @@ def bsf_filter_fast_batch(
         ``(Hh, P, S_i)``.
 
     Returns one :class:`BSFResult` per request, bit for bit equal to the
-    reference backend's ``filter_heads`` on that request alone.
+    reference backend's ``filter_heads`` on that request alone, as a
+    :class:`BSFRound` over the round's arrays.
     """
     num_requests = len(key_planes)
     if num_requests == 0:
@@ -228,8 +272,7 @@ def bsf_filter_fast_batch(
             slab = slab_buf[: bits * s * head_dim].reshape(bits, s, head_dim)
             for h in range(num_heads):
                 np.bitwise_and(keys[h], key_masks, out=slab, casting="unsafe")
-                products = plane_products(q_dot[i, h, rows], slab.reshape(bits * s, head_dim))
-                lattice[i, h, :, :, :s] = products.reshape(block_rows, bits, s)
+                plane_products(q_dot[i, h, rows], slab, out=lattice[i, h, :, :, :s])
         scores[:, :, rows] = _run_rounds(
             lattice, alive[:, :, rows], protected[:, :, rows], pp[:, :, rows],
             i_min[:, :, rows], i_max[:, :, rows], guard_mat, bound, pcs, ops,
@@ -237,19 +280,18 @@ def bsf_filter_fast_batch(
     pp = pp.astype(np.int64)
     loads = pp.sum(axis=(1, 2, 3))  # bit_plane_loads == sum of rounds processed
 
-    results = []
-    for i, s in enumerate(seq_lens):
-        results.append(
-            BSFResult(
-                retained=alive[i, :, :, :s],
-                planes_processed=pp[i, :, :, :s],
-                scores=scores[i, :, :, :s],
-                bit_plane_loads=int(loads[i]),
-                effective_bit_ops=int(ops[1, i]),
-                naive_bit_ops=int(ops[0, i]),
-            )
+    results = [
+        BSFResult(
+            retained=alive[i, :, :, :s],
+            planes_processed=pp[i, :, :, :s],
+            scores=scores[i, :, :, :s],
+            bit_plane_loads=int(loads[i]),
+            effective_bit_ops=int(ops[1, i]),
+            naive_bit_ops=int(ops[0, i]),
         )
-    return results
+        for i, s in enumerate(seq_lens)
+    ]
+    return BSFRound(results, alive, scores)
 
 
 def _run_rounds(

@@ -76,6 +76,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -91,6 +92,8 @@ from repro.quant.integer import int_range
 __all__ = [
     "quantize_heads",
     "chain_block_keys",
+    "gather_planes",
+    "gather_value_rows",
     "PlaneBlockPool",
     "PagedBitPlaneKVCache",
     "PoolExhausted",
@@ -149,14 +152,16 @@ def quantize_heads(
     """Symmetric per-head quantization, vectorized over the head axis.
 
     ``k`` has shape ``(H, ...)``; the scale is computed (or applied) per
-    head over all trailing axes.  Byte-identical to calling
+    head over all trailing axes.  Given ``scales`` may also cover more
+    leading axes — ``(R, H)`` frozen scales applied to ``(R, H, D)`` rows
+    of ``R`` sequences — and broadcast the same way.  Byte-identical to calling
     :func:`repro.quant.integer.quantize_symmetric` once per head — same
     max-abs scale resolution, same round-to-nearest-even, same clip —
     without the ``H × S`` Python-loop dispatch (regression-pinned by
     ``tests/test_paged_cache.py``).
 
     Returns ``(k_int, scales)`` with ``k_int`` int64 of ``k``'s shape and
-    ``scales`` float64 of shape ``(H,)``.
+    ``scales`` float64 (shape ``(H,)`` when computed).
     """
     k = np.asarray(k, dtype=np.float64)
     qmin, qmax = int_range(bits)
@@ -172,8 +177,7 @@ def quantize_heads(
         )
     else:
         scales = np.asarray(scales, dtype=np.float64)
-    expand = (slice(None),) + (None,) * (k.ndim - 1)
-    q = np.rint(k / scales[expand])
+    q = np.rint(k / scales[(Ellipsis,) + (None,) * (k.ndim - scales.ndim)])
     k_int = np.clip(q, qmin, qmax).astype(np.int64)
     return k_int, scales
 
@@ -360,6 +364,8 @@ class PlaneBlockPool:
         self._popcounts = np.zeros((bits, num_heads, 0), dtype=popcount_dtype(head_dim))
         self._masks = prefix_masks(bits).astype(key_dtype)  # [r]: keep planes 0..r
         self._values = np.zeros((num_heads, 0, v_dim), dtype=np.float64)
+        # Decode appends reserved but not yet written: (row, k, v, scales).
+        self._staged: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
         # LIFO free list: the first allocations come out 0, 1, 2...
         self._free: List[int] = []
         self._grow((self.token_budget or 0) // block_size)
@@ -527,7 +533,10 @@ class PlaneBlockPool:
         Releasing a block that is not allocated raises ``ValueError``
         (the double-free guard — a block freed by its last holder leaves
         ``_allocated`` immediately, so a stale second release is loud).
+        Staged rows are written first: a freed block may be handed out
+        again, and a row written after that would land in its new owner.
         """
+        self.write_staged()
         for block in blocks:
             if block not in self._allocated:
                 raise ValueError(f"block {block} is not allocated")
@@ -601,7 +610,9 @@ class PlaneBlockPool:
             raise ValueError(f"block {block} is not allocated")
         # The caller is about to write into the result: spilled planes
         # must come home first, or a later restore would clobber the
-        # fresh rows with stale spill-tier bytes.
+        # fresh rows with stale spill-tier bytes.  The copy below reads
+        # the block's rows, so staged ones are written before either.
+        self.write_staged()
         self.ensure_resident(block)
         if self._refcounts[block] == 1:
             self._unregister(block)
@@ -622,17 +633,62 @@ class PlaneBlockPool:
         start = block * self.block_size
         return np.arange(start, start + self.block_size)
 
-    def gather_keys(self, blocks: List[int], length: int) -> Tuple[np.ndarray, np.ndarray]:
+    def stage_row(self, row: int, k_step: np.ndarray, v_step: np.ndarray, scales: np.ndarray) -> None:
+        """Queue one decode append for physical ``row``: raw ``(H, D)`` K,
+        ``(H, Dv)`` V and the frozen ``(H,)`` scales, held by reference
+        until :meth:`write_staged` quantizes and stores them."""
+        self._staged.append((row, k_step, v_step, scales))
+
+    def write_staged(self) -> None:
+        """Write every staged append: one quantize, one scatter per store.
+
+        The stacked ``(R, H, D)`` rows are quantized with their ``(R, H)``
+        frozen scales by :func:`quantize_heads`' elementwise op sequence,
+        so each row's bytes equal a write at its own append.  Every pool
+        method that reads or rewrites stored rows — gathers, V reads,
+        COW copies, spills, restores, frees — calls this first.
+        """
+        if not self._staged:
+            return
+        rows, ks, vs, scales = map(np.array, zip(*self._staged))  # stacked
+        self._staged = []
+        k_int, _ = quantize_heads(ks, self.bits, scales=scales)
+        keys, counts = _key_rows(k_int, self.bits)  # (R, H, D), (bits, R, H)
+        self._keys[:, rows, :] = keys.transpose(1, 0, 2)
+        self._popcounts[:, :, rows] = counts.transpose(0, 2, 1)
+        self._values[:, rows, :] = vs.transpose(1, 0, 2)
+
+    def gather_keys(self, tables, lengths) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Integer key rows ``(H, length, D)`` and per-plane popcounts
-        ``(bits, H, length)`` of the first ``length`` tokens of a block
-        table, gathered a whole block (one run of rows) at a time."""
-        table = np.asarray(blocks, dtype=np.intp)
+        ``(bits, H, length)`` of the first ``length`` tokens of each block
+        table, all gathered at once.
+
+        One ``np.take`` of whole blocks (one run of rows each) over the
+        concatenated tables for the keys, one for the popcounts; each
+        table's pair is a view of those fresh arrays, contiguous per head.
+        """
+        self.write_staged()
         h, d, nb, bs = self.num_heads, self.head_dim, self.num_blocks, self.block_size
-        rows = len(table) * bs
-        keys = np.take(self._keys.reshape(h, nb, bs, d), table, axis=1)
-        counts = np.take(self._popcounts.reshape(self.bits, h, nb, bs), table, axis=2)
-        keys, counts = keys.reshape(h, rows, d), counts.reshape(self.bits, h, rows)
-        return keys[:, :length], counts[:, :, :length]
+        flat = np.fromiter(
+            chain.from_iterable(tables), dtype=np.intp, count=sum(map(len, tables))
+        )
+        keys = np.take(self._keys.reshape(h, nb, bs, d), flat, axis=1).reshape(h, -1, d)
+        counts = np.take(self._popcounts.reshape(self.bits, h, nb, bs), flat, axis=2)
+        counts = counts.reshape(self.bits, h, -1)
+        out = []
+        first = 0
+        for table, length in zip(tables, lengths):
+            out.append((keys[:, first : first + length], counts[:, :, first : first + length]))
+            first += len(table) * bs
+        return out
+
+    def value_rows(self, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Fresh ``(N, Dv)`` copy of the V rows at (head, physical row)
+        pairs: one flat ``np.take`` over the ``(H · rows, Dv)`` store."""
+        self.write_staged()
+        store_rows = self.num_blocks * self.block_size
+        flat = self._values.reshape(self.num_heads * store_rows, self.v_dim)
+        return np.take(flat, heads * store_rows + rows, axis=0)
 
     # ------------------------------------------------------------------
     # Plane-granular spill / restore (the two-tier extension).  Spilling
@@ -693,6 +749,7 @@ class PlaneBlockPool:
             )
         if target_planes >= current:
             return 0
+        self.write_staged()  # the stash must hold the rows' written bits
         start = block * self.block_size
         rows = slice(start, start + self.block_size)
         keys = self._keys[:, rows]
@@ -730,6 +787,7 @@ class PlaneBlockPool:
         target = self.bits if target_planes is None else int(target_planes)
         if target <= current:
             return 0
+        self.write_staged()
         store = self._spill_store[block]
         moved = target - current
         start = block * self.block_size
@@ -788,7 +846,7 @@ class PlaneBlockPool:
 class PagedBitPlaneKVCache:
     """Block-table KV cache over a :class:`PlaneBlockPool`.
 
-    The one KV cache type: ``planes/values/value_rows/k_int/k_float/
+    The one KV cache type: ``planes/values/k_int/k_float/
     scales/length/prefill/append`` plus the ``rows_decomposed``/``appends``
     counters are what ``PadeEngine.attend``, the attention policies and
     both kernel backends consume.  Any number of sequences interleave
@@ -803,8 +861,12 @@ class PagedBitPlaneKVCache:
     so a view already handed out is never mutated by later writes,
     spills or restores; ``values`` and ``k_int`` gather the same way.
     ``values`` copies all ``length`` rows per head, so only the baseline
-    policies read it; the PADE attend gathers just the retained keys'
-    rows through :meth:`value_rows`.  ``k_float`` is not in the pool at
+    policies read it.  A PADE attend round reads the same stores for all
+    its caches at once: :func:`gather_planes` gathers every block table
+    in one take per pool, and :func:`gather_value_rows` reads just the
+    retained keys' V rows through each cache's kept row map (the
+    physical row of every reserved position, extended as blocks are
+    added).  ``k_float`` is not in the pool at
     all: it is assembled from the request's prompt K and appended K rows
     (:class:`_RawKeys`), which the cache keeps by reference.
 
@@ -832,6 +894,7 @@ class PagedBitPlaneKVCache:
         self.v_dim = pool.v_dim
         self.bits = pool.bits
         self._blocks: List[int] = []
+        self._row_map = np.empty(0, dtype=np.intp)  # physical row per reserved position
         self._length = 0
         self._scales: Optional[np.ndarray] = None
         self.rows_decomposed = 0  # (head, token) rows this cache quantized and wrote
@@ -876,12 +939,25 @@ class PagedBitPlaneKVCache:
             return 0
         return self._prefill_target - self._length
 
-    def _rows_for(self, start: int, end: int) -> np.ndarray:
-        """Physical pool rows of token positions ``start .. end-1``."""
+    def _map_blocks(self, first: int) -> None:
+        """Refresh the row map from block-table index ``first`` on.
+
+        Every block-table change calls this with the first index it
+        touched, so the map always covers every reserved position; its
+        buffer doubles when it runs out, so appends stay O(1) amortized.
+        """
         bs = self.pool.block_size
-        table = np.asarray(self._blocks[start // bs : -(-end // bs)], dtype=np.int64)
-        rows = (table[:, None] * bs + np.arange(bs, dtype=np.int64)).reshape(-1)
-        return rows[start % bs : start % bs + end - start]
+        end = len(self._blocks) * bs
+        if end > self._row_map.size:
+            grown = np.empty(max(end, 2 * self._row_map.size), dtype=np.intp)
+            grown[: first * bs] = self._row_map[: first * bs]
+            self._row_map = grown
+        table = np.asarray(self._blocks[first:], dtype=np.intp)
+        self._row_map[first * bs : end] = (table[:, None] * bs + np.arange(bs)).reshape(-1)
+
+    def _rows_for(self, start: int, end: int) -> np.ndarray:
+        """Physical pool rows of token positions ``start .. end-1`` (a view)."""
+        return self._row_map[start:end]
 
     @property
     def planes(self) -> BitPlanes:
@@ -894,24 +970,15 @@ class PagedBitPlaneKVCache:
         """
         if self._scales is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        keys, counts = self.pool.gather_keys(self._blocks, self._length)
-        return BitPlanes(ints=keys, bits=self.bits, popcounts=counts)
+        return gather_planes([self])[0]
 
     @property
     def values(self) -> np.ndarray:
         """Gathered V rows, shape ``(H, length, Dv)``."""
         if self._scales is None:
             raise RuntimeError("cache is empty; call prefill() first")
+        self.pool.write_staged()
         return self.pool._values[:, self._rows_for(0, self._length), :]
-
-    def value_rows(self, heads: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Fresh copy of the V rows at (head, key position) pairs, shape ``(N, Dv)``.
-
-        Gathers only the requested rows through the block table; the
-        retained-only attend reads V this way, never through
-        :attr:`values`.
-        """
-        return self.pool._values[heads, self._rows_for(0, self._length)[keys]]
 
     @property
     def k_int(self) -> np.ndarray:
@@ -921,7 +988,7 @@ class PagedBitPlaneKVCache:
         """
         if self._scales is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        return self.pool.gather_keys(self._blocks, self._length)[0].astype(np.int64)
+        return gather_planes([self])[0].ints.astype(np.int64)
 
     @property
     def k_float(self) -> np.ndarray:
@@ -994,6 +1061,7 @@ class PagedBitPlaneKVCache:
                     break
                 hits.append(block)
         self._blocks = [self.pool.share(b) for b in hits]
+        self._map_blocks(0)
         self._scales = scales
         self._length = len(hits) * self.pool.block_size
         self._prefill_target = seq_len
@@ -1039,6 +1107,7 @@ class PagedBitPlaneKVCache:
                 if block is None:
                     break
                 self._blocks.append(self.pool.share(block))
+                self._map_blocks(idx)
                 self._length += bs_probe
                 self.prefix_hit_blocks += 1
                 self.prefix_miss_blocks -= 1  # begin_prefill counted it a miss
@@ -1054,6 +1123,7 @@ class PagedBitPlaneKVCache:
         needed = -(-end // bs) - prior_blocks
         if needed > 0:
             self._blocks.extend(self.pool.allocate_many(needed))
+            self._map_blocks(prior_blocks)
         # A chunk resuming inside an existing partial tail block writes
         # into it: spilled planes must be restored first so the side
         # store never holds stale bits for freshly written rows.
@@ -1118,6 +1188,7 @@ class PagedBitPlaneKVCache:
             return
         rows_used = self._length - (len(self._blocks) - 1) * self.pool.block_size
         self._blocks[-1] = self.pool.fork_block(tail, rows_used)
+        self._map_blocks(len(self._blocks) - 1)
 
     def append(self, k_step: np.ndarray, v_step: np.ndarray) -> None:
         """Add one token per head, growing the block table on demand.
@@ -1125,7 +1196,11 @@ class PagedBitPlaneKVCache:
         A new block (if the tail block is full) is allocated — or a
         shared tail is copy-on-write forked — before any state changes;
         on :class:`PoolExhausted` the cache is exactly as it was, so the
-        scheduler can preempt a victim and retry.
+        scheduler can preempt a victim and retry.  The row itself is
+        staged in the pool (:meth:`PlaneBlockPool.stage_row`), and
+        ``k_step`` / ``v_step`` are held by reference until the pool
+        writes it, which it does before anything reads pool rows — one
+        quantize and one scatter for a whole decode round's appends.
         """
         if self._scales is None:
             raise RuntimeError("append() requires a prefilled cache")
@@ -1141,21 +1216,17 @@ class PagedBitPlaneKVCache:
             )
         if self._pending_keys is not None:
             raise RuntimeError("append() during an unfinished chunked prefill")
-        bs = self.pool.block_size
-        if self._length == len(self._blocks) * bs:
+        if self._length == len(self._blocks) * self.pool.block_size:
             self._blocks.append(self.pool.allocate())
+            self._map_blocks(len(self._blocks) - 1)
         else:
             self._ensure_tail_private()
-            # The write below lands in an existing block: degraded planes
-            # must come home first (see PlaneBlockPool.spill_block).
+            # The write lands in an existing block: degraded planes must
+            # come home first (see PlaneBlockPool.spill_block).
             self.pool.ensure_resident(self._blocks[-1])
-        k_int, _ = quantize_heads(k_step, bits=self.bits, scales=self._scales)
-        pos = self._length
-        row = self._blocks[pos // bs] * bs + pos % bs
-        self.pool._keys[:, row, :], self.pool._popcounts[:, :, row] = _key_rows(k_int, self.bits)
+        self.pool.stage_row(int(self._row_map[self._length]), k_step, v_step, self._scales)
         self._raw.steps.append(k_step)
-        self.pool._values[:, row, :] = v_step
-        self._length = pos + 1
+        self._length += 1
         self.rows_decomposed += self.num_heads
         self.appends += 1
 
@@ -1175,6 +1246,7 @@ class PagedBitPlaneKVCache:
             raise RuntimeError("cannot fork during an unfinished chunked prefill")
         clone = PagedBitPlaneKVCache(self.pool, prefix_sharing=self.prefix_sharing)
         clone._blocks = [self.pool.share(b) for b in self._blocks]
+        clone._row_map = self._row_map.copy()
         clone._length = self._length
         clone._scales = self._scales.copy()
         clone._raw = _RawKeys(self._raw.prompt, self._raw.steps)
@@ -1201,3 +1273,53 @@ class PagedBitPlaneKVCache:
         self._raw = None
         self._pending_v = None
         self.policy_state = None
+
+
+def _by_pool(caches) -> Dict[PlaneBlockPool, List[int]]:
+    """Indices of ``caches`` grouped by the pool each one draws from."""
+    groups: Dict[PlaneBlockPool, List[int]] = {}
+    for i, cache in enumerate(caches):
+        groups.setdefault(cache.pool, []).append(i)
+    return groups
+
+
+def gather_planes(caches) -> List[BitPlanes]:
+    """Each cache's keys as integer-backed planes, one gather per pool.
+
+    A round's caches normally share one pool, so its block tables are
+    concatenated into one :meth:`PlaneBlockPool.gather_keys`; each
+    cache's :class:`BitPlanes` views its slice of the fresh arrays,
+    value shape ``(H, length, D)``.
+    """
+    planes: List[Optional[BitPlanes]] = [None] * len(caches)
+    for pool, members in _by_pool(caches).items():
+        gathered = pool.gather_keys(
+            [caches[i]._blocks for i in members], [caches[i].length for i in members]
+        )
+        for i, (keys, counts) in zip(members, gathered):
+            planes[i] = BitPlanes(ints=keys, bits=pool.bits, popcounts=counts)
+    return planes
+
+
+def gather_value_rows(caches, req: np.ndarray, heads: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """V rows at a round's (request, head, key position) cells, ``(N, Dv)``.
+
+    Key positions map to physical rows through the caches' kept row maps
+    (concatenated once), then one :meth:`PlaneBlockPool.value_rows` take
+    per pool reads them.
+    """
+    lengths = np.array([cache.length for cache in caches])
+    row_map = np.concatenate([cache._row_map[: cache.length] for cache in caches])
+    rows = row_map[(np.cumsum(lengths) - lengths)[req] + keys]
+    groups = _by_pool(caches)
+    if len(groups) == 1:
+        return caches[0].pool.value_rows(heads, rows)
+    owner = np.empty(len(caches), dtype=np.intp)
+    for g, members in enumerate(groups.values()):
+        owner[members] = g
+    owner = owner[req]
+    out = np.empty((rows.size, caches[0].v_dim))
+    for g, pool in enumerate(groups):
+        sel = owner == g
+        out[sel] = pool.value_rows(heads[sel], rows[sel])
+    return out

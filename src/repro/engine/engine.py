@@ -37,15 +37,22 @@ tests), so backend choice is purely a throughput knob.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 
 from repro.attention.policy import AttentionPolicy, resolve_policy
 from repro.core.backend import KernelBackend, get_backend
+from repro.core.bsf_fast import round_arrays
 from repro.core.config import PadeConfig
 from repro.core.pade_attention import causal_allowed, protection_mask
-from repro.engine.cache import DEFAULT_BLOCK_SIZE, PagedBitPlaneKVCache, PlaneBlockPool
+from repro.engine.cache import (
+    DEFAULT_BLOCK_SIZE,
+    PagedBitPlaneKVCache,
+    PlaneBlockPool,
+    gather_planes,
+    gather_value_rows,
+)
 from repro.quant.integer import int_range
 
 __all__ = ["EngineStats", "EngineAttentionResult", "PadeEngine"]
@@ -144,6 +151,16 @@ class EngineAttentionResult:
         return 1.0 - float(self.retained.sum()) / self.candidate_keys
 
 
+class _RoundParams(NamedTuple):
+    """Filter inputs of one attend round (:meth:`PadeEngine._attend_params_batch`)."""
+
+    q_int: np.ndarray  # (R, Hh, P, D) int64
+    logit_scales: np.ndarray  # (R, Hh)
+    guards: np.ndarray  # (R, Hh)
+    alloweds: List[Optional[np.ndarray]]  # per request, None = every key
+    protects: List[Optional[np.ndarray]]
+
+
 class PadeEngine:
     """Batched multi-head PADE attention with a resident bit-plane cache.
 
@@ -203,54 +220,59 @@ class PadeEngine:
         return self.attend_batch([cache], [q])[0]
 
     def attend_batch(self, caches, qs) -> List[EngineAttentionResult]:
-        """Attend one trailing query block per request in one filter call.
+        """Attend one trailing query block per request in one round pass.
 
-        Per request the quantization, guards and causal/protection masks
-        are prepared by :meth:`_attend_params_batch`, the bit planes are
-        gathered from each request's cache through its block table, and
-        one kernel call covers the whole set: ``KernelBackend.filter_heads``
-        for a single request, ``KernelBackend.filter_heads_batch`` for a
-        ragged round of several.  Outputs, retained sets and every
-        per-request ``EngineStats`` counter are the same whichever call
-        ran (DESIGN.md §13); only a fused call of several requests adds
-        to the ``batched_rounds`` / ``fused_rows`` occupancy counters.
+        :meth:`_attend_params_batch` quantizes the round's queries and
+        builds the guards and masks, :func:`~repro.engine.cache.gather_planes`
+        gathers every request's keys in one take per pool (writing the
+        round's staged appends first), and one kernel call covers the
+        set: ``KernelBackend.filter_heads`` for a single request,
+        ``KernelBackend.filter_heads_batch`` for a ragged round of
+        several.  Outputs, retained sets and every per-request
+        ``EngineStats`` counter are the same whichever call ran
+        (DESIGN.md §13); only a fused call of several requests adds to
+        the ``batched_rounds`` / ``fused_rows`` occupancy counters.
         """
         if len(caches) != len(qs):
             raise ValueError("attend_batch needs one query block per cache")
         if not caches:
             return []
         params = self._attend_params_batch(caches, qs)
-        q_ints, _, guards, alloweds, protects = map(list, zip(*params))
-        key_planes = [cache.planes for cache in caches]
+        key_planes = gather_planes(caches)
         if len(caches) == 1:
             results = [
                 self.kernel.filter_heads(
-                    q_ints[0], key_planes[0], guards[0],
-                    allowed=alloweds[0], protect=protects[0],
+                    params.q_int[0], key_planes[0], params.guards[0],
+                    allowed=params.alloweds[0], protect=params.protects[0],
                 )
             ]
         else:
             results = self.kernel.filter_heads_batch(
-                q_ints, key_planes, guards, alloweds=alloweds, protects=protects
+                list(params.q_int), key_planes, list(params.guards),
+                alloweds=params.alloweds, protects=params.protects,
             )
             seq_lens = [cache.length for cache in caches]
-            cells_per_key = q_ints[0].shape[0] * q_ints[0].shape[1]
+            cells_per_key = params.q_int.shape[1] * params.q_int.shape[2]
             self.stats.batched_rounds += 1
             self.stats.fused_rows += cells_per_key * sum(seq_lens)
             self.stats.fused_padded_rows += cells_per_key * len(caches) * max(seq_lens)
         return self._finish_attend_batch(caches, results, params)
 
-    def _attend_params_batch(self, caches, qs):
-        """Filter inputs ``(q_int, logit_scales, guards, allowed, protect)``
-        for a round, one tuple per request.
+    def _attend_params_batch(self, caches, qs) -> _RoundParams:
+        """Filter inputs of a round: ``(R, Hh, P, D)`` integer queries,
+        ``(R, Hh)`` logit scales and guards, and per-request ``allowed``
+        / ``protect`` masks.
 
         The quantization and guard arithmetic is the per-head
         ``quantize_symmetric`` / ``guard_in_int_units`` sequence of
         IEEE-754 double operations, broadcast over the (request, head)
         axes — ``max |q|`` folds, the ``max_abs / qmax`` divisions,
         ``rint``/``clip`` and the ``alpha * radius / scale`` guards are
-        all elementwise, so a request's tuple does not depend on the
-        rest of the round.  Every query block must have the same shape.
+        all elementwise, so a request's inputs do not depend on the rest
+        of the round.  Every query block must have the same shape.  A
+        one-query block (a decode step) sits at the sequence's last
+        position, where the causal mask allows every key, so its
+        ``allowed`` is ``None`` rather than an all-true mask.
         """
         cfg = self.config
         qs_np = [np.asarray(q, dtype=np.float64) for q in qs]
@@ -285,58 +307,57 @@ class PadeEngine:
                 guards = np.where(
                     logit_scales <= 0, np.inf, (cfg.alpha * cfg.radius) / logit_scales
                 )
-        params = []
-        for i, cache in enumerate(caches):
+        alloweds, protects = [], []
+        for cache in caches:
             seq_len = cache.length
             offset = seq_len - num_queries
-            allowed = causal_allowed(num_queries, seq_len, offset) if cfg.causal else None
-            protect = protection_mask(
-                num_queries, seq_len, cfg.sink_tokens, cfg.recent_tokens, offset
+            causal = cfg.causal and num_queries > 1
+            alloweds.append(causal_allowed(num_queries, seq_len, offset) if causal else None)
+            protects.append(
+                protection_mask(num_queries, seq_len, cfg.sink_tokens, cfg.recent_tokens, offset)
             )
-            params.append((q_int[i], logit_scales[i], guards[i], allowed, protect))
-        return params
+        return _RoundParams(q_int, logit_scales, guards, alloweds, protects)
 
-    def _finish_attend_batch(self, caches, results, params):
+    def _finish_attend_batch(self, caches, results, params) -> List[EngineAttentionResult]:
         """Fold a round of filter results through softmax/V and the stats.
 
-        Retained-only (DESIGN.md §13): each result's retained cells are
-        taken in C order, so every (request, head, query) row is one
-        contiguous segment with its keys ascending.  Only those cells'
-        logits are exponentiated and only their V rows are gathered
-        (``cache.value_rows``).  Row maxima and softmax denominators are
-        ``reduceat`` reductions over the whole round's segments; the
-        probability·V sums reduce each request's own gathered rows the
-        same way, so no round-sized V buffer is allocated.  A segment's
-        output depends on that segment alone, so a fused round is
-        byte-equal to :meth:`attend`, which runs this routine on one
-        request.  Rows with no retained key output exact zeros.
+        One pass over the whole round (DESIGN.md §13).  ``np.flatnonzero``
+        of the round's ``(R, Hh, P, S_max)`` retained array
+        (:func:`~repro.core.bsf_fast.round_arrays`) lists the kept cells
+        in C order, so every (request, head, query) row is one contiguous
+        segment with its keys ascending.  Only those cells' logits are
+        exponentiated and only their V rows are read — one take through
+        the caches' row maps (:func:`~repro.engine.cache.gather_value_rows`).
+        Row maxima, softmax denominators and the probability·V sums are
+        ``reduceat`` reductions over the segments.  A segment's output
+        depends on that segment alone, so a fused round is byte-equal to
+        :meth:`attend`, which runs this routine on one request.  Rows
+        with no retained key output exact zeros.
         """
-        logits, v_rows, counts = [], [], []
-        for cache, res, (_, logit_scales, _, _, _) in zip(caches, results, params):
-            heads, _, keys = cells = np.nonzero(res.retained)
-            logits.append(res.scores[cells] * logit_scales[heads])
-            v_rows.append(cache.value_rows(heads, keys))
-            counts.append(res.retained.sum(axis=2).ravel())
-        row_counts = np.concatenate(counts)
+        retained_all, scores_all = round_arrays(results)
+        _, num_heads, num_queries, s_max = retained_all.shape
+        cells = np.flatnonzero(retained_all)
+        req_head = cells // (num_queries * s_max)  # request * Hh + head
+        logits = np.take(scores_all, cells) * np.take(params.logit_scales, req_head)
+        row_counts = np.count_nonzero(retained_all, axis=3).ravel()
         live = row_counts > 0
         starts = (np.cumsum(row_counts) - row_counts)[live]
         segment = np.repeat(np.arange(starts.size), row_counts[live])
-        logits = np.concatenate(logits)
         logits -= np.maximum.reduceat(logits, starts)[segment]
         probs = np.exp(logits, out=logits)
         probs /= np.add.reduceat(probs, starts)[segment]
+        req, heads = np.divmod(req_head, num_heads)
+        rows = gather_value_rows(caches, req, heads, cells % s_max)
+        rows *= probs[:, None]
+        output = np.zeros((row_counts.size, rows.shape[1]))
+        output[live] = np.add.reduceat(rows, starts, axis=0)
+        output = output.reshape(retained_all.shape[:3] + (-1,))
+        per_request = row_counts.reshape(len(caches), -1).sum(axis=1)
 
         out = []
-        first = 0
-        for res, (_, logit_scales, guards, allowed, _), count, rows in zip(
-            results, params, counts, v_rows
-        ):
-            rows *= probs[first : first + len(rows), None]
-            first += len(rows)
-            live = count > 0
-            output = np.zeros((count.size, rows.shape[1]))
-            output[live] = np.add.reduceat(rows, (np.cumsum(count) - count)[live], axis=0)
-            retained = int(count.sum())
+        for i, res in enumerate(results):
+            retained = int(per_request[i])
+            allowed = params.alloweds[i]
             candidates = (  # ``allowed`` broadcasts: each cell repeats size-ratio times
                 np.count_nonzero(allowed) * (res.retained.size // allowed.size)
                 if allowed is not None
@@ -350,11 +371,11 @@ class PadeEngine:
             self.stats.candidate_keys += candidates
             out.append(
                 EngineAttentionResult(
-                    output=output.reshape(res.retained.shape[:2] + (-1,)),
+                    output=output[i],
                     retained=res.retained,
                     scores=res.scores,
-                    logit_scales=logit_scales,
-                    guards=guards,
+                    logit_scales=params.logit_scales[i],
+                    guards=params.guards[i],
                     candidate_keys=candidates,
                     # PADE has no separate predictor: the bound evaluation
                     # is the execution's first bit planes, so the whole

@@ -1305,7 +1305,10 @@ class ContinuousScheduler:
         K/V token is appended in active-set order, the appended-but-
         unfiltered requests accumulate in ``pending``, and one
         :meth:`~repro.engine.engine.PadeEngine.decode_attend_batch`
-        flushes them together.  This is result-identical to an
+        flushes them together.  An append only reserves its row (block
+        allocation, COW fork, restore, relief — all in this order) and
+        stages it in the pool; the flush's key gather writes every staged
+        row in one pass before it reads any.  This is result-identical to an
         interleaved per-request append-and-filter loop because filters
         never allocate pool blocks and caches are request-private
         (DESIGN.md §13) — so every append sees the exact pool state the
@@ -1319,7 +1322,8 @@ class ContinuousScheduler:
         requests' first-token marks and service charges must land exactly
         as if they had been filtered one at a time.  (Flushing before a
         *spill* keeps the same equivalence: already-appended requests
-        filter against pre-spill planes either way.)
+        filter against pre-spill planes either way, and their staged
+        rows are written before the spill reads them.)
         """
         round_ids: List[str] = []
         pending: List[Tuple[_RequestState, object]] = []

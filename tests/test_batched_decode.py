@@ -285,6 +285,56 @@ def test_decode_step_batch_matches_loop(backend):
     assert loop_engine.stats.batched_rounds == 0
 
 
+def _mixed_pool_caches(engine, requests):
+    """Even requests on private ``new_cache`` pools, odd ones on a shared
+    pool, so the round's pools interleave."""
+    shared = _prefilled(engine, requests[1::2]) if len(requests) > 1 else []
+    caches = []
+    for i, req in enumerate(requests):
+        if i % 2:
+            caches.append(shared[i // 2])
+            continue
+        num_heads, _, head_dim = np.asarray(req.k).shape
+        cache = engine.new_cache(num_heads, head_dim, np.asarray(req.v).shape[2],
+                                 req.total_tokens)
+        engine.prefill(cache, req.k, req.v, total_tokens=req.total_tokens)
+        caches.append(cache)
+    return caches
+
+
+@pytest.mark.parametrize("backend", ["fast", "reference"])
+@pytest.mark.parametrize("num", [1, 5])
+def test_round_over_several_pools_matches_per_cache_attend(backend, num):
+    """A round whose caches draw from different pools — and a round of
+    one request — equals per-cache ``attend`` byte for byte, on decode
+    steps and on a multi-query (causal) block."""
+    requests = _engine_requests(num)
+    round_engine = PadeEngine(PadeConfig.standard(), backend=backend)
+    round_caches = _mixed_pool_caches(round_engine, requests)
+    solo_engine = PadeEngine(PadeConfig.standard(), backend=backend)
+    solo_caches = _mixed_pool_caches(solo_engine, requests)
+
+    def check(got, want):
+        for a, b in zip(got, want):
+            assert np.array_equal(a.retained, b.retained)
+            assert a.output.tobytes() == b.output.tobytes()
+            assert np.array_equal(a.scores, b.scores)
+            assert a.candidate_keys == b.candidate_keys
+
+    for t in range(requests[0].decode_steps):
+        for caches in (round_caches, solo_caches):
+            for c, r in zip(caches, requests):
+                c.append(r.decode_k[:, t, :], r.decode_v[:, t, :])
+        qs = [r.decode_q[:, t : t + 1, :] for r in requests]
+        check(round_engine.attend_batch(round_caches, qs),
+              [solo_engine.attend(c, q) for c, q in zip(solo_caches, qs)])
+    qs = [r.decode_q[:, :3, :] for r in requests]
+    check(round_engine.attend_batch(round_caches, qs),
+          [solo_engine.attend(c, q) for c, q in zip(solo_caches, qs)])
+    for field in _SHARED_COUNTERS:
+        assert getattr(round_engine.stats, field) == getattr(solo_engine.stats, field)
+
+
 def test_decode_step_batch_single_request_uses_loop_path():
     """A round of one request runs ``filter_heads``, never a fused call."""
     requests = _engine_requests(1)

@@ -103,9 +103,9 @@ def _product_rows(monkeypatch):
     rows = []
     products = bsf_fast.plane_products
 
-    def counting(q_dot, slab):
+    def counting(q_dot, slab, out=None):
         rows.append(q_dot.shape[-2])
-        return products(q_dot, slab)
+        return products(q_dot, slab, out=out)
 
     monkeypatch.setattr(bsf_fast, "plane_products", counting)
     return rows

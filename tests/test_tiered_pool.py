@@ -161,6 +161,31 @@ class TestPoolLifecycle:
         assert pool.plane_units_used == 0
 
 
+    @given(seed=st.integers(0, 2**16))
+    def test_spilling_a_staged_row_writes_it_first(self, seed):
+        """An append only stages its row; spilling its block before any
+        read must stash the written row's low bits, so the restored block
+        equals one whose row was written at the append."""
+        rng = np.random.default_rng(seed)
+        pool = _tiered_pool(budget_blocks=6, block_size=4)
+        cache = _fill_cache(pool, rng, 5)
+        k = rng.normal(size=(pool.num_heads, pool.head_dim))
+        v = rng.normal(size=(pool.num_heads, pool.v_dim))
+        twin = cache.fork()
+        twin.append(k, v)
+        pool.write_staged()
+        cache.append(k, v)  # staged, unwritten
+        tail = cache.block_table[-1]
+        pool.spill_block(tail, pool.tiering.min_resident_planes)
+        pool.restore_block(tail)
+        assert cache.planes == twin.planes
+        assert cache.planes.popcounts.tobytes() == twin.planes.popcounts.tobytes()
+        assert np.array_equal(cache.values, twin.values)
+        cache.release()
+        twin.release()
+        assert pool.plane_units_used == 0
+
+
 class TestSharingAndCow:
     @given(seed=st.integers(0, 2**16))
     def test_fork_of_spilled_block_restores_then_copies(self, seed):
@@ -425,6 +450,58 @@ class TestSchedulerIntegration:
         assert pool.used_block_count == 0
         assert pool.plane_units_used == 0
         assert not pool._spill_store
+
+    def test_relief_spilling_a_block_written_this_round_keeps_per_append_bytes(
+        self, monkeypatch
+    ):
+        """A decode round stages its appends and writes them in one pass.
+        A relief that spills a block holding a row appended earlier in the
+        same round must spill that row as written: the served bytes equal
+        a serve that writes every row at its own append."""
+        from repro.engine.scheduler import ContinuousScheduler
+        from repro.eval.workloads import build_serving_workload
+
+        def serve():
+            engine = PadeEngine(PadeConfig.standard())
+            workload = build_serving_workload(6, 4, 32, 40, 32, rate=1.5, seed=7)
+            results = engine.serve(
+                workload, max_active=6, token_budget=128, block_size=4,
+                tiering=TierConfig(min_resident_planes=2),
+            )
+            return {
+                rid: (res.retained_bytes(), res.decode_outputs.tobytes())
+                for rid, res in results.items()
+            }
+
+        stage_row, spill_block = PlaneBlockPool.stage_row, PlaneBlockPool.spill_block
+        step = ContinuousScheduler.step
+        round_blocks, hot_spills = set(), []
+
+        def staging(pool, row, *args):
+            round_blocks.add(row // pool.block_size)
+            stage_row(pool, row, *args)
+
+        def spilling(pool, block, target):
+            if block in round_blocks:
+                hot_spills.append(block)
+            return spill_block(pool, block, target)
+
+        def stepping(scheduler):
+            round_blocks.clear()
+            return step(scheduler)
+
+        monkeypatch.setattr(PlaneBlockPool, "stage_row", staging)
+        monkeypatch.setattr(PlaneBlockPool, "spill_block", spilling)
+        monkeypatch.setattr(ContinuousScheduler, "step", stepping)
+        batched = serve()
+        assert hot_spills, "no relief spilled a block written earlier in its round"
+
+        def write_at_append(pool, row, *args):
+            stage_row(pool, row, *args)
+            pool.write_staged()
+
+        monkeypatch.setattr(PlaneBlockPool, "stage_row", write_at_append)
+        assert serve() == batched
 
     def test_disabled_tiering_matches_flat_pool_and_hides_columns(self):
         from repro.eval.serving_metrics import summarize_serving
