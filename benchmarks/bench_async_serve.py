@@ -96,12 +96,7 @@ def run_parity(
     engine = _fresh_engine()
     results = engine.serve(workload, **serve_kwargs)
     scheduler = engine.last_serve
-    reference = summarize_serving(
-        results.values(),
-        occupancy=scheduler.occupancy,
-        token_budget=scheduler.token_budget,
-        scheduler=scheduler,
-    )
+    reference = summarize_serving(results.values(), scheduler=scheduler)
 
     digest_mismatches = []
     token_mismatches = []

@@ -84,12 +84,7 @@ def policy_sweep(
             block_size=block_size,
         )
         scheduler = engine.last_serve
-        report = summarize_serving(
-            results.values(),
-            occupancy=scheduler.occupancy,
-            token_budget=budget,
-            scheduler=scheduler,
-        )
+        report = summarize_serving(results.values(), scheduler=scheduler)
         rows[name] = {
             "mean_ttft": report["mean_ttft"],
             "p95_ttft": report["p95_ttft"],

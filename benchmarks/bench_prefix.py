@@ -80,12 +80,7 @@ def run_prefix_comparison(
         elif digests != reference_bytes:
             out["parity_ok"] = False
         if backend == "fast":
-            report = summarize_serving(
-                on.values(),
-                occupancy=on_sched.occupancy,
-                token_budget=on_sched.token_budget,
-                scheduler=on_sched,
-            )
+            report = summarize_serving(on.values(), scheduler=on_sched)
             peak_off = off_sched.pool.peak_used_blocks
             peak_on = on_sched.pool.peak_used_blocks
             out.update(

@@ -52,11 +52,7 @@ def _serve(workload, backend, budget, block_size, max_active, policy, admission)
         admission=admission,
     )
     scheduler = engine.last_serve
-    report = summarize_serving(
-        results.values(),
-        occupancy=scheduler.occupancy,
-        token_budget=scheduler.token_budget,
-    )
+    report = summarize_serving(results.values(), scheduler=scheduler)
     return results, report
 
 

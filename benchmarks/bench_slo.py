@@ -55,12 +55,7 @@ def _serve(workload, policy, budget, block_size=16, max_active=2, **kwargs):
         **kwargs,
     )
     scheduler = engine.last_serve
-    report = summarize_serving(
-        results.values(),
-        occupancy=scheduler.occupancy,
-        token_budget=scheduler.token_budget,
-        scheduler=scheduler,
-    )
+    report = summarize_serving(results.values(), scheduler=scheduler)
     return results, report, scheduler
 
 

@@ -59,12 +59,7 @@ def _serve(workload, budget, max_active, backend=None, **kw):
         workload, max_active=max_active, token_budget=budget, block_size=16, **kw
     )
     scheduler = engine.last_serve
-    report = summarize_serving(
-        results.values(),
-        occupancy=scheduler.occupancy,
-        token_budget=scheduler.token_budget,
-        scheduler=scheduler,
-    )
+    report = summarize_serving(results.values(), scheduler=scheduler)
     return results, report, scheduler
 
 

@@ -70,12 +70,7 @@ def _serve(workload, budget, max_active, tiering=None, backend=None):
         tiering=tiering,
     )
     scheduler = engine.last_serve
-    report = summarize_serving(
-        results.values(),
-        occupancy=scheduler.occupancy,
-        token_budget=scheduler.token_budget,
-        scheduler=scheduler,
-    )
+    report = summarize_serving(results.values(), scheduler=scheduler)
     return results, report, scheduler
 
 

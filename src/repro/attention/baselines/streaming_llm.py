@@ -53,7 +53,7 @@ class StreamingLLMPolicy(BaselineAttentionPolicy):
     name = "streaming-llm"
     dense_footprint = False
     # Purely positional selection: no per-request state absorbs the
-    # speculated queries, so rollback to a fork anchor is sound.
+    # speculated queries, so truncating a rejected draft is sound.
     draftable = True
 
     def __init__(self, keep_fraction: float = 0.25, sink_tokens: int = 4) -> None:

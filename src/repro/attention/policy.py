@@ -147,11 +147,11 @@ def resolve_draft_policy(
 ) -> "AttentionPolicy":
     """Resolve the *draft* side of a draft-verify speculative pair.
 
-    Only :attr:`AttentionPolicy.draftable` policies qualify: the
-    scheduler forks a rollback anchor before every draft block and
-    re-attaches the draft's per-request state to it on a reject, which
-    is sound only when that state never absorbs information from the
-    speculated (possibly discarded) tokens.  Stateless positional
+    Only :attr:`AttentionPolicy.draftable` policies qualify: on a reject
+    the scheduler truncates the rejected draft tokens off the cache and
+    keeps the draft's per-request state as it is, which is sound only
+    when that state never absorbs information from the speculated
+    (possibly discarded) tokens.  Stateless positional
     policies (StreamingLLM) and pure functions of the current K/V
     (top-k oracle) qualify; accumulation-style policies like H2O — whose
     eviction mass would be polluted by rolled-back queries — do not.
@@ -183,8 +183,8 @@ class AttentionPolicy:
     #: True when the policy is sound as the cheap *draft* of a
     #: draft-verify speculative pair (DESIGN.md §17): its per-request
     #: state must not accumulate information from speculated queries,
-    #: because a rejected draft block rolls the cache back to the fork
-    #: anchor and re-attaches the same state object.
+    #: because a rejected draft block is truncated off the cache while
+    #: the same state object stays on it.
     draftable: bool = False
 
     # ------------------------------------------------------------------

@@ -64,7 +64,15 @@ def _check_guards(*guards) -> None:
     A NaN guard is one too, and the backends would disagree on it: the
     reference threshold compares false everywhere while the fast kernel
     treats a non-finite guard as "keep everything".
+
+    One compare covers every guard of the call; only a failure (or guards
+    of mixed shapes) walks them one by one to name the offender.
     """
+    try:
+        if (np.asarray(guards, dtype=np.float64) >= 0).all():
+            return
+    except ValueError:  # mixed shapes, e.g. a scalar next to per-head vectors
+        pass
     for guard in guards:
         if not np.all(np.asarray(guard, dtype=np.float64) >= 0):
             raise ValueError(f"filter guards must be >= 0, got {guard!r}")

@@ -212,8 +212,8 @@ class _RawKeys:
     :class:`PagedBitPlaneKVCache` keeps one of these instead of storing
     float keys in the pool: a prefix-shared block's raw K is
     the attaching request's own prompt K (chain keys hash raw K), and a
-    fork copies the step list, so a speculative rollback anchor keeps
-    exactly the steps it had.
+    fork copies the step list, so forks append and truncate
+    independently.
     """
 
     __slots__ = ("prompt", "steps")
@@ -1229,6 +1229,28 @@ class PagedBitPlaneKVCache:
         self._length += 1
         self.rows_decomposed += self.num_heads
         self.appends += 1
+
+    def truncate(self, length: int) -> None:
+        """Drop every token from position ``length`` on (speculative rollback).
+
+        Staged rows are written first, blocks wholly past ``length``
+        return to the pool, and the appended K rows past it are dropped;
+        rows left past ``length`` in the kept tail block are dead, and the
+        next :meth:`append` overwrites them.  Cutting into the prompt (or
+        past the end) raises ``ValueError``.
+        """
+        prompt_len = self._prefill_target
+        if self._raw is None or not prompt_len <= length <= self._length:
+            raise ValueError(
+                f"cannot truncate to {length}: the cache holds a {prompt_len}-token "
+                f"prompt and {self._length} tokens"
+            )
+        self.pool.write_staged()
+        keep = -(-length // self.pool.block_size)
+        self.pool.release(self._blocks[keep:])
+        del self._blocks[keep:]
+        del self._raw.steps[length - prompt_len :]
+        self._length = length
 
     def fork(self) -> "PagedBitPlaneKVCache":
         """Clone this cache onto the same ref-counted blocks (zero copy).

@@ -117,8 +117,8 @@ class EngineRequest:
     sample_decode_v: Optional[np.ndarray] = None
     # Draft-verify speculative decoding: a cheap draft policy proposes
     # up to ``draft_tokens`` outputs per round and the engine's verifier
-    # accepts a leading run of them at the round boundary (rollback to a
-    # pre-round fork point on reject).
+    # accepts a leading run of them at the round boundary (the rejected
+    # draft tail is truncated off the cache).
     speculative: bool = False
     draft_tokens: int = 4
 
@@ -307,55 +307,44 @@ def _stack_decode_outputs(req: EngineRequest, outputs: List[np.ndarray]) -> np.n
 
 @dataclass(eq=False)
 class _Lineage:
-    """One extra decode lineage of a parallel-sampling request.
+    """One decode stream of a request and the cache it writes into.
 
-    Holds the forked copy-on-write cache plus this lineage's own decode
-    streams and bookkeeping — the same fields ``_RequestState`` exposes
-    for the primary lineage, so a decode round treats both uniformly.
+    Lineage 0 is the request's primary stream (``decode_q/k/v``) on the
+    cache its prompt is prefilled into; a parallel-sampling request adds
+    one copy-on-write fork per extra sample stream once the prompt is
+    resident.
     """
 
     cache: object
-    decode_q: np.ndarray
-    decode_k: np.ndarray
-    decode_v: np.ndarray
+    decode_q: Optional[np.ndarray]
+    decode_k: Optional[np.ndarray]
+    decode_v: Optional[np.ndarray]
     outputs: List[np.ndarray] = field(default_factory=list)
     retained_history: List[np.ndarray] = field(default_factory=list)
     next_step: int = 0
 
 
-# eq=False: a state is its identity, so ``in``/``index``/``remove`` on the
-# active list are ``is`` tests rather than field-by-field comparisons.
-@dataclass(eq=False)
 class _RequestState:
-    request: EngineRequest
-    cache: object
-    admit_index: int = 0
-    prefill_output: Optional[np.ndarray] = None
-    outputs: List[np.ndarray] = field(default_factory=list)
-    retained_history: List[np.ndarray] = field(default_factory=list)
-    next_step: int = 0
-    service_charged: float = 0.0  # tenant-service tokens billed this attempt
-    # Parallel sampling: one forked lineage per extra sample stream,
-    # created when the prefill completes (fork shares all blocks).
-    sample_lineages: Optional[List[_Lineage]] = None
-    # Speculative decoding: the pre-round fork point rollback returns to,
-    # plus the draft policy's per-request state (survives rollback).
-    spec_anchor: object = None
-    draft_state: object = None
+    """One admission of a request: its lineages plus per-attempt billing.
 
-    # The primary lineage's decode streams, so a decode round can treat
-    # ``_RequestState`` and ``_Lineage`` as the same duck type.
-    @property
-    def decode_q(self) -> np.ndarray:
-        return self.request.decode_q
+    A preempted request is re-admitted as a fresh state, so nothing here
+    outlives one attempt.  Identity is equality, so ``in``/``index``/
+    ``remove`` on the active list are ``is`` tests.
+    """
+
+    def __init__(self, request: EngineRequest, cache, admit_index: int = 0) -> None:
+        self.request = request
+        self.admit_index = admit_index
+        self.lineages = [
+            _Lineage(cache, request.decode_q, request.decode_k, request.decode_v)
+        ]
+        self.prefill_output: Optional[np.ndarray] = None
+        self.service_charged = 0.0  # tenant-service tokens billed this attempt
 
     @property
-    def decode_k(self) -> np.ndarray:
-        return self.request.decode_k
-
-    @property
-    def decode_v(self) -> np.ndarray:
-        return self.request.decode_v
+    def cache(self):
+        """The primary lineage's cache, the one the prompt is written to."""
+        return self.lineages[0].cache
 
     @property
     def prefilling(self) -> bool:
@@ -364,29 +353,13 @@ class _RequestState:
 
     @property
     def done(self) -> bool:
-        if self.prefilling or self.next_step < self.request.decode_steps:
+        if self.prefilling:
             return False
-        if self.sample_lineages:
-            steps = self.request.decode_steps
-            return all(lin.next_step >= steps for lin in self.sample_lineages)
+        steps = self.request.decode_steps
+        for lin in self.lineages:
+            if lin.next_step < steps:
+                return False
         return True
-
-    def decode_units(self) -> List[object]:
-        """Every decode lineage of this request, primary first."""
-        if self.sample_lineages:
-            return [self, *self.sample_lineages]
-        return [self]
-
-    def reset(self) -> None:
-        """Discard all progress (preemption restarts the request)."""
-        self.prefill_output = None
-        self.outputs = []
-        self.retained_history = []
-        self.next_step = 0
-        self.service_charged = 0.0
-        self.sample_lineages = None
-        self.spec_anchor = None
-        self.draft_state = None
 
 
 class SchedulingPolicy:
@@ -778,7 +751,7 @@ class ContinuousScheduler:
         self.spec_drafted_tokens = 0
         self.spec_accepted_tokens = 0
         self.spec_emitted_tokens = 0
-        self.spec_rollbacks = 0  # rounds that rewound to the fork point
+        self.spec_rollbacks = 0  # rounds that truncated a rejected draft tail
         # Parallel-sampling pool amplification: unique blocks the whole
         # lineage set held at completion vs what n independent caches of
         # the primary lineage's size would have held.
@@ -973,17 +946,14 @@ class ContinuousScheduler:
         once.  Each lineage privatizes the forked partial prompt tail and
         grows it by its own decode steps, in whole blocks of its own —
         tails of different lineages never share a block.  A speculative
-        request additionally holds the rollback anchor's tail block
-        alongside the working tail for the length of one draft round.
+        request's draft never appends past its last decode step, and a
+        reject truncates in place, so it needs no more than plain decode.
         """
         bs = self.block_size
         shared = req.prompt_tokens // bs
         tail = req.prompt_tokens - shared * bs
         per_lineage = -(-(tail + req.decode_steps) // bs)
-        blocks = shared + req.n_samples * per_lineage
-        if req.speculative:
-            blocks += 1
-        return max(1, blocks)
+        return max(1, shared + req.n_samples * per_lineage)
 
     def _charge_blocks(self, req: EngineRequest) -> int:
         """Blocks ``req`` is charged against the token budget.
@@ -992,7 +962,7 @@ class ContinuousScheduler:
         :meth:`_dense_blocks`.  A bounded (charged) policy is billed its
         peak resident tokens in whole blocks, capped by the dense count;
         n-best and speculative requests are PADE-only
-        (:meth:`check_request`), so no lineage or anchor term applies.
+        (:meth:`check_request`), so no lineage term applies.
         """
         dense = self._dense_blocks(req)
         if not self._charged:
@@ -1088,14 +1058,13 @@ class ContinuousScheduler:
         so the slot is free).
         """
         req = state.request
-        if req.n_samples > 1 and state.sample_lineages is None:
-            lineages = []
+        if req.n_samples > 1:
             for s in range(req.n_samples - 1):
                 clone = state.cache.fork()
                 clone.policy_state = self.engine.policy.new_state(
                     clone, total_tokens=req.total_tokens
                 )
-                lineages.append(
+                state.lineages.append(
                     _Lineage(
                         cache=clone,
                         decode_q=req.sample_decode_q[s],
@@ -1103,30 +1072,21 @@ class ContinuousScheduler:
                         decode_v=req.sample_decode_v[s],
                     )
                 )
-            state.sample_lineages = lineages
             self._record("fork", (req.request_id,))
-        if req.speculative and state.draft_state is None:
-            state.draft_state = self._resolve_draft().new_state(
+        if req.speculative:
+            state.cache.policy_state = self._resolve_draft().new_state(
                 state.cache, total_tokens=req.total_tokens
             )
-            state.cache.policy_state = state.draft_state
 
     def _release_request(self, state: _RequestState) -> None:
-        """Free every cache this request holds: all lineages + anchor."""
+        """Free every cache this request holds, one per lineage."""
         for cache in self._live_caches(state):
             cache.release()
-        state.sample_lineages = None
-        state.spec_anchor = None
-        state.draft_state = None
 
-    def _live_caches(self, state: _RequestState):
+    @staticmethod
+    def _live_caches(state: _RequestState):
         """Every cache ``state`` currently holds blocks through."""
-        yield state.cache
-        if state.sample_lineages:
-            for lin in state.sample_lineages:
-                yield lin.cache
-        if state.spec_anchor is not None:
-            yield state.spec_anchor
+        return (lin.cache for lin in state.lineages)
 
     def _preempt_one(self) -> None:
         # Never evict a finished-but-uncollected request: its blocks are
@@ -1145,7 +1105,6 @@ class ContinuousScheduler:
             self.tenant_service[tenant] = max(
                 0.0, self.tenant_service.get(tenant, 0.0) - victim.service_charged
             )
-        victim.reset()
         timing = self._timings[victim.request.request_id]
         timing.preemptions += 1
         timing.enqueued_at = self.time  # max_queue_ms clock restarts here
@@ -1155,17 +1114,18 @@ class ContinuousScheduler:
 
     # ------------------------------------------------------------------
     # Making room: the two-tier pressure ladder, then preemption (DESIGN.md §16).
-    def _make_room(self, units: int, raiser: Optional[_RequestState] = None, cache=None) -> bool:
+    def _make_room(self, units: int, raiser: Optional[_RequestState] = None) -> bool:
         """Free ``units`` plane units: plan first, spill second, preempt last.
 
-        The spill candidates (cold, unprotected, minus ``cache``'s write
-        tail, which would bounce straight back) are taken once and spilled
-        level by level only if spilling them all to the floor covers the
-        deficit.  Otherwise nothing is spilled: an admission (no
-        ``raiser``) declines, and an allocation preempts one policy-chosen
-        victim and plans again on its retry.  ``False``: the admission
-        declines, or the victim was ``raiser`` itself (everything it held
-        released, back in the queue).
+        The spill candidates (cold, unprotected, minus the write tail of
+        every live cache of every active request, which its next append
+        would restore at once) are taken once and spilled level by level
+        only if spilling them all to the floor covers the deficit.
+        Otherwise nothing is spilled: an admission (no ``raiser``)
+        declines, and an allocation preempts one policy-chosen victim and
+        plans again on its retry.  ``False``: the admission declines, or
+        the victim was ``raiser`` itself (everything it held released,
+        back in the queue).
         """
         pool = self.pool
         deficit = units - pool.plane_units_free
@@ -1173,8 +1133,13 @@ class ContinuousScheduler:
             return True
         ladder = pool.spill_ladder  # empty on a flat pool
         if ladder:
-            avoid = cache.block_table[-1:] if cache is not None else ()
-            candidates = [b for b in pool.spill_candidates() if b not in avoid]
+            tails = {
+                block
+                for state in self.active
+                for cache in self._live_caches(state)
+                for block in cache.block_table[-1:]
+            }
+            candidates = [b for b in pool.spill_candidates() if b not in tails]
             if sum(pool.resident_planes(b) - ladder[-1] for b in candidates) >= deficit:
                 for level, block in product(ladder, candidates):  # level by level
                     if pool.resident_planes(block) > level:
@@ -1198,9 +1163,9 @@ class ContinuousScheduler:
         self._preempt_one()
         return raiser in self.active
 
-    def _with_room(self, state: _RequestState, cache, write, before_relief=None) -> bool:
-        """Run ``write``, an allocating write into ``cache`` (one of
-        ``state``'s), making the room each exhaustion says it needed
+    def _with_room(self, state: _RequestState, write, before_relief=None) -> bool:
+        """Run ``write``, an allocating write into one of ``state``'s
+        caches, making the room each exhaustion says it needed
         (:attr:`PoolExhausted.units`) and retrying.  ``before_relief``
         runs first at every exhaustion (the decode round flushes its
         fused batch there).  ``False``: ``state`` itself was evicted.
@@ -1212,7 +1177,7 @@ class ContinuousScheduler:
             except PoolExhausted as exc:
                 if before_relief is not None:
                     before_relief()
-                if not self._make_room(exc.units, state, cache):
+                if not self._make_room(exc.units, state):
                     return False
 
     def _tier_protect(self) -> None:
@@ -1236,9 +1201,8 @@ class ContinuousScheduler:
         for state in self.active:
             if state.done:
                 continue
-            # Every live cache of the request: forked sample lineages and
-            # the speculative rollback anchor have write tails and
-            # sink/recent windows of their own.
+            # Every live cache of the request: forked sample lineages
+            # have write tails and sink/recent windows of their own.
             for cache in self._live_caches(state):
                 blocks = cache.block_table
                 if not blocks:
@@ -1326,7 +1290,7 @@ class ContinuousScheduler:
         rows are written before the spill reads them.)
         """
         round_ids: List[str] = []
-        pending: List[Tuple[_RequestState, object]] = []
+        pending: List[Tuple[_RequestState, _Lineage]] = []
 
         def flush() -> None:
             self._flush_decode(pending, round_ids)
@@ -1348,32 +1312,23 @@ class ContinuousScheduler:
                     i = self.active.index(state) + 1
                 # else: the element now at slot i is the next one due.
                 continue
-            evicted = False
-            units = state.decode_units()
-            j = 0
-            while j < len(units):
-                unit = units[j]
-                if unit.next_step >= req.decode_steps:
-                    j += 1
+            for lin in state.lineages:
+                if lin.next_step >= req.decode_steps:
                     continue
-                t = unit.next_step
+                t = lin.next_step
                 # If the raiser itself was evicted, every lineage died
-                # with it.
+                # with it, and the element now at slot i is the next one due.
                 if not self._with_room(
-                    state, unit.cache,
+                    state,
                     lambda: self.engine.decode_append(
-                        unit.cache, unit.decode_k[:, t, :], unit.decode_v[:, t, :]
+                        lin.cache, lin.decode_k[:, t, :], lin.decode_v[:, t, :]
                     ),
                     before_relief=flush,
                 ):
-                    evicted = True
                     break
-                pending.append((state, unit))
-                j += 1
-            if evicted:
-                # The element now at slot i is the next one due.
-                continue
-            i = self.active.index(state) + 1
+                pending.append((state, lin))
+            else:
+                i = self.active.index(state) + 1
         flush()
         if round_ids:
             self._record("decode_round", tuple(round_ids))
@@ -1381,25 +1336,23 @@ class ContinuousScheduler:
 
     def _flush_decode(
         self,
-        pending: List[Tuple[_RequestState, object]],
+        pending: List[Tuple[_RequestState, _Lineage]],
         round_ids: List[str],
     ) -> None:
         """Filter the appended-but-unfiltered steps and emit their tokens.
 
-        Each entry is a ``(state, unit)`` pair where ``unit`` is either
-        the state itself (the primary lineage) or one of its forked
-        :class:`_Lineage` siblings.
+        Each entry is a ``(state, lineage)`` pair.
         """
         if not pending:
             return
         results = self.engine.decode_attend_batch(
-            [unit.cache for _, unit in pending],
-            [unit.decode_q[:, unit.next_step, :] for _, unit in pending],
+            [lin.cache for _, lin in pending],
+            [lin.decode_q[:, lin.next_step, :] for _, lin in pending],
         )
-        for (state, unit), res in zip(pending, results):
+        for (state, lin), res in zip(pending, results):
             self._emit(
-                state, unit, res.output[:, 0, :], res.retained[:, 0, :],
-                self._degraded(unit.cache), round_ids,
+                state, lin, res.output[:, 0, :], res.retained[:, 0, :],
+                self._degraded(lin.cache), round_ids,
             )
         pending.clear()
 
@@ -1411,11 +1364,10 @@ class ContinuousScheduler:
         return any(pool.resident_planes(b) < pool.bits for b in cache.block_table)
 
     def _emit(
-        self, state: _RequestState, unit, output: np.ndarray, retained: np.ndarray,
-        degraded: bool, round_ids: List[str],
+        self, state: _RequestState, lin: _Lineage, output: np.ndarray,
+        retained: np.ndarray, degraded: bool, round_ids: List[str],
     ) -> None:
-        """Record ``unit``'s next decode token (``unit`` is ``state`` or
-        one of its lineages) and bill it.
+        """Record lineage ``lin``'s next decode token and bill it to ``state``.
 
         ``degraded`` marks a token scored against partial-plane keys —
         the accuracy-vs-pressure quantity the serving report tracks.
@@ -1423,15 +1375,15 @@ class ContinuousScheduler:
         sibling samples are delivered in the final result, not on the
         token stream.
         """
-        t = unit.next_step
-        unit.outputs.append(output)
-        unit.retained_history.append(retained)
-        unit.next_step = t + 1
+        t = lin.next_step
+        lin.outputs.append(output)
+        lin.retained_history.append(retained)
+        lin.next_step = t + 1
         self.decoded_tokens += 1
         if degraded:
             self.degraded_tokens += 1
         rid = state.request.request_id
-        primary = unit is state
+        primary = lin is state.lineages[0]
         # A post-preemption replay recomputes byte-identical tokens; only
         # steps past the high-water mark stream.
         if primary and self.token_sink is not None and t >= self._streamed.get(rid, 0):
@@ -1446,57 +1398,42 @@ class ContinuousScheduler:
 
     # -- speculative decoding ------------------------------------------
 
-    def _spec_rollback(self, state: _RequestState) -> None:
-        """Rewind a rejected draft block to the pre-round fork point.
-
-        The working cache (holding the speculated tail) drops its
-        references; the anchor fork becomes the live cache again and the
-        draft's per-request policy state is re-attached to it, so the
-        next draft pass sees exactly the state it saw at the round
-        boundary.
-        """
-        anchor = state.spec_anchor
-        state.spec_anchor = None
-        state.cache.release()
-        state.cache = anchor
-        anchor.policy_state = state.draft_state
-
     def _spec_round(self, state: _RequestState, round_ids: List[str]) -> None:
         """One draft-verify cycle for a speculative request (DESIGN.md §17).
 
-        Fork the cache at the round boundary (the rollback anchor), let
-        the cheap draft policy append and score up to ``draft_tokens``
-        tokens, then verify the whole block with one PADE attend over
-        the appended queries — query ``j`` sits at position
-        ``base_len + j``, exactly where decode step ``t0 + j`` would, so
-        causal offsets line up automatically.  The leading run of draft
-        outputs within :data:`SPEC_ACCEPT_TOL` relative L2 of the verifier's
-        is accepted; the verifier's own output is emitted at the first
-        reject (the bonus token), so a round always advances at least
-        one step.  On a reject the cache rewinds to the anchor and the
-        emitted prefix is re-appended — the modeled re-quantize cost of
-        rollback.
+        Let the cheap draft policy append and score up to
+        ``draft_tokens`` tokens, then verify the whole block with one
+        PADE attend over the appended queries — query ``j`` sits at
+        position ``base_len + j``, exactly where decode step ``t0 + j``
+        would, so causal offsets line up automatically.  The leading run
+        of draft outputs within :data:`SPEC_ACCEPT_TOL` relative L2 of the
+        verifier's is accepted; the verifier's own output is emitted at
+        the first reject (the bonus token), so a round always advances at
+        least one step.  The draft appended the request's own K/V rows,
+        so the emitted steps are already in the cache: a reject only
+        truncates the rejected tail off it.
         """
         req = state.request
         draft = self._resolve_draft()
         rid = req.request_id
-        t0 = state.next_step
+        lin = state.lineages[0]
+        cache = lin.cache
+        t0 = lin.next_step
         gamma = min(max(1, int(req.draft_tokens)), req.decode_steps - t0)
-        base_len = state.cache.length
-        state.spec_anchor = state.cache.fork()
+        base_len = cache.length
         draft_outs: List[np.ndarray] = []
         for j in range(gamma):
             step = t0 + j
-            if not self._with_room(state, state.cache, lambda: self.engine.decode_append(
-                state.cache, req.decode_k[:, step, :], req.decode_v[:, step, :]
+            if not self._with_room(state, lambda: self.engine.decode_append(
+                cache, req.decode_k[:, step, :], req.decode_v[:, step, :]
             )):
-                return  # evicted: anchor and working cache already freed
+                return  # evicted: its cache was released
             # engine=None: the draft pass is bookkept as part of the
             # speculative round, not as standalone decode-step stats.
-            dres = draft.decode_step(None, state.cache, req.decode_q[:, step, :])
+            dres = draft.decode_step(None, cache, req.decode_q[:, step, :])
             draft_outs.append(dres.output[:, 0, :])
         vres = self.engine.policy.prefill(
-            self.engine, state.cache, req.decode_q[:, t0 : t0 + gamma, :]
+            self.engine, cache, req.decode_q[:, t0 : t0 + gamma, :]
         )
         accepted = 0
         for j in range(gamma):
@@ -1511,31 +1448,19 @@ class ContinuousScheduler:
         self.spec_drafted_tokens += gamma
         self.spec_accepted_tokens += accepted
         self.spec_emitted_tokens += emitted
-        degraded = self._degraded(state.cache)
+        degraded = self._degraded(cache)
         for j in range(emitted):
             # Query j only sees keys up to its own position; clip the
             # padded retained row back to the causal prefix.
             self._emit(
-                state, state, vres.output[:, j, :],
+                state, lin, vres.output[:, j, :],
                 vres.retained[:, j, : base_len + j + 1].copy(), degraded, round_ids,
             )
-        if emitted == gamma:
-            # Full acceptance: the working cache is already correct; the
-            # anchor just drops its shared references.
-            anchor = state.spec_anchor
-            state.spec_anchor = None
-            anchor.release()
-        else:
+        if emitted < gamma:
+            # The draft's policy state stays on the cache: draftable
+            # policies keep nothing from speculated queries.
             self.spec_rollbacks += 1
-            self._spec_rollback(state)
-            # Replay the accepted prefix onto the anchor; the rejected
-            # draft tail vanished with the working cache.
-            for j in range(emitted):
-                step = t0 + j
-                if not self._with_room(state, state.cache, lambda: self.engine.decode_append(
-                    state.cache, req.decode_k[:, step, :], req.decode_v[:, step, :]
-                )):
-                    return
+            cache.truncate(base_len + emitted)
         self._record("spec", (rid,))
 
     # ------------------------------------------------------------------
@@ -1553,7 +1478,7 @@ class ContinuousScheduler:
             nonlocal written
             written = self.engine.prefill_extend(state.cache, tokens)
 
-        if not self._with_room(state, state.cache, write):
+        if not self._with_room(state, write):
             return 0
         self._charge_service(state, written)
         if not state.prefilling:
@@ -1599,16 +1524,17 @@ class ContinuousScheduler:
         tokens it streamed before the abort.  Any ``abort_reason`` makes
         the status ``"aborted"``.
         """
-        decode_outputs = _stack_decode_outputs(req, state.outputs if state else [])
-        lineages = (state.sample_lineages if state else None) or []
+        lineages = state.lineages if state is not None else []
+        outputs = [_stack_decode_outputs(req, lin.outputs) for lin in lineages]
+        histories = [lin.retained_history for lin in lineages]
         timing = self._timings[req.request_id]
         return RequestResult(
             request_id=req.request_id,
             prefill_output=state.prefill_output if state is not None else None,
-            decode_outputs=decode_outputs,
-            sample_outputs=[_stack_decode_outputs(req, lin.outputs) for lin in lineages],
-            sample_retained=[lin.retained_history for lin in lineages],
-            retained_history=state.retained_history if state is not None else [],
+            decode_outputs=outputs[0] if outputs else _stack_decode_outputs(req, []),
+            sample_outputs=outputs[1:],
+            sample_retained=histories[1:],
+            retained_history=histories[0] if histories else [],
             final_length=state.cache.length if state is not None else 0,
             arrival_time=timing.arrival_time,
             admit_time=timing.admit_time,
@@ -1682,7 +1608,7 @@ class ContinuousScheduler:
                 still_active.append(state)
                 continue
             req = state.request
-            if state.sample_lineages:
+            if len(state.lineages) > 1:
                 # Pool amplification accounting at the moment of maximal
                 # divergence: unique physical blocks across every lineage
                 # vs what n independent caches would have held.

@@ -1170,12 +1170,7 @@ def serving_profile(
     else:
         results = engine.serve(workload, **serve_kwargs)
         scheduler = engine.last_serve
-        report = summarize_serving(
-            results.values(),
-            occupancy=scheduler.occupancy,
-            token_budget=scheduler.token_budget,
-            scheduler=scheduler,
-        )
+        report = summarize_serving(results.values(), scheduler=scheduler)
     return {
         "backend": resolve_backend_name(),
         "attention_policy": engine.policy.name,

@@ -25,7 +25,7 @@ mistaken for genuinely perfect latency.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -259,24 +259,19 @@ def prefix_cache_stats(
     }
 
 
-def summarize_serving(
-    results: Iterable,
-    occupancy: Sequence[Tuple[float, int, int]] = (),
-    token_budget: Optional[int] = None,
-    scheduler=None,
-) -> Dict[str, float]:
-    """Reduce per-request results + the occupancy timeline to one report.
+def summarize_serving(results: Iterable, scheduler=None) -> Dict[str, float]:
+    """Reduce per-request results (+ the scheduler that served them) to one report.
 
     ``results`` is any iterable of ``RequestResult`` (or pre-built
     :class:`RequestTiming`, which the async front-end passes so its
-    wall-clock marks survive); ``occupancy`` is the scheduler's
-    ``(time, used_tokens, active_requests)`` timeline.  The report
-    covers latency (TTFT / TPOT / queueing delay, each with
-    n/mean/p50/p95/p99, measured over *completed* requests; a
-    ``wall_*_ms`` block is added when wall marks are present),
-    throughput (generated tokens per round over the makespan),
-    preemption count, and — when ``token_budget`` is given — mean/peak
-    pool occupancy as a fraction of the budget, with means
+    wall-clock marks survive).  The report covers latency (TTFT / TPOT /
+    queueing delay, each with n/mean/p50/p95/p99, measured over
+    *completed* requests; a ``wall_*_ms`` block is added when wall marks
+    are present), throughput (generated tokens per round over the
+    makespan) and preemption count.  With the ``ContinuousScheduler``
+    given, its ``(time, used_tokens, active_requests)`` occupancy
+    timeline adds mean/peak active requests and mean/peak pool occupancy
+    as a fraction of its (block-rounded) ``token_budget``, with means
     *time-weighted* over the sample intervals so fast-forwarded idle
     gaps count for their full duration.
 
@@ -288,8 +283,8 @@ def summarize_serving(
     over resident KV service (``jain_service_index`` — the quantity the
     ``fair`` policy equalizes), and — whenever more than one priority
     class appears — per-class TTFT/TPOT percentiles keyed
-    ``..._ttft_class{p}`` / ``..._tpot_class{p}``.  Passing the
-    ``ContinuousScheduler`` itself adds the prefix-cache figures
+    ``..._ttft_class{p}`` / ``..._tpot_class{p}``.  The scheduler also
+    adds the prefix-cache figures
     (hit rate, blocks/bytes saved, peak live blocks), the chunked-
     prefill stall counters (``chunk_stall_rounds`` — rounds a prefill got
     zero budget; ``decode_blocked_rounds`` — rounds an unchunked prefill
@@ -398,7 +393,9 @@ def summarize_serving(
     report["throughput_tokens_per_round"] = total_decode / makespan if makespan > 0 else 0.0
     report["preemptions"] = float(sum(t.preemptions for t in timings))
 
+    occupancy = getattr(scheduler, "occupancy", ())
     if occupancy:
+        token_budget = scheduler.token_budget
         times = np.asarray([t for t, _, _ in occupancy], dtype=np.float64)
         used = np.asarray([u for _, u, _ in occupancy], dtype=np.float64)
         active = np.asarray([a for _, _, a in occupancy], dtype=np.float64)

@@ -383,12 +383,7 @@ class AsyncPadeServer(FrontEnd):
         round-clock report the in-process path produces, plus the
         measured ``wall_*_ms`` latency block."""
         scheduler = self.scheduler
-        return summarize_serving(
-            self.timings(),
-            occupancy=scheduler.occupancy,
-            token_budget=scheduler.token_budget,
-            scheduler=scheduler,
-        )
+        return summarize_serving(self.timings(), scheduler=scheduler)
 
     # ------------------------------------------------------------------
     def _on_token(self, request_id: str, step: int, output) -> None:

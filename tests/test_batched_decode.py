@@ -135,6 +135,28 @@ def test_kernel_parity_ragged(
         _assert_results_identical(fused[i], ref[i], f"request {i} vs reference batch")
 
 
+@pytest.mark.parametrize("backend", ["fast", "reference"])
+@pytest.mark.parametrize("bad", [-1.0, np.nan], ids=["negative", "nan"])
+def test_backends_refuse_negative_and_nan_guards(backend, bad):
+    """One bad guard among good ones is refused by ``filter`` and by
+    ``filter_heads_batch``, whether it is a per-head vector or a scalar
+    next to vectors; valid guards of mixed shapes pass."""
+    rng = np.random.default_rng(3)
+    reqs = [_random_request(rng, 2, 1, s, 8, False, "finite") for s in (5, 9, 3)]
+    qs, planes, guards, _, _ = map(list, zip(*reqs))
+    kernel = get_backend(backend)
+    for guard in (np.array([0.5, bad]), bad):
+        guards[1] = guard
+        with pytest.raises(ValueError, match=">= 0"):
+            kernel.filter_heads_batch(qs, planes, guards)
+    guards[1] = 0.5
+    assert len(kernel.filter_heads_batch(qs, planes, guards)) == 3
+    q = rng.integers(_LO, _HI + 1, size=(1, 8))
+    keys = decompose_bitplanes(rng.integers(_LO, _HI + 1, size=(5, 8)), bits=BITS)
+    with pytest.raises(ValueError, match=">= 0"):
+        kernel.filter(q, keys, bad)
+
+
 def test_kernel_batch_via_registry():
     """Both registered backends expose filter_heads_batch and agree."""
     rng = np.random.default_rng(7)
@@ -512,15 +534,10 @@ def test_serve_batched_deterministic():
 
 def test_summarize_serving_reports_batch_columns():
     results, sched, _ = _serve("fast", token_budget=512, block_size=16)
-    report = summarize_serving(
-        results.values(), sched.occupancy, token_budget=512, scheduler=sched
-    )
+    report = summarize_serving(results.values(), scheduler=sched)
     assert report["batched_rounds"] > 0
     assert 0.0 < report["batch_efficiency"] <= 1.0
     # One request per round: every round runs filter_heads, none fuses.
     solo_results, solo_sched, _ = _serve("fast", token_budget=512, block_size=16, max_active=1)
-    solo_report = summarize_serving(
-        solo_results.values(), solo_sched.occupancy, token_budget=512,
-        scheduler=solo_sched,
-    )
+    solo_report = summarize_serving(solo_results.values(), scheduler=solo_sched)
     assert solo_report["batched_rounds"] == 0

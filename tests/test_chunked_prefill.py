@@ -220,10 +220,7 @@ class TestSchedulerChunking:
             self._mixed(), token_budget=2048, block_size=8,
             round_token_budget=24, chunk_tokens=16,
         )
-        report = summarize_serving(
-            results.values(), occupancy=sched.occupancy,
-            token_budget=sched.pool.token_budget, scheduler=sched,
-        )
+        report = summarize_serving(results.values(), scheduler=sched)
         for key in (
             "chunk_stall_rounds", "decode_blocked_rounds",
             "prefix_hit_rate", "prefix_blocks_saved", "peak_used_blocks",

@@ -88,25 +88,36 @@ class TestBudgetInvariants:
             assert active <= 3
             assert used <= budget
 
-    @pytest.mark.parametrize("mode", ["plain", "n-best", "speculative"])
+    @pytest.mark.parametrize("mode", ["plain", "n-best"])
     def test_unserveable_request_rejected_up_front(self, mode):
-        # Fork requests are charged whole tail blocks per lineage plus the
-        # speculative rollback anchor: the n-best case would fit only with
-        # lineage tails pooled in tokens, the speculative one only without
-        # its anchor block, and either would then crash mid-run.
+        # Fork requests are charged whole tail blocks per lineage: the
+        # n-best case would fit only with lineage tails pooled in tokens,
+        # and would then crash mid-run.
         if mode == "plain":
             req = _timed_request(0, arrival=0.0, context=200, steps=50)
             kwargs = dict(token_budget=64, block_size=8)
-        elif mode == "n-best":
+        else:
             [req] = build_parallel_workload(1, 2, 29, 4, 8, n_samples=3, seed=0)
             kwargs = dict(token_budget=96, block_size=16)
-        else:
-            req = dataclasses.replace(
-                _timed_request(0, arrival=0.0, context=5, steps=1), speculative=True
-            )
-            kwargs = dict(token_budget=8, block_size=4)
         with pytest.raises(ValueError, match="never be served"):
             PadeEngine().serve([req], **kwargs)
+
+    def test_speculative_fits_its_dense_charge(self):
+        # A reject truncates the draft tail in place, so a speculative
+        # request holds no more blocks than plain decoding: one full
+        # prompt block plus ceil((1 + 7) / 4) tail blocks.  Alone at
+        # exactly that budget it rolls back and finishes unpreempted.
+        req = dataclasses.replace(
+            _timed_request(0, arrival=0.0, context=5, steps=7), speculative=True
+        )
+        results, sched = _serve([req], token_budget=12, block_size=4)
+        ample, _ = _serve([req], token_budget=4096, block_size=4)
+        assert sched.spec_rollbacks > 0
+        assert sched.pool.peak_used_blocks == 3
+        assert results["q0"].preemptions == 0
+        assert results["q0"].retained_bytes() == ample["q0"].retained_bytes()
+        with pytest.raises(ValueError, match="never be served"):
+            _serve([req], token_budget=8, block_size=4)
 
     def test_lone_request_completes_at_exact_budget(self):
         # The footprint guard admits a request whose peak usage equals the
@@ -365,10 +376,7 @@ class TestTimingAndMetrics:
             5, 2, 24, 6, 8, rate=0.5, seed=3
         )
         results, sched = _serve(workload, token_budget=1024, block_size=8)
-        report = summarize_serving(
-            results.values(), occupancy=sched.occupancy,
-            token_budget=sched.pool.token_budget,
-        )
+        report = summarize_serving(results.values(), scheduler=sched)
         assert report["requests"] == 5.0
         assert report["mean_ttft"] >= 1.0
         assert report["p99_ttft"] >= report["p50_ttft"]
@@ -402,10 +410,7 @@ class TestIdleGapOccupancy:
             _timed_request(1, arrival=100.0, steps=4),
         ]
         res, sched = _serve(requests, token_budget=1024, block_size=8)
-        report = summarize_serving(
-            res.values(), occupancy=sched.occupancy,
-            token_budget=sched.pool.token_budget,
-        )
+        report = summarize_serving(res.values(), scheduler=sched)
         # ~12 busy rounds out of a ~110-round span: the trace is idle
         # more than 80% of the time and the means must say so.
         unweighted_active = float(

@@ -54,12 +54,7 @@ def _run(backend):
     engine = PadeEngine(PadeConfig.standard(), backend=backend)
     results = engine.serve(_workload(), **SERVE_KWARGS)
     scheduler = engine.last_serve
-    report = summarize_serving(
-        results.values(),
-        occupancy=scheduler.occupancy,
-        token_budget=scheduler.pool.token_budget,
-        scheduler=scheduler,
-    )
+    report = summarize_serving(results.values(), scheduler=scheduler)
     return results, report, scheduler
 
 

@@ -258,10 +258,7 @@ class TestSpeculativeServing:
 
         reqs = build_speculative_workload(3, 4, 32, 8, 32, seed=5)
         results, sched = self._serve(reqs)
-        report = summarize_serving(
-            results.values(), occupancy=sched.occupancy,
-            token_budget=sched.pool.token_budget, scheduler=sched,
-        )
+        report = summarize_serving(results.values(), scheduler=sched)
         assert report["spec_rounds"] > 0
         assert report["accepted_tokens_per_round"] >= 1.5
         assert 0.0 <= report["draft_acceptance_rate"] <= 1.0
@@ -272,10 +269,7 @@ class TestSpeculativeServing:
 
         reqs = build_serving_workload(3, 4, 32, 6, 32, rate=0.5, seed=0)
         results, sched = self._serve(reqs, token_budget=1024)
-        report = summarize_serving(
-            results.values(), occupancy=sched.occupancy,
-            token_budget=sched.pool.token_budget, scheduler=sched,
-        )
+        report = summarize_serving(results.values(), scheduler=sched)
         leaked = [k for k in report if "spec" in k or "parallel" in k
                   or "amplification" in k or "draft" in k]
         assert not leaked, f"plain run leaked fork-mode columns: {leaked}"
@@ -309,10 +303,7 @@ class TestParallelSampling:
         results = engine.serve(reqs, max_active=4, token_budget=4096,
                                block_size=16)
         sched = engine.last_serve
-        report = summarize_serving(
-            results.values(), occupancy=sched.occupancy,
-            token_budget=sched.pool.token_budget, scheduler=sched,
-        )
+        report = summarize_serving(results.values(), scheduler=sched)
         n = 4
         assert 1.0 <= report["pool_amplification_factor"] < n / 2
 

@@ -7,7 +7,7 @@ chunked prefill, under budgets tight enough to preempt and spill.
 After every round the pool must agree with the live caches:
 
 * every allocated block's refcount equals its occurrences in the block
-  tables of all live caches (primary, sample lineages, rollback anchor);
+  tables of all live caches (one per lineage, the primary being lineage 0);
 * ``used_block_count`` equals the number of distinct referenced blocks;
 * ``plane_units_used`` equals the per-block residency sum, on flat and
   tiered pools alike;

@@ -450,6 +450,67 @@ class TestFlatPoolLedger:
         assert pool.free_block_count == pool.num_blocks
 
 
+class TestTruncate:
+    """``truncate(m)`` after ``n`` appends (a speculative rollback) leaves
+    a cache equal to one that appended only ``m``: the same views, block
+    count, pool refcounts and plane units, and later appends overwrite
+    the dead rows past the cut."""
+
+    @given(
+        block_size=st.sampled_from([1, 3, 4]),
+        prompt=st.integers(1, 9),
+        appended=st.integers(0, 9),
+        cut=st.integers(0, 9),
+        regrow=st.integers(0, 4),
+        forked=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_truncate_equals_the_shorter_append_run(
+        self, block_size, prompt, appended, cut, regrow, forked, seed
+    ):
+        rng = np.random.default_rng(seed)
+        k, v = _kv(rng, 2, prompt + appended, 4, 3)
+        k_new, v_new = _kv(rng, 2, regrow, 4, 3)  # a different continuation
+        keep = prompt + appended - min(cut, appended)
+        if forked and appended and not regrow:
+            # A partial prompt tail shared with the sibling is copied on
+            # the first append and stays private: keep one appended row.
+            keep = max(keep, prompt + 1)
+
+        def build(k_rows, v_rows):
+            pool = PlaneBlockPool(2, 4, 3, block_size=block_size, token_budget=64)
+            cache = PagedBitPlaneKVCache(pool)
+            cache.prefill(k_rows[:, :prompt], v_rows[:, :prompt])
+            sibling = cache.fork() if forked else None
+            for t in range(prompt, k_rows.shape[1]):
+                cache.append(k_rows[:, t], v_rows[:, t])
+            return pool, cache, sibling
+
+        pool, cache, _sibling = build(k, v)
+        cache.truncate(keep)
+        for t in range(regrow):
+            cache.append(k_new[:, t], v_new[:, t])
+        want_k = np.concatenate([k[:, :keep], k_new], axis=1)
+        want_v = np.concatenate([v[:, :keep], v_new], axis=1)
+        ref_pool, ref, _ref_sibling = build(want_k, want_v)
+        assert_cache_holds(cache, want_k, want_v, prompt)
+        assert len(cache.block_table) == len(ref.block_table)
+        assert [pool.ref_count(b) for b in cache.block_table] == [
+            ref_pool.ref_count(b) for b in ref.block_table
+        ]
+        assert pool.used_block_count == ref_pool.used_block_count
+        assert pool.plane_units_used == ref_pool.plane_units_used
+
+    def test_refuses_to_cut_into_the_prompt(self, rng):
+        cache = _fill(*_kv(rng, 2, 9, 4, 3), prefill_len=6, block_size=4)
+        for bad in (5, 10):
+            with pytest.raises(ValueError, match="cannot truncate"):
+                cache.truncate(bad)
+        assert cache.length == 9
+        with pytest.raises(ValueError, match="cannot truncate"):
+            PagedBitPlaneKVCache(cache.pool).truncate(0)
+
+
 class TestGrowingStore:
     """A pool's backing store grows beneath its LIFO free stack, so a
     growing pool hands out exactly the blocks of one pre-sized to the

@@ -181,7 +181,7 @@ class TestVictimSelection:
     def _state(self, rid, priority, admit_index, steps=4, deadline=None, next_step=0):
         req = _req(rid, steps=steps, priority=priority, deadline_ms=deadline)
         state = _RequestState(request=req, cache=None, admit_index=admit_index)
-        state.next_step = next_step
+        state.lineages[0].next_step = next_step
         return state
 
     def test_base_policy_picks_youngest(self):
@@ -497,10 +497,7 @@ class TestServingReport:
             "multi_tenant", 8, 2, 8, tenant_specs=specs, seed=17
         )
         results, sched = _serve(reqs, max_active=1, token_budget=256, policy="fcfs")
-        report = summarize_serving(
-            results.values(), occupancy=sched.occupancy,
-            token_budget=sched.pool.token_budget, scheduler=sched,
-        )
+        report = summarize_serving(results.values(), scheduler=sched)
         assert report["requests"] == 8.0
         assert report["completed_requests"] + report["aborted_requests"] == 8.0
         assert report["aborted_requests"] > 0  # 4-round deadlines under fcfs
