@@ -10,6 +10,14 @@ when a fresh headline is worse than the committed baseline by more than
 throughput/speedup for higher-is-better metrics, larger latency for
 lower-is-better ones.
 
+The gate also fails when a fresh result's keys differ from its
+snapshot's: every dict key path, from the top level down through the
+nested serving reports, must be in both.  Lists are not entered, since
+a ``--quick`` sweep may have fewer entries than a committed full one.
+A snapshot that drifted from what its bench emits would otherwise hide
+every column but the headline from review; regenerate it with
+``--quick --json-out``.
+
 A *missing baseline* is skipped with a note (a brand-new benchmark has
 nothing to regress against — commit its snapshot in the same PR).  A
 missing *fresh* result for a bench that has a baseline is a hard
@@ -24,8 +32,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+from typing import Optional, Set
 
-__all__ = ["REGISTRY", "extract", "compare_headline", "main"]
+__all__ = ["REGISTRY", "extract", "compare_headline", "key_paths", "key_drift", "main"]
 
 #: bench snapshot -> (dot-path to the headline metric, direction).
 #: Direction is "higher" (bigger is better) or "lower".
@@ -82,6 +91,30 @@ def compare_headline(baseline: float, fresh: float, direction: str,
     return None
 
 
+def key_paths(data, prefix: str = "") -> Set[str]:
+    """Dot-path of every dict key under ``data``; lists are leaves."""
+    paths = set()
+    if isinstance(data, dict):
+        for key, value in data.items():
+            path = f"{prefix}{key}"
+            paths.add(path)
+            paths |= key_paths(value, path + ".")
+    return paths
+
+
+def key_drift(baseline, fresh, shown: int = 5) -> Optional[str]:
+    """Return ``None`` if both results have the same key paths, else the
+    difference (the first ``shown`` paths of each side)."""
+    base, new = key_paths(baseline), key_paths(fresh)
+    parts = []
+    for label, diff in (("missing from fresh", base - new), ("not in snapshot", new - base)):
+        if diff:
+            listed = ", ".join(sorted(diff)[:shown])
+            more = f" and {len(diff) - shown} more" if len(diff) > shown else ""
+            parts.append(f"{label}: {listed}{more}")
+    return "; ".join(parts) or None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline-dir", default=".",
@@ -104,9 +137,14 @@ def main(argv=None) -> int:
             print(f"FAIL  {name}: no fresh result at {fresh_file}")
             continue
         with open(base_file) as fh:
-            baseline = extract(json.load(fh), path)
+            base_data = json.load(fh)
         with open(fresh_file) as fh:
-            fresh = extract(json.load(fh), path)
+            fresh_data = json.load(fh)
+        drift = key_drift(base_data, fresh_data)
+        if drift is not None:
+            failures.append(f"{name}: keys differ from the snapshot ({drift})")
+            print(f"FAIL  {name}: keys differ from the snapshot ({drift})")
+        baseline, fresh = extract(base_data, path), extract(fresh_data, path)
         verdict = compare_headline(baseline, fresh, direction, args.tolerance)
         arrow = "<" if direction == "lower" else ">"
         if verdict is None:
@@ -117,8 +155,8 @@ def main(argv=None) -> int:
             print(f"FAIL  {name}: {path} {verdict}")
 
     if failures:
-        print(f"\n{len(failures)} headline regression(s) beyond "
-              f"{args.tolerance:.0%}:")
+        print(f"\n{len(failures)} failure(s): headline regressions beyond "
+              f"{args.tolerance:.0%}, key drift or missing results:")
         for failure in failures:
             print(f"  - {failure}")
         return 1

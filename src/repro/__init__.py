@@ -19,9 +19,19 @@ stage fusion.  This package provides:
   (dense ASIC, Sanger, SpAtten, Energon, DOTA, SOFA, BitWave, H100 GPU).
 * :mod:`repro.eval` — the experiment harness regenerating every table and
   figure of the paper's evaluation section.
+
+Importing the package starts OpenBLAS with one thread unless
+``OPENBLAS_NUM_THREADS`` is already set: the kernels issue exact
+single-threaded gemvs (:func:`repro.core.bsf_fast.plane_products`), and
+an idle pool only costs start-up time (DESIGN.md §13).  The setting
+takes effect only when numpy has not been imported yet.
 """
 
-from repro.core import PadeConfig, pade_attention
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from repro.core import PadeConfig, pade_attention  # noqa: E402
 
 __version__ = "1.0.0"
 

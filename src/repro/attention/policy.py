@@ -114,8 +114,13 @@ def available_policies() -> List[str]:
 
 
 def get_policy(name: str, **kwargs) -> "AttentionPolicy":
-    """Instantiate the policy registered under ``name``."""
-    _ensure_registered()
+    """Instantiate the policy registered under ``name``.
+
+    The baselines are imported only for a name not registered yet, so a
+    PADE-only server never loads them.
+    """
+    if name not in POLICY_REGISTRY:
+        _ensure_registered()
     if name not in POLICY_REGISTRY:
         raise ValueError(
             f"unknown attention policy {name!r}; choose from {available_policies()}"

@@ -87,9 +87,6 @@ class ReplicaHandle:
         env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
         cmd = [
             sys.executable,
-            # `repro.serve` imports its server module, so runpy warns that
-            # the module it is about to execute is already loaded.
-            "-W", "ignore::RuntimeWarning:runpy",
             "-m",
             "repro.serve.server",
             "--port", "0",

@@ -54,7 +54,7 @@ DEFAULT_BACKEND_ENV = "REPRO_BACKEND"
 _FALLBACK = "fast"
 
 
-def _check_guards(*guards) -> None:
+def _check_guards(guards) -> None:
     """Reject negative and NaN guards at the backend boundary.
 
     The engine's guards are ``alpha · radius / scale`` with ``alpha`` in
@@ -65,15 +65,17 @@ def _check_guards(*guards) -> None:
     reference threshold compares false everywhere while the fast kernel
     treats a non-finite guard as "keep everything".
 
-    One compare covers every guard of the call; only a failure (or guards
-    of mixed shapes) walks them one by one to name the offender.
+    ``guards`` is one call's guards: a scalar, a per-head vector, a
+    round's ``(R, Hh)`` array or a list of per-request guards.  One
+    compare covers them all; only a failure (or per-request guards of
+    mixed shapes) walks the list one by one to name the offender.
     """
     try:
         if (np.asarray(guards, dtype=np.float64) >= 0).all():
             return
     except ValueError:  # mixed shapes, e.g. a scalar next to per-head vectors
         pass
-    for guard in guards:
+    for guard in guards if isinstance(guards, (list, tuple)) else [guards]:
         if not np.all(np.asarray(guard, dtype=np.float64) >= 0):
             raise ValueError(f"filter guards must be >= 0, got {guard!r}")
 
@@ -92,7 +94,9 @@ class KernelBackend(Protocol):
     ``filter_heads_batch`` is the cross-request fused round the engine
     dispatches at every decode round; the reference backend implements it
     as a per-request ``filter_heads`` loop, the fast backend as its one
-    kernel, which ``filter`` and ``filter_heads`` reshape into.
+    kernel, which ``filter`` and ``filter_heads`` reshape into.  Its
+    ``q_ints`` and ``guards`` are the round's ``(R, Hh, P, D)`` and
+    ``(R, Hh)`` arrays or per-request sequences of the same blocks.
     """
 
     name: str
@@ -223,7 +227,7 @@ class ReferenceBackend:
     ) -> List[BSFResult]:
         """Per-request loop over :meth:`filter_heads` (the semantic ground
         truth the fused fast kernel must match bit for bit)."""
-        _check_guards(*guards)
+        _check_guards(guards)
         num = len(key_planes)
         if alloweds is None:
             alloweds = [None] * num
@@ -292,7 +296,7 @@ class FastBackend(ReferenceBackend):
         alloweds: Optional[Sequence[Optional[np.ndarray]]] = None,
         protects: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> List[BSFResult]:
-        _check_guards(*guards)
+        _check_guards(guards)
         return bsf_filter_fast_batch(
             q_ints, key_planes, guards, alloweds=alloweds, protects=protects
         )

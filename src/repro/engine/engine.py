@@ -248,7 +248,7 @@ class PadeEngine:
             ]
         else:
             results = self.kernel.filter_heads_batch(
-                list(params.q_int), key_planes, list(params.guards),
+                params.q_int, key_planes, params.guards,
                 alloweds=params.alloweds, protects=params.protects,
             )
             seq_lens = [cache.length for cache in caches]

@@ -24,24 +24,25 @@ Because the server drives the *same* :meth:`ContinuousScheduler.step`
 the in-process :meth:`PadeEngine.serve` loop runs, a deterministic
 workload served over loopback produces byte-identical outputs and an
 identical round-clock report (see ``benchmarks/bench_async_serve.py``).
+
+The names below resolve on first use (PEP 562), so running
+``python -m repro.serve.server`` executes the server module once,
+without the package having imported it first.
 """
 
-from repro.serve.client import (
-    ServeConnection,
-    run_closed_loop,
-    run_open_loop,
-    serve_workload_over_loopback,
-)
-from repro.serve.protocol import array_digest, decode_message, encode_message
-from repro.serve.server import AsyncPadeServer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AsyncPadeServer",
-    "ServeConnection",
-    "run_closed_loop",
-    "run_open_loop",
-    "serve_workload_over_loopback",
-    "array_digest",
-    "encode_message",
-    "decode_message",
-]
+#: public name -> submodule that defines it.
+_EXPORTS = {
+    "AsyncPadeServer": "server",
+    "ServeConnection": "client",
+    "run_closed_loop": "client",
+    "run_open_loop": "client",
+    "serve_workload_over_loopback": "client",
+    "array_digest": "protocol",
+    "encode_message": "protocol",
+    "decode_message": "protocol",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

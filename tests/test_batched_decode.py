@@ -116,16 +116,25 @@ def test_kernel_parity_ragged(
 
     fused = bsf_filter_fast_batch(qs, planes, guards, alloweds=alloweds, protects=protects)
     assert len(fused) == num_requests
+    # The engine passes the round's (R, Hh, P, D) and (R, Hh) arrays as
+    # they are; the kernel must not care which form it got.
+    q_arr, guard_arr = np.stack(qs), np.stack(guards)
+    as_arrays = bsf_filter_fast_batch(
+        q_arr, planes, guard_arr, alloweds=alloweds, protects=protects
+    )
+    for i in range(num_requests):
+        _assert_results_identical(as_arrays[i], fused[i], f"request {i}: arrays vs sequences")
     if guard_kind == "negative":
         if not masks:
             for res in fused:  # every column died in round 0
                 assert not res.retained.any() and res.planes_processed.max() <= 1
         # The backends refuse negative guards at their boundary.
         for name in ("fast", "reference"):
-            with pytest.raises(ValueError, match=">= 0"):
-                get_backend(name).filter_heads_batch(
-                    qs, planes, guards, alloweds=alloweds, protects=protects
-                )
+            for round_guards in (guards, guard_arr):
+                with pytest.raises(ValueError, match=">= 0"):
+                    get_backend(name).filter_heads_batch(
+                        qs, planes, round_guards, alloweds=alloweds, protects=protects
+                    )
         return
 
     ref = get_backend("reference").filter_heads_batch(

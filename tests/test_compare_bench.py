@@ -163,3 +163,36 @@ def test_main_cluster_headline_regression(tmp_path):
     _write(base, "BENCH_cluster.json", {"scaling": {"throughput_ratio": 3.5}})
     _write(fresh, "BENCH_cluster.json", {"scaling": {"throughput_ratio": 2.0}})
     assert cb.main(["--baseline-dir", str(base), "--fresh-dir", str(fresh)]) == 1
+
+
+# ----------------------------------------------------------------------
+# key drift: a fresh result must have its snapshot's key paths
+# ----------------------------------------------------------------------
+
+
+def test_key_paths_stop_at_lists():
+    data = {"a": {"b": 1, "c": [{"d": 2}]}, "e": 3}
+    assert cb.key_paths(data) == {"a", "a.b", "a.c", "e"}
+
+
+def test_key_drift_names_both_sides():
+    base = {"report": {"ttft": 1.0, "tpot": 2.0}, "top": 1}
+    assert cb.key_drift(base, base) is None
+    drift = cb.key_drift(base, {"report": {"ttft": 1.0, "n_tpot": 3}, "top": 1})
+    assert "missing from fresh: report.tpot" in drift
+    assert "not in snapshot: report.n_tpot" in drift
+
+
+def test_main_fails_on_key_drift(tmp_path, capsys):
+    """Same headline, but the fresh report grew a column the snapshot lacks."""
+    base, fresh = tmp_path / "base", tmp_path / "fresh"
+    report = {"throughput_tokens_per_round": 2.0, "ttft_p50": 3.0}
+    _write(base, "BENCH_serving.json", {"comparison": {"continuous": report}})
+    grown = {**report, "batched_rounds": 7}
+    _write(fresh, "BENCH_serving.json", {"comparison": {"continuous": grown}})
+    args = ["--baseline-dir", str(base), "--fresh-dir", str(fresh)]
+    assert cb.main(args) == 1
+    assert "comparison.continuous.batched_rounds" in capsys.readouterr().out
+    _write(fresh, "BENCH_serving.json", {"comparison": {"continuous": report}, "extra": 1})
+    assert cb.main(args) == 1
+
