@@ -179,8 +179,7 @@ def bsf_filter_fast_batch(
     q_ints:
         The round's ``(R, Hh, P, D)`` integer query array, or one
         ``(Hh, P, D)`` block per request — all requests share
-        ``(Hh, P, D)`` (one model, one decode step per round).  An array
-        is used as it is; a sequence is stacked.
+        ``(Hh, P, D)`` (one model, one decode step per round).
     key_planes:
         One :class:`BitPlanes` per request with value shape
         ``(Hh, S_i, D)``; the ``S_i`` may differ (ragged active set).
@@ -206,17 +205,11 @@ def bsf_filter_fast_batch(
     if protects is None:
         protects = [None] * num_requests
 
-    if isinstance(q_ints, np.ndarray):
-        q = q_ints.astype(np.int64, copy=False)  # (R, Hh, P, D)
-        if q.ndim != 4:
-            raise ValueError("each request's queries must have shape (heads, rows, dim)")
-    else:
-        qs = [np.asarray(qi, dtype=np.int64) for qi in q_ints]
-        if any(qi.ndim != 3 for qi in qs):
-            raise ValueError("each request's queries must have shape (heads, rows, dim)")
-        if len({qi.shape for qi in qs}) != 1:
-            raise ValueError(f"requests must share (heads, rows, dim); got {[qi.shape for qi in qs]}")
-        q = np.stack(qs)
+    q = np.asarray(q_ints, dtype=np.int64)  # (R, Hh, P, D)
+    if q.ndim != 4:
+        raise ValueError(
+            f"queries must have shape (requests, heads, rows, dim); got {q.shape}"
+        )
     num_heads, num_rows, head_dim = q.shape[1:]
     bits = key_planes[0].bits
     seq_lens = []
@@ -233,14 +226,9 @@ def bsf_filter_fast_batch(
     s_max = max(seq_lens)
 
     q_dot = q.astype(exact_dot_dtype(q, head_dim, bits))
-    if isinstance(guards, np.ndarray) and guards.ndim == 2:
-        guard_mat = np.broadcast_to(
-            guards.astype(np.float64, copy=False), (num_requests, num_heads)
-        )
-    else:
-        guard_mat = np.stack(
-            [np.broadcast_to(np.asarray(g, dtype=np.float64), (num_heads,)) for g in guards]
-        )  # (R, Hh)
+    guard_mat = np.stack(
+        [np.broadcast_to(np.asarray(g, dtype=np.float64), (num_heads,)) for g in guards]
+    )  # (R, Hh)
 
     shape = (num_requests, num_heads, num_rows, s_max)
     alive = np.zeros(shape, dtype=bool)
