@@ -31,8 +31,10 @@ import os
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from repro.core import PadeConfig, pade_attention  # noqa: E402
+from repro._lazy import lazy_exports  # noqa: E402
+from repro.core import PadeConfig  # noqa: E402
 
 __version__ = "1.0.0"
 
 __all__ = ["PadeConfig", "pade_attention", "__version__"]
+__getattr__, __dir__ = lazy_exports(globals(), {"pade_attention": "core"})

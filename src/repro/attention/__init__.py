@@ -1,7 +1,10 @@
-"""Reference attention implementations and software sparse-attention baselines."""
+"""Reference attention implementations and software sparse-attention baselines.
 
+``flash_attention`` resolves on first use (PEP 562): no server calls it.
+"""
+
+from repro._lazy import lazy_exports
 from repro.attention.dense import dense_attention, attention_scores, softmax
-from repro.attention.flash import flash_attention
 from repro.attention.masks import causal_mask, window_mask, sink_recent_mask
 from repro.attention.policy import (
     AttentionPolicy,
@@ -29,3 +32,4 @@ __all__ = [
     "get_policy",
     "register_policy",
 ]
+__getattr__, __dir__ = lazy_exports(globals(), {"flash_attention": "flash"})

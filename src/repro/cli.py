@@ -14,32 +14,10 @@ results are identical, only wall-clock differs).  Without the flag the
 ``$REPRO_BACKEND`` environment variable, then the registry default
 (``fast``), applies — see :mod:`repro.core.backend`.
 
-The ``serve`` experiment additionally honors ``--rate`` (mean Poisson
-arrivals per decode round), ``--budget`` (global KV token budget of the
-paged plane pool), ``--sched-policy``/``--policy`` (scheduling policy:
-``fcfs`` / ``shortest-prompt`` / ``priority`` / ``edf`` / ``fair``),
-``--scenario`` (a named scenario workload — ``bursty`` / ``diurnal`` /
-``heavy_tail`` / ``multi_tenant``), ``--tenants`` (tenant count of the
-multi-tenant mix), ``--attention`` (the attention policy served
-through the engine — PADE or any registered sparse baseline; choices
-come from :data:`repro.attention.policy.POLICY_REGISTRY`),
-``--prefix-sharing`` (hash-based copy-on-write prompt-prefix sharing on
-a shared-system-prompt workload), ``--round-tokens`` (tokens one decode
-round can process — activates the prefill cost model), ``--chunk``
-(chunked prefill: per-request, per-round prompt chunk size; requires
-``--round-tokens``), ``--async`` / ``--port`` (serve the same
-workload through the asyncio loopback front-end in
-:mod:`repro.serve`: the round-clock report is identical, and measured
-wall-clock TTFT/TPOT/queueing columns are added), and ``--replicas`` /
-``--routing`` (shard the workload over N engine worker subprocesses
-behind the prefix-affinity router in :mod:`repro.cluster`; the report
-becomes the cluster roll-up with ``cluster_throughput_tokens_per_round``
-and ``jain_replica_index``).  ``--speculative`` / ``--draft-policy`` /
-``--draft-tokens`` turn on draft-verify
-speculative decoding (a draftable policy proposes tokens on a
-copy-on-write forked cache, the PADE verifier accepts a prefix per
-round), and ``--parallel-samples N`` serves n-best parallel sampling
-(N decode lineages forked off one shared prefill).
+The ``serve`` experiment (continuous batching over the paged plane pool,
+:func:`repro.eval.harness.serving_profile`) takes the flags of the
+``serve`` group in ``--help``; a flag left out keeps that function's
+default.
 """
 
 from __future__ import annotations
@@ -54,6 +32,7 @@ from repro.attention.policy import available_draft_policies, available_policies
 from repro.cluster.router import ROUTING_MODES
 from repro.core.backend import available_backends, set_default_backend
 from repro.engine import SCHEDULING_POLICIES
+from repro.engine.scheduler import REFUSED_MODE_PAIRS
 from repro.eval import harness as H
 from repro.eval.workloads import SCENARIO_KINDS
 
@@ -137,110 +116,93 @@ def main(argv=None) -> int:
         help="fused-filter kernel backend (default: $REPRO_BACKEND or 'fast'); "
         "backends are result-identical, only speed differs",
     )
-    serve_group = parser.add_argument_group("serve", "flags for the 'serve' experiment")
-    serve_group.add_argument(
-        "--rate", type=float, default=0.4,
-        help="mean Poisson request arrivals per decode round (serve only)",
+    refused = "; ".join(" x ".join(pair) for pair in REFUSED_MODE_PAIRS)
+    serve_group = parser.add_argument_group(
+        "serve",
+        "flags for the 'serve' experiment; refused mode pairs (baseline = "
+        f"any --attention but pade): {refused}",
+        argument_default=argparse.SUPPRESS,
     )
-    serve_group.add_argument(
-        "--budget", type=int, default=1536,
-        help="global KV token budget of the paged plane pool (serve only)",
+    serve_flags = []
+
+    def serve_flag(*names, **kwargs) -> None:
+        serve_flags.append(serve_group.add_argument(*names, **kwargs))
+
+    serve_flag("--rate", type=float, help="mean Poisson request arrivals per decode round")
+    serve_flag("--budget", type=int, help="global KV token budget of the paged plane pool")
+    serve_flag(
+        "--policy", "--sched-policy", choices=SCHEDULING_POLICIES,
+        help="scheduling policy: admission ordering + preemption victim selection",
     )
-    serve_group.add_argument(
-        "--policy", "--sched-policy", choices=SCHEDULING_POLICIES, default="fcfs",
-        help="scheduling policy of the continuous scheduler: admission "
-        "ordering + preemption victim selection (serve only)",
+    serve_flag(
+        "--scenario", choices=SCENARIO_KINDS,
+        help="serve a named scenario workload instead of the plain Poisson stream",
     )
-    serve_group.add_argument(
-        "--scenario", choices=SCENARIO_KINDS, default=None,
-        help="serve a named scenario workload instead of the plain "
-        "Poisson stream (serve only)",
+    serve_flag("--tenants", type=int, help="tenant count of the multi_tenant scenario mix")
+    serve_flag(
+        "--attention", choices=available_policies(),
+        help="attention policy: PADE or any registered sparse-attention baseline",
     )
-    serve_group.add_argument(
-        "--tenants", type=int, default=3,
-        help="tenant count of the multi_tenant scenario mix (serve only)",
-    )
-    serve_group.add_argument(
-        "--attention", choices=available_policies(), default="pade",
-        help="attention policy served through the engine: PADE or any "
-        "registered sparse-attention baseline (serve only)",
-    )
-    serve_group.add_argument(
+    serve_flag(
         "--prefix-sharing", action="store_true",
-        help="content-hash copy-on-write prefix sharing over a "
-        "shared-system-prompt workload (serve only)",
+        help="content-hash copy-on-write prefix sharing over a shared-system-prompt "
+        "workload (the pool knob only under --scenario/--speculative/--parallel-samples)",
     )
-    serve_group.add_argument(
-        "--chunk", type=int, default=0,
-        help="chunked prefill: prompt tokens per request per round; "
-        "0 = unchunked (serve only, needs --round-tokens)",
+    serve_flag(
+        "--chunk", type=int,
+        help="chunked prefill: prompt tokens per request per round (needs --round-tokens)",
     )
-    serve_group.add_argument(
-        "--round-tokens", type=int, default=0,
-        help="tokens one decode round can process — activates the prefill "
-        "cost model; 0 = legacy instant prefill (serve only)",
+    serve_flag(
+        "--round-tokens", type=int,
+        help="tokens one decode round can process; activates the prefill cost model",
     )
-    serve_group.add_argument(
+    serve_flag(
         "--async", dest="async_serve", action="store_true",
-        help="serve the workload through the asyncio loopback front-end "
-        "(repro.serve): identical round-clock report plus measured "
-        "wall-clock TTFT/TPOT columns (serve only)",
+        help="serve through the asyncio loopback front-end (repro.serve): identical "
+        "round-clock report plus measured wall-clock TTFT/TPOT columns",
     )
-    serve_group.add_argument(
-        "--port", type=int, default=0,
-        help="listening port of the async front-end; 0 = ephemeral "
-        "(serve only, needs --async)",
+    serve_flag(
+        "--port", type=int, help="async front-end port; 0 = ephemeral (needs --async)"
     )
-    serve_group.add_argument(
-        "--replicas", type=int, default=1,
-        help="shard the workload over N engine worker subprocesses behind "
-        "the prefix-affinity router (repro.cluster); 1 = single in-process "
-        "engine (serve only)",
+    serve_flag(
+        "--replicas", type=int,
+        help="shard the workload over N engine worker subprocesses behind the "
+        "prefix-affinity router (repro.cluster)",
     )
-    serve_group.add_argument(
+    serve_flag(
         "--tiering", action="store_true",
-        help="two-tier bit-plane KV memory: spill low-order planes of "
-        "cold blocks under pressure instead of preempting; PADE "
-        "attention only (serve only)",
+        help="two-tier bit-plane KV memory: spill low-order planes of cold blocks "
+        "under pressure instead of preempting",
     )
-    serve_group.add_argument(
-        "--tier-min-planes", type=int, default=2,
-        help="residency floor: planes a block keeps resident even fully "
-        "spilled (serve only, needs --tiering)",
+    serve_flag(
+        "--tier-min-planes", type=int,
+        help="planes a block keeps resident even fully spilled (needs --tiering)",
     )
-    serve_group.add_argument(
-        "--tier-restore-blocks", type=int, default=4,
-        help="prefetch-restore cap: degraded blocks restored per decode "
-        "round (serve only, needs --tiering)",
+    serve_flag(
+        "--tier-restore-blocks", type=int,
+        help="degraded blocks restored per decode round (needs --tiering)",
     )
-    serve_group.add_argument(
+    serve_flag(
         "--speculative", action="store_true",
-        help="draft-verify speculative decoding: a cheap draftable policy "
-        "proposes tokens on a COW-forked cache, the PADE verifier accepts "
-        "a prefix per round; served on a draft-friendly workload; PADE "
-        "attention only (serve only)",
+        help="draft-verify speculative decoding on a draft-friendly workload: a "
+        "draftable policy proposes tokens, the PADE verifier accepts a prefix per round",
     )
-    serve_group.add_argument(
-        "--parallel-samples", type=int, default=1,
-        help="n-best parallel sampling: fork every request into N decode "
-        "lineages off one shared prefill; PADE attention only (serve only)",
+    serve_flag(
+        "--parallel-samples", type=int,
+        help="n-best parallel sampling: N decode lineages forked off one shared prefill",
     )
-    serve_group.add_argument(
-        "--draft-policy", choices=available_draft_policies(), default="streaming-llm",
-        help="draft proposer policy for --speculative; only stateless / "
-        "rollback-sound policies are draftable (serve only)",
+    serve_flag(
+        "--draft-policy", choices=available_draft_policies(),
+        help="draft proposer policy for --speculative",
     )
-    serve_group.add_argument(
-        "--draft-tokens", type=int, default=4,
-        help="draft depth: tokens proposed per speculative round "
-        "(serve only, needs --speculative)",
+    serve_flag(
+        "--draft-tokens", type=int,
+        help="tokens proposed per speculative round (needs --speculative)",
     )
-    serve_group.add_argument(
-        "--routing", choices=ROUTING_MODES, default="prefix",
-        help="replica routing mode: 'prefix' matches chained prompt block "
-        "keys against each replica's key index, 'random' and "
-        "'least-loaded' are the control arms (serve only, needs "
-        "--replicas > 1)",
+    serve_flag(
+        "--routing", choices=ROUTING_MODES,
+        help="replica routing: 'prefix' affinity, or the 'random' and 'least-loaded' "
+        "control arms (needs --replicas > 1)",
     )
     args = parser.parse_args(argv)
     if args.backend is not None:
@@ -259,28 +221,7 @@ def main(argv=None) -> int:
     for name in names:
         fn, desc = EXPERIMENTS[name]
         kwargs = (
-            {
-                "rate": args.rate,
-                "budget": args.budget,
-                "policy": args.policy,
-                "attention": args.attention,
-                "prefix_sharing": args.prefix_sharing,
-                "chunk": args.chunk,
-                "round_tokens": args.round_tokens,
-                "scenario": args.scenario,
-                "tenants": args.tenants,
-                "async_serve": args.async_serve,
-                "port": args.port,
-                "replicas": args.replicas,
-                "routing": args.routing,
-                "tiering": args.tiering,
-                "tier_min_planes": args.tier_min_planes,
-                "tier_restore_blocks": args.tier_restore_blocks,
-                "speculative": args.speculative,
-                "parallel_samples": args.parallel_samples,
-                "draft_policy": args.draft_policy,
-                "draft_tokens": args.draft_tokens,
-            }
+            {a.dest: getattr(args, a.dest) for a in serve_flags if hasattr(args, a.dest)}
             if name == "serve"
             else {}
         )

@@ -14,16 +14,17 @@
 * :mod:`repro.core.backend` — the pluggable kernel-backend registry
   (``"reference"`` / ``"fast"``) every layer dispatches the fused filter
   through; see also :mod:`repro.engine` for the batched serving layer.
+
+The ISTA, MX, multi-bit, FP-query, validation and end-to-end operator
+names resolve on first use, so a server loads none of those modules.
 """
 
+from repro._lazy import lazy_exports
 from repro.core.config import PadeConfig
 from repro.core.bui import BUILookupTable, build_bui_lut, uncertainty_interval
 from repro.core.bui_gf import GuardedFilter, PruneDecision
 from repro.core.bs import BidirectionalPlan, plan_plane, bs_partial_dot, effective_bits
 from repro.core.bsf import BSFResult, bsf_filter_row, bsf_filter
-from repro.core.ista import ISTAResult, ista_attention, head_tail_order
-from repro.core.mx import MXBUILookupTable, build_mx_bui_lut
-from repro.core.pade_attention import PadeAttentionResult, pade_attention
 from repro.core.bsf_fast import bsf_filter_fast_batch
 from repro.core.backend import (
     FastBackend,
@@ -34,9 +35,27 @@ from repro.core.backend import (
     register_backend,
     set_default_backend,
 )
-from repro.core.multibit import MultiBitResult, multibit_filter, multibit_filter_row
-from repro.core.fp_query import AlignedQuery, align_query, fp_bsf_filter_row
-from repro.core.validate import ValidationReport, validate_partial_scores, validate_retention
+
+#: Re-exports no server calls: public name -> submodule that defines it,
+#: resolved on first use (PEP 562).
+_EXPORTS = {
+    "ISTAResult": "ista",
+    "ista_attention": "ista",
+    "head_tail_order": "ista",
+    "MXBUILookupTable": "mx",
+    "build_mx_bui_lut": "mx",
+    "PadeAttentionResult": "pade_attention",
+    "pade_attention": "pade_attention",
+    "MultiBitResult": "multibit",
+    "multibit_filter": "multibit",
+    "multibit_filter_row": "multibit",
+    "AlignedQuery": "fp_query",
+    "align_query": "fp_query",
+    "fp_bsf_filter_row": "fp_query",
+    "ValidationReport": "validate",
+    "validate_partial_scores": "validate",
+    "validate_retention": "validate",
+}
 
 __all__ = [
     "PadeConfig",
@@ -52,13 +71,6 @@ __all__ = [
     "BSFResult",
     "bsf_filter_row",
     "bsf_filter",
-    "ISTAResult",
-    "ista_attention",
-    "head_tail_order",
-    "MXBUILookupTable",
-    "build_mx_bui_lut",
-    "PadeAttentionResult",
-    "pade_attention",
     "bsf_filter_fast_batch",
     "KernelBackend",
     "ReferenceBackend",
@@ -67,13 +79,6 @@ __all__ = [
     "get_backend",
     "register_backend",
     "set_default_backend",
-    "MultiBitResult",
-    "multibit_filter",
-    "multibit_filter_row",
-    "AlignedQuery",
-    "align_query",
-    "fp_bsf_filter_row",
-    "ValidationReport",
-    "validate_partial_scores",
-    "validate_retention",
+    *_EXPORTS,
 ]
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

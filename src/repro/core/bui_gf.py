@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["PruneDecision", "GuardedFilter"]
+__all__ = ["PruneDecision", "GuardedFilter", "causal_allowed", "protection_mask"]
 
 
 @dataclass(frozen=True)
@@ -112,3 +112,35 @@ def guard_in_int_units(alpha: float, radius: float, logit_scale: float) -> float
     if logit_scale <= 0:
         return float("inf")
     return alpha * radius / logit_scale
+
+
+def causal_allowed(num_queries: int, num_keys: int, query_offset: int = 0) -> np.ndarray:
+    """Causal candidate mask: query ``i`` may attend keys ``<= offset + i``.
+
+    ``query_offset`` positions the query block inside a longer sequence
+    (decode steps pass ``num_keys - num_queries``).
+    """
+    rows = np.arange(num_queries)[:, None] + query_offset
+    cols = np.arange(num_keys)[None, :]
+    return cols <= rows
+
+
+def protection_mask(
+    num_queries: int,
+    num_keys: int,
+    sink_tokens: int,
+    recent_tokens: int,
+    query_offset: int = 0,
+) -> Optional[np.ndarray]:
+    """Always-keep mask combining attention sinks and a recency window."""
+    if sink_tokens == 0 and recent_tokens == 0:
+        return None
+    protect = np.zeros((num_queries, num_keys), dtype=bool)
+    if sink_tokens:
+        protect[:, : min(sink_tokens, num_keys)] = True
+    if recent_tokens:
+        for i in range(num_queries):
+            end = min(query_offset + i + 1, num_keys)
+            start = max(0, end - recent_tokens)
+            protect[i, start:end] = True
+    return protect

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.bui_gf import guard_in_int_units
+from repro.core.bui_gf import causal_allowed, guard_in_int_units, protection_mask
 from repro.core.config import PadeConfig
 from repro.core.ista import ISTAResult, ISTAStats, ista_attention
 from repro.quant.bitplane import BitPlanes, decompose_bitplanes
@@ -64,38 +64,6 @@ class PadeAttentionResult:
         if self.stats.candidate_keys == 0:
             return 0.0
         return self.stats.bit_plane_loads / self.stats.candidate_keys
-
-
-def causal_allowed(num_queries: int, num_keys: int, query_offset: int = 0) -> np.ndarray:
-    """Causal candidate mask: query ``i`` may attend keys ``<= offset + i``.
-
-    ``query_offset`` positions the query block inside a longer sequence
-    (decode steps pass ``num_keys - num_queries``).
-    """
-    rows = np.arange(num_queries)[:, None] + query_offset
-    cols = np.arange(num_keys)[None, :]
-    return cols <= rows
-
-
-def protection_mask(
-    num_queries: int,
-    num_keys: int,
-    sink_tokens: int,
-    recent_tokens: int,
-    query_offset: int = 0,
-) -> Optional[np.ndarray]:
-    """Always-keep mask combining attention sinks and a recency window."""
-    if sink_tokens == 0 and recent_tokens == 0:
-        return None
-    protect = np.zeros((num_queries, num_keys), dtype=bool)
-    if sink_tokens:
-        protect[:, : min(sink_tokens, num_keys)] = True
-    if recent_tokens:
-        for i in range(num_queries):
-            end = min(query_offset + i + 1, num_keys)
-            start = max(0, end - recent_tokens)
-            protect[i, start:end] = True
-    return protect
 
 
 def pade_attention(

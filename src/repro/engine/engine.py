@@ -44,8 +44,8 @@ import numpy as np
 from repro.attention.policy import AttentionPolicy, resolve_policy
 from repro.core.backend import KernelBackend, get_backend
 from repro.core.bsf_fast import round_arrays
+from repro.core.bui_gf import causal_allowed, protection_mask
 from repro.core.config import PadeConfig
-from repro.core.pade_attention import causal_allowed, protection_mask
 from repro.engine.cache import (
     DEFAULT_BLOCK_SIZE,
     PagedBitPlaneKVCache,

@@ -58,10 +58,44 @@ from repro.engine.heap import pin_malloc_thresholds
 # within this relative L2 of the verifier's output is accepted.
 SPEC_ACCEPT_TOL = 0.05
 
+#: The serving modes a run can combine; "baseline" is any software
+#: baseline attention policy in place of the PADE filter.
+SERVING_MODES = ("baseline", "prefix_sharing", "chunked_prefill", "tiering",
+                 "speculative", "n_best", "deadlines", "drain")
+
+#: Each refused pair of :data:`SERVING_MODES` and why; every other pair
+#: combines.  Tiering, the verifier and n-best forks need the BSF
+#: filter's planes (DESIGN.md §16-§17).
+REFUSED_MODE_PAIRS: Dict[Tuple[str, str], str] = {
+    ("baseline", "tiering"): "tiering requires the 'pade' attention policy: "
+    "baselines score on float keys, so spilled planes would not degrade them",
+    ("baseline", "speculative"): "speculative decoding requires the 'pade' "
+    "verifier policy: a baseline verifying a baseline draft proves nothing",
+    ("baseline", "n_best"): "parallel sampling requires the 'pade' attention "
+    "policy: a fork clones blocks, not a baseline's policy state",
+    ("speculative", "n_best"): "speculative decoding and parallel sampling "
+    "are mutually exclusive on one request",
+}
+
+
+def check_modes(**modes: bool) -> None:
+    """Raise ``ValueError`` with the table's reason if two of the modes
+    switched on are a refused pair."""
+    unknown = set(modes) - set(SERVING_MODES)
+    if unknown:
+        raise ValueError(f"unknown serving modes {sorted(unknown)}")
+    for pair, reason in REFUSED_MODE_PAIRS.items():
+        if all(modes.get(mode) for mode in pair):
+            raise ValueError(reason)
+
+
 __all__ = [
     "EngineRequest",
     "RequestResult",
     "deadline_was_missed",
+    "SERVING_MODES",
+    "REFUSED_MODE_PAIRS",
+    "check_modes",
     "ContinuousScheduler",
     "SchedulingPolicy",
     "FcfsPolicy",
@@ -170,14 +204,10 @@ class EngineRequest:
                 raise ValueError(
                     "sample decode streams must match the primary step count"
                 )
+        check_modes(speculative=self.speculative, n_best=bool(sample_present))
         if self.speculative:
             if len(present) != 3:
                 raise ValueError("speculative decoding requires decode streams")
-            if sample_present:
-                raise ValueError(
-                    "speculative decoding and parallel sampling are mutually "
-                    "exclusive on one request"
-                )
             if self.draft_tokens < 1:
                 raise ValueError("draft_tokens must be >= 1")
         if self.arrival_time < 0:
@@ -655,17 +685,15 @@ class ContinuousScheduler:
         and preemption fires only when even fully-spilled state cannot
         make room.  Spilled planes are prefetched back each round within
         ``restore_blocks_per_round``; restore traffic is charged against
-        the round token budget when one is set.  Requires the plane-
-        consuming ``pade`` attention policy — the software baselines
-        score on float keys and would not observe the degradation, so
-        tiering them would cheat the budget.  ``None``/``False`` (the
-        default) is byte-identical to the pre-tiering scheduler.
+        the round token budget when one is set.  ``None``/``False``
+        (the default) is byte-identical to the pre-tiering scheduler.
     draft_policy:
         The cheap draft for speculative requests (DESIGN.md §17): a name
         or instance of a policy declaring ``draftable`` (``streaming-llm``,
         ``topk-oracle``).  Resolved lazily — only when a speculative
-        request is actually submitted, which also requires the engine to
-        serve the ``pade`` verifier policy.
+        request is actually submitted.
+
+    Which of these modes combine is :data:`REFUSED_MODE_PAIRS`'s call.
     """
 
     def __init__(
@@ -692,19 +720,12 @@ class ContinuousScheduler:
             raise ValueError("chunk_tokens and round_token_budget must be >= 0")
         if chunk_tokens and not round_token_budget:
             raise ValueError("chunk_tokens requires round_token_budget (the per-round split)")
-        if tiering:
-            if isinstance(tiering, dict):
-                tiering = TierConfig(**tiering)
-            self.tiering = tiering if isinstance(tiering, TierConfig) else TierConfig()
-            attn_name = getattr(getattr(engine, "policy", None), "name", None)
-            if attn_name != "pade":
-                raise ValueError(
-                    f"tiering requires the plane-consuming 'pade' attention policy "
-                    f"(got {attn_name!r}): baseline policies score on float keys, "
-                    f"so spilled planes would free budget without degrading them"
-                )
-        else:
-            self.tiering = None
+        attn_policy = getattr(engine, "policy", None)
+        self._baseline = getattr(attn_policy, "name", None) != "pade"
+        check_modes(baseline=self._baseline, tiering=bool(tiering))
+        if tiering and not isinstance(tiering, TierConfig):
+            tiering = TierConfig(**tiering) if isinstance(tiering, dict) else TierConfig()
+        self.tiering = tiering or None
         self.engine = engine
         self.max_active = max_active
         self.token_budget = token_budget // block_size * block_size
@@ -720,7 +741,6 @@ class ContinuousScheduler:
         # StreamingLLM's sink+window) switch admission to charged-footprint
         # accounting: each request is charged its policy's peak resident
         # tokens against the token budget instead of its dense context.
-        attn_policy = getattr(engine, "policy", None)
         self._charged = attn_policy is not None and not attn_policy.dense_footprint
         # Charged mode keeps every key physically resident (retained sets
         # must stay exactly reproducible) while *admission* is billed the
@@ -810,29 +830,10 @@ class ContinuousScheduler:
         :meth:`submit`'s checks minus the duplicate-id test; the async
         front-end runs them before it accepts a submission.
         """
-        attn_name = getattr(getattr(self.engine, "policy", None), "name", None)
+        check_modes(baseline=self._baseline, speculative=request.speculative,
+                    n_best=request.n_samples > 1)
         if request.speculative:
-            # The verifier is the engine's own policy: accept/reject is
-            # only meaningful when it is the plane-consuming PADE filter
-            # (the draft is a *different*, cheaper selection over the
-            # same pool; a baseline verifying a baseline proves nothing).
-            if attn_name != "pade":
-                raise ValueError(
-                    f"speculative decoding requires the 'pade' verifier policy "
-                    f"(engine serves {attn_name!r})"
-                )
             self._resolve_draft()
-        if request.n_samples > 1:
-            # Lineage caches are COW forks, and a fork carries blocks
-            # only — not the donor's policy_state.  Stateless PADE
-            # decodes each lineage correctly; a stateful baseline (H2O
-            # accumulators) would silently restart its statistics per
-            # fork, so parallel sampling is PADE-only.
-            if attn_name != "pade":
-                raise ValueError(
-                    f"parallel sampling requires the 'pade' attention policy "
-                    f"(engine serves {attn_name!r})"
-                )
 
     def _resolve_draft(self):
         """Instantiate the draft policy on first speculative use."""
@@ -961,8 +962,8 @@ class ContinuousScheduler:
         A dense policy keeps every key resident, so the charge is
         :meth:`_dense_blocks`.  A bounded (charged) policy is billed its
         peak resident tokens in whole blocks, capped by the dense count;
-        n-best and speculative requests are PADE-only
-        (:meth:`check_request`), so no lineage term applies.
+        :data:`REFUSED_MODE_PAIRS` keeps n-best and speculative
+        requests off baseline policies, so no lineage term applies.
         """
         dense = self._dense_blocks(req)
         if not self._charged:

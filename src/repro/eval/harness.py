@@ -1036,7 +1036,7 @@ def serving_profile(
     ``routing`` picks the routing mode (``prefix`` / ``random`` /
     ``least-loaded``).
     ``tiering`` switches the pool to the two-tier bit-plane memory
-    (spill-before-preempt; PADE attention only), with
+    (spill-before-preempt), with
     ``tier_min_planes`` the residency floor and ``tier_restore_blocks``
     the per-round prefetch-restore cap — the report gains the
     accuracy-vs-pressure columns (``degraded_token_fraction``,
@@ -1050,15 +1050,13 @@ def serving_profile(
     forks every request into that many n-best decode lineages off one
     shared prefill (:func:`repro.eval.workloads.build_parallel_workload`),
     adding the ``parallel_*`` / ``pool_amplification_factor`` columns.
-    Both modes run on the PADE policy only and are mutually exclusive
-    with each other and with ``--scenario`` / ``--prefix-sharing``.
-    Deterministic for a given seed — safe for ``--json`` smoke runs; the
-    CLI exposes ``--rate/--budget/--sched-policy/--scenario/--tenants/
-    --prefix-sharing/--chunk/--round-tokens/--attention/--async/--port/
-    --tiering/--tier-min-planes/--tier-restore-blocks/--speculative/
-    --parallel-samples/--draft-policy/--draft-tokens``.
+    Neither builder serves a ``scenario``; under them, as under a
+    scenario, ``prefix_sharing`` is the pool knob only.  Which modes
+    combine is :data:`repro.engine.scheduler.REFUSED_MODE_PAIRS`'s call.
+    Deterministic for a given seed — safe for ``--json`` smoke runs.
     """
     from repro.engine import PadeEngine
+    from repro.engine.scheduler import check_modes
     from repro.eval.serving_metrics import summarize_serving
     from repro.eval.workloads import (
         build_prefix_workload,
@@ -1066,14 +1064,18 @@ def serving_profile(
         build_serving_workload,
     )
 
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    if parallel_samples < 1:
+        raise ValueError(f"parallel_samples must be >= 1, got {parallel_samples}")
     engine = PadeEngine(PadeConfig.standard(), policy=attention)
     tenant_weights = None
-    if speculative and parallel_samples > 1:
-        raise ValueError("speculative and parallel_samples > 1 are exclusive")
-    if (speculative or parallel_samples > 1) and (scenario or prefix_sharing):
+    check_modes(baseline=engine.policy.name != "pade", prefix_sharing=prefix_sharing,
+                chunked_prefill=bool(chunk), tiering=tiering, speculative=speculative,
+                n_best=parallel_samples > 1)
+    if (speculative or parallel_samples > 1) and scenario:
         raise ValueError(
-            "speculative / parallel sampling build their own workloads; "
-            "drop --scenario / --prefix-sharing"
+            "speculative / parallel sampling build their own workloads; drop --scenario"
         )
     if speculative:
         from repro.eval.workloads import build_speculative_workload

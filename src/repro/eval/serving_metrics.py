@@ -512,8 +512,12 @@ def summarize_cluster(replica_reports: Sequence[Dict[str, float]]) -> Dict[str, 
     to per-replica generated tokens — the load-balance figure, with
     ``tokens_r{i}`` detail columns.  Worst-tail columns
     (``worst_p95_ttft`` etc.) take the max across replicas: the SLO a
-    cluster operator quotes is the one its worst shard delivers.  Tier
-    counters (``spill_events`` etc.) sum when any replica reports them.
+    cluster operator quotes is the one its worst shard delivers.  Tier,
+    speculative and n-best counters (``spill_events``, ``spec_*``,
+    ``parallel_*``) sum when any replica reports them, and the
+    speculative ratios are recomputed from the sums.  There is no
+    cluster ``pool_amplification_factor``: a replica report carries no
+    single-lineage block count to derive it from.
     """
     reports = list(replica_reports)
     if not reports:
@@ -545,9 +549,17 @@ def summarize_cluster(replica_reports: Sequence[Dict[str, float]]) -> Dict[str, 
     out.update(prefix_cache_stats(int(hit), int(miss)))
     out["prefix_bytes_saved"] = total("prefix_bytes_saved")
     for key in ("spill_events", "restore_events", "spill_reliefs",
-                "tier_prefetch_restores", "spilled_plane_bytes", "restored_plane_bytes"):
+                "tier_prefetch_restores", "spilled_plane_bytes", "restored_plane_bytes",
+                "spec_rounds", "spec_drafted_tokens", "spec_accepted_tokens",
+                "spec_emitted_tokens", "spec_rollbacks", "parallel_requests",
+                "parallel_unique_blocks", "parallel_replicated_blocks"):
         if any(key in r for r in served):
             out[key] = total(key)
+    if "spec_rounds" in out:
+        out["accepted_tokens_per_round"] = out["spec_emitted_tokens"] / out["spec_rounds"]
+        out["draft_acceptance_rate"] = out["spec_accepted_tokens"] / max(
+            1.0, out["spec_drafted_tokens"]
+        )
     out["jain_replica_index"] = jain_fairness_index(
         [float(r.get("generated_tokens", 0.0)) for r in reports]
     )

@@ -118,6 +118,31 @@ def test_summarize_cluster_sums_tier_counters_only_when_reported():
     assert "spill_events" not in summarize_cluster([flat, flat])
 
 
+def test_summarize_cluster_sums_spec_and_parallel_counters_when_reported():
+    flat = {"requests": 1.0, "generated_tokens": 4.0}
+    spec = dict(flat, spec_rounds=4.0, spec_drafted_tokens=16.0,
+                spec_accepted_tokens=12.0, spec_emitted_tokens=14.0,
+                spec_rollbacks=1.0, accepted_tokens_per_round=3.5,
+                draft_acceptance_rate=0.75)
+    other = dict(spec, spec_rounds=2.0, spec_drafted_tokens=8.0,
+                 spec_accepted_tokens=2.0, spec_emitted_tokens=4.0)
+    out = summarize_cluster([spec, other, {}])
+    assert (out["spec_rounds"], out["spec_emitted_tokens"]) == (6.0, 18.0)
+    assert out["spec_rollbacks"] == 2.0
+    # Ratios come from the sums, not an average of the replica ratios.
+    assert out["accepted_tokens_per_round"] == pytest.approx(18.0 / 6.0)
+    assert out["draft_acceptance_rate"] == pytest.approx(14.0 / 24.0)
+    nbest = dict(flat, parallel_requests=2.0, parallel_unique_blocks=10.0,
+                 parallel_replicated_blocks=24.0, pool_amplification_factor=1.5)
+    out = summarize_cluster([nbest, nbest])
+    assert (out["parallel_requests"], out["parallel_unique_blocks"]) == (4.0, 20.0)
+    assert out["parallel_replicated_blocks"] == 48.0
+    assert "pool_amplification_factor" not in out
+    plain = summarize_cluster([flat, flat])
+    assert not [k for k in plain if k.startswith(("spec_", "parallel_"))]
+    assert "accepted_tokens_per_round" not in plain
+
+
 def test_summarize_cluster_empty_raises():
     with pytest.raises(ValueError):
         summarize_cluster([])

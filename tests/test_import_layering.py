@@ -29,6 +29,13 @@ _NOT_SERVING = (
     "repro.accelerators",
     "repro.model",
     "repro.attention.baselines",
+    "repro.attention.flash",
+    "repro.core.fp_query",
+    "repro.core.ista",
+    "repro.core.multibit",
+    "repro.core.mx",
+    "repro.core.pade_attention",
+    "repro.core.validate",
 )
 
 
@@ -112,6 +119,27 @@ def test_serve_reexports_resolve_on_first_use():
         "                  all(getattr(repro.serve, n) for n in repro.serve.__all__)]))\n"
     )
     assert _json_out(code) == [True, True, True]
+
+
+def test_core_reexports_resolve_on_first_use_even_after_their_submodule():
+    # Importing repro.core.pade_attention first binds that submodule on
+    # the package; the same-named function must still be what the
+    # package (and the top-level package) exports.
+    code = (
+        "import json, sys\n"
+        "import repro.core.pade_attention\n"
+        "from repro.core.pade_attention import pade_attention as fn\n"
+        "import repro, repro.core, repro.attention\n"
+        "from repro.core import pade_attention, ista_attention, validate_retention\n"
+        "from repro.attention.flash import flash_attention\n"
+        "print(json.dumps([pade_attention is fn, repro.core.pade_attention is fn,\n"
+        "                  repro.pade_attention is fn, callable(ista_attention),\n"
+        "                  callable(validate_retention),\n"
+        "                  repro.attention.flash_attention is flash_attention,\n"
+        "                  all(getattr(repro.core, n) for n in repro.core.__all__),\n"
+        "                  set(repro.core.__all__) <= set(dir(repro.core))]))\n"
+    )
+    assert _json_out(code) == [True] * 8
 
 
 def test_server_module_runs_without_a_runpy_warning():
